@@ -6,9 +6,8 @@ from .stencil import Frequency, Stencil2D, make_operator, symbol, apply_stencil
 from .harmonics import (HarmonicPair, harmonics_of, evaluate_mode, jacobi_symbol,
                         two_color_rep, numerical_lfa_oracle)
 from .smoothing import (SweepConfig, OneStageResult, SmoothingReport,
-                        projected_eigenvalues, apply_damping, optimal_one_stage,
-                        sweep_extrema, one_stage_optimum, smoothing_factor,
-                        stokes_smoothing_factor)
+                        optimal_one_stage, sweep_extrema, one_stage_optimum,
+                        smoothing_factor, stokes_smoothing_factor)
 from . import closedform
 from .mgsolver import (StokesProblem, StokesState, CycleSpec, ConvergenceReport,
                        homogeneous_problem, manufactured_problem,
@@ -20,8 +19,7 @@ __all__ = [
     "Frequency", "Stencil2D", "make_operator", "symbol", "apply_stencil",
     "HarmonicPair", "harmonics_of", "evaluate_mode", "jacobi_symbol",
     "two_color_rep", "numerical_lfa_oracle",
-    "SweepConfig", "OneStageResult", "SmoothingReport",
-    "projected_eigenvalues", "apply_damping", "optimal_one_stage",
+    "SweepConfig", "OneStageResult", "SmoothingReport", "optimal_one_stage",
     "sweep_extrema", "one_stage_optimum", "smoothing_factor",
     "stokes_smoothing_factor", "closedform",
     "StokesProblem", "StokesState", "CycleSpec", "ConvergenceReport",

@@ -241,7 +241,7 @@ def cmd_solve(args) -> int:
     levels = args.levels if args.levels is not None else max_levels(args.n)
     prob = homogeneous_problem(args.n, args.c)
     spec = CycleSpec(pre_sweeps=args.pre, post_sweeps=args.post, levels=levels,
-                     omega=omega, cycle_kind=args.kind)
+                     omega=omega)
     report = measure_convergence_factor(prob, spec, args.cycles, seed=args.seed)
     lines = ["cycle_index,residual_norm,ratio", f"0,{report.initial_residual:.12g},"]
     for k, (r, q) in enumerate(zip(report.residual_history, report.ratios()), start=1):
@@ -309,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None,
                    help="damping (default: closed-form optimum for c)")
     p.add_argument("--cycles", type=int, default=20)
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=int, default=None,
+                   help="hierarchy depth (default: deepest); 2 is the two-grid cycle")
     p.add_argument("--pre", type=int, default=2)
     p.add_argument("--post", type=int, default=2)
-    p.add_argument("--kind", choices=("V", "two_grid"), default="V")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_solve)

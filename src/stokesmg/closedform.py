@@ -192,9 +192,10 @@ def zone_of(c: float, check_tol: float = 1e-12) -> CZoneReport:
     For c > 1/27 the tabulated zone is [25/217, 11/43]; for 0 < c <= 1/27
     it is [rho_opt(1/27), 1), inclusive at the left endpoint.  The check
     raises ValueError when rho_opt(c) falls outside the zone.  That
-    genuinely happens for c in (1/8, C_DIP_END): the true curve dips to
-    RHO_MIN at C_RHO_MIN, below the tabulated lower bound 25/217; see
-    README, "Known deviations".
+    genuinely happens for every c in (1/8, C_DIP_END): the true curve dips
+    to RHO_MIN at C_RHO_MIN, below the tabulated lower bound 25/217; see
+    README, "Known deviations".  The whole interval raises, including the
+    part within 1e-6 of 1/8 where rho_opt_closed returns 25/217 itself.
     """
     if c <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {c}")
@@ -203,7 +204,10 @@ def zone_of(c: float, check_tol: float = 1e-12) -> CZoneReport:
         report = CZoneReport(c, RHO_AT_C_EIGHTH, RHO_LIMIT_LARGE_C, "above_1_27")
     else:
         report = CZoneReport(c, rho_opt_closed(1.0 / 27.0), 1.0, "below_1_27")
-    if not (report.rho_lower - check_tol <= rho <= report.rho_upper + check_tol):
+    in_dip = 0.125 < c < C_DIP_END
+    if in_dip or not (report.rho_lower - check_tol <= rho <= report.rho_upper + check_tol):
         raise ValueError(f"rho_opt({c}) = {rho:.9f} violates the tabulated zone "
-                         f"[{report.rho_lower:.9f}, {report.rho_upper:.9f}]")
+                         f"[{report.rho_lower:.9f}, {report.rho_upper:.9f}]"
+                         + (f"; rho_opt < 25/217 on (1/8, {C_DIP_END:.9f})"
+                            if in_dip else ""))
     return report

@@ -42,59 +42,47 @@ def harmonics_of(base: Frequency) -> HarmonicPair:
     return HarmonicPair(base, Frequency(base.theta1 + PI, base.theta2 + PI))
 
 
-def evaluate_mode(theta: Frequency, k: tuple[int, int], h: float = 1.0) -> complex:
-    """Value of the grid mode exp(i theta . k) at integer grid index k.
-
-    The physical point is x = (k1*h, k2*h); the value does not depend on
-    h, which is accepted only for signature symmetry with grid code.
-    """
+def evaluate_mode(theta: Frequency, k: tuple[int, int]) -> complex:
+    """Value of the grid mode exp(i theta . k) at integer grid index k."""
     k1, k2 = k
     return complex(np.exp(1j * (theta.theta1 * k1 + theta.theta2 * k2)))
 
 
-def jacobi_symbol(s: Stencil2D, theta: Frequency) -> complex:
-    """Error-propagation symbol 1 - symbol(theta)/center of point Jacobi."""
+def _check_center(s: Stencil2D):
     if s.center == 0:
         raise ValueError(f"stencil {s.name!r} has zero center coefficient")
-    return 1.0 - complex(symbol_grid(s, theta.theta1, theta.theta2)) / s.center
 
 
-def color_factors(s: Stencil2D, pair: HarmonicPair) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 representations of the red and black half-sweeps.
+def jacobi_symbol(s: Stencil2D, t1, t2):
+    """Error-propagation symbol 1 - symbol(theta)/center of point Jacobi.
 
-    Returns (red, black).  With a0, a1 the Jacobi symbols at the two pair
-    members, the red factor relaxes even-sum points:
-
-        red   = 1/2 [[a0 + 1, a1 - 1], [a0 - 1, a1 + 1]]
-        black = 1/2 [[a0 + 1, 1 - a1], [1 - a0, a1 + 1]]
+    t1, t2 may be scalars or broadcastable arrays, as for symbol_grid.
     """
-    a0 = jacobi_symbol(s, pair.base)
-    a1 = jacobi_symbol(s, pair.high)
-    red = 0.5 * np.array([[a0 + 1, a1 - 1], [a0 - 1, a1 + 1]], dtype=complex)
-    black = 0.5 * np.array([[a0 + 1, 1 - a1], [1 - a0, a1 + 1]], dtype=complex)
-    return red, black
+    _check_center(s)
+    return 1.0 - symbol_grid(s, t1, t2) / s.center
 
 
-def two_color_rep(s: Stencil2D, pair: HarmonicPair) -> np.ndarray:
-    """Representation of one full undamped red-black Jacobi sweep.
-
-    The black half-sweep uses fresh red values, so the composite matrix
-    is black @ red.
-    """
-    red, black = color_factors(s, pair)
-    return black @ red
+def _pair_symbols(s: Stencil2D, t1, t2):
+    """Jacobi symbols (a0, a1) at the base frequencies and their partners."""
+    return (jacobi_symbol(s, t1, t2),
+            jacobi_symbol(s, np.asarray(t1) + PI, np.asarray(t2) + PI))
 
 
 def rep_grid(s: Stencil2D, t1, t2) -> np.ndarray:
-    """Vectorized two-color representation over base-frequency arrays.
+    """Two-color representation of one full undamped red-black sweep.
 
     t1, t2 are broadcastable arrays of base frequencies; the result has
-    shape broadcast(t1, t2).shape + (2, 2).
+    shape broadcast(t1, t2).shape + (2, 2).  With a0, a1 the Jacobi
+    symbols at the two pair members, the red half-sweep (even-sum points)
+    and the black half-sweep are
+
+        red   = 1/2 [[a0 + 1, a1 - 1], [a0 - 1, a1 + 1]]
+        black = 1/2 [[a0 + 1, 1 - a1], [1 - a0, a1 + 1]]
+
+    and, since the black half-sweep uses fresh red values, the sweep is
+    black @ red, expanded entrywise below.
     """
-    if s.center == 0:
-        raise ValueError(f"stencil {s.name!r} has zero center coefficient")
-    a0 = 1.0 - symbol_grid(s, t1, t2) / s.center
-    a1 = 1.0 - symbol_grid(s, np.asarray(t1) + PI, np.asarray(t2) + PI) / s.center
+    a0, a1 = _pair_symbols(s, t1, t2)
     out = np.empty(a0.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 0.25 * ((a0 + 1) ** 2 + (1 - a1) * (a0 - 1))
     out[..., 0, 1] = 0.25 * ((a0 + 1) * (a1 - 1) + (1 - a1) * (a1 + 1))
@@ -103,17 +91,40 @@ def rep_grid(s: Stencil2D, t1, t2) -> np.ndarray:
     return out
 
 
+def two_color_rep(s: Stencil2D, pair: HarmonicPair) -> np.ndarray:
+    """The 2x2 representation of one undamped red-black sweep on a pair."""
+    return rep_grid(s, *pair.base.as_tuple())
+
+
 def projected_eigenvalue_grid(s: Stencil2D, t1, t2) -> np.ndarray:
     """Nonzero eigenvalue of diag(0,1) @ rep over base-frequency arrays.
 
     The projected matrix has a zero first row, so this is just the
-    (1, 1) entry of the representation.
+    (1, 1) entry of the representation, computed without the others.
     """
-    if s.center == 0:
-        raise ValueError(f"stencil {s.name!r} has zero center coefficient")
-    a0 = 1.0 - symbol_grid(s, t1, t2) / s.center
-    a1 = 1.0 - symbol_grid(s, np.asarray(t1) + PI, np.asarray(t2) + PI) / s.center
+    a0, a1 = _pair_symbols(s, t1, t2)
     return 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2)
+
+
+def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
+    """One undamped red-black Jacobi sweep of e on a periodic grid.
+
+    Red points (even index sum) are relaxed first, then black points from
+    the fresh red values.  The stencil is applied by periodic shifts, so
+    no symbol enters: this is the concrete sweep that the symbols model.
+    """
+    _check_center(s)
+    k1, k2 = np.ogrid[:e.shape[0], :e.shape[1]]
+    red = (k1 + k2) % 2 == 0
+
+    def apply_periodic(g):
+        out = np.zeros_like(g)
+        for (o1, o2), coef in s.entries.items():
+            out += coef * np.roll(g, (-o1, -o2), axis=(0, 1))
+        return out
+
+    e = np.where(red, e - apply_periodic(e) / s.center, e)
+    return np.where(~red, e - apply_periodic(e) / s.center, e)
 
 
 def _lattice_index(theta: float, n_grid: int) -> int:
@@ -127,11 +138,11 @@ def _lattice_index(theta: float, n_grid: int) -> int:
 def numerical_lfa_oracle(s: Stencil2D, pair: HarmonicPair, n_grid: int) -> np.ndarray:
     """Measure the two-color sweep matrix on a concrete periodic grid.
 
-    Performs one undamped red-black Jacobi sweep (red = even index sum,
-    first) on each of the pair's modes over an n_grid x n_grid periodic
-    grid and projects the images back onto the pair by discrete inner
-    products.  Both pair frequencies must lie on the sampling lattice
-    (integer multiples of 2*pi/n_grid) so the modes are exactly periodic.
+    Performs one periodic_two_color_sweep on each of the pair's modes
+    over an n_grid x n_grid periodic grid and projects the images back
+    onto the pair by discrete inner products.  Both pair frequencies must
+    lie on the sampling lattice (integer multiples of 2*pi/n_grid) so the
+    modes are exactly periodic.
 
     This is an independent check of the closed-form representation; no
     symbols are used.
@@ -141,25 +152,13 @@ def numerical_lfa_oracle(s: Stencil2D, pair: HarmonicPair, n_grid: int) -> np.nd
     for th in (pair.base, pair.high):
         _lattice_index(th.theta1, n_grid)
         _lattice_index(th.theta2, n_grid)
-    if s.center == 0:
-        raise ValueError(f"stencil {s.name!r} has zero center coefficient")
 
     k1, k2 = np.meshgrid(np.arange(n_grid), np.arange(n_grid), indexing="ij")
-    red = (k1 + k2) % 2 == 0
     modes = [np.exp(1j * (th.theta1 * k1 + th.theta2 * k2))
              for th in (pair.base, pair.high)]
-
-    def apply_periodic(g):
-        out = np.zeros_like(g)
-        for (o1, o2), coef in s.entries.items():
-            out += coef * np.roll(g, (-o1, -o2), axis=(0, 1))
-        return out
-
     m = np.zeros((2, 2), dtype=complex)
     for col, phi in enumerate(modes):
-        e = phi.copy()
-        e = np.where(red, e - apply_periodic(e) / s.center, e)
-        e = np.where(~red, e - apply_periodic(e) / s.center, e)
+        e = periodic_two_color_sweep(s, phi)
         for row, psi in enumerate(modes):
             m[row, col] = np.mean(e * np.conj(psi))
     return m

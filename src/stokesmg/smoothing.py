@@ -28,20 +28,22 @@ HALF_PI = 0.5 * math.pi
 
 IMAG_TOL = 1e-10
 
+# Pattern-search refinement: at most REFINE_ROUNDS rounds of
+# REFINE_POINTS x REFINE_POINTS windows around each lattice extremum.
+REFINE_ROUNDS = 80
+REFINE_POINTS = 17
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Sampling plan for extrema searches over the low-frequency box.
 
     refine controls the local zoom stages around each coarse extremum;
-    with the defaults the extreme values are resolved to ~1e-12.
+    with it the extreme values are resolved to ~1e-12.
     """
 
     n_samples_per_axis: int = 257
-    include_boundary: bool = True
     refine: bool = True
-    refine_rounds: int = 80
-    refine_points: int = 17
 
     def __post_init__(self):
         if self.n_samples_per_axis < 2:
@@ -85,19 +87,6 @@ class StokesSmoothing:
     rho_pressure: float
 
 
-def projected_eigenvalues(rep: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues of diag(0,1) @ rep for a single 2x2 representation.
-
-    The product has a zero first row, so the spectrum is {0, rep[1, 1]}.
-    """
-    return 0j, complex(rep[1, 1])
-
-
-def apply_damping(eig: float, omega: float) -> float:
-    """Eigenvalue of the damped sweep, (1 - omega) + omega * eig."""
-    return (1.0 - omega) + omega * eig
-
-
 def optimal_one_stage(s_max: float, s_min: float) -> tuple[float, float]:
     """Optimal damping parameter and factor from real extreme eigenvalues.
 
@@ -110,9 +99,7 @@ def optimal_one_stage(s_max: float, s_min: float) -> tuple[float, float]:
 
 
 def _axis(cfg: SweepConfig) -> np.ndarray:
-    if cfg.include_boundary:
-        return np.linspace(-HALF_PI, HALF_PI, cfg.n_samples_per_axis)
-    return np.linspace(-HALF_PI, HALF_PI, cfg.n_samples_per_axis + 2)[1:-1]
+    return np.linspace(-HALF_PI, HALF_PI, cfg.n_samples_per_axis)
 
 
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
@@ -124,7 +111,7 @@ def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _refine(field, t1: float, t2: float, width: float, best: float,
-            sign: float, cfg: SweepConfig) -> tuple[float, float, float]:
+            sign: float) -> tuple[float, float, float]:
     """Zoom around (t1, t2) maximizing sign*field; returns (value, t1, t2).
 
     Pattern-search style: the window only shrinks when the round's best
@@ -135,9 +122,9 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
     lattice winner.  Window edges clipped to the frequency box count as
     interior, since extrema are genuinely attained there.
     """
-    pts = cfg.refine_points
+    pts = REFINE_POINTS
     w = width
-    for _ in range(cfg.refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         lo1, hi1 = max(t1 - w, -HALF_PI), min(t1 + w, HALF_PI)
         lo2, hi2 = max(t2 - w, -HALF_PI), min(t2 + w, HALF_PI)
         xs = np.linspace(lo1, hi1, pts)
@@ -159,6 +146,19 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
     return best, t1, t2
 
 
+def _extremum(field, vals: np.ndarray, ax: np.ndarray, sign: float,
+              cfg: SweepConfig) -> tuple[float, float, float]:
+    """Lattice point maximizing sign*vals, refined on field if cfg.refine.
+
+    vals is field evaluated on the ax x ax lattice; returns (value, t1, t2).
+    """
+    i = int(np.argmax(sign * vals))
+    best, t1, t2 = vals.flat[i], float(ax[i // len(ax)]), float(ax[i % len(ax)])
+    if cfg.refine:
+        best, t1, t2 = _refine(field, t1, t2, float(ax[1] - ax[0]), best, sign)
+    return best, t1, t2
+
+
 def sweep_extrema(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> SweepExtrema:
     """Extrema of the projected eigenvalue over the low-frequency box.
 
@@ -172,17 +172,8 @@ def sweep_extrema(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> SweepExtrem
                              "projected eigenvalue")
 
     vals = field(ax[:, None], ax[None, :])
-    n = len(ax)
-    imax = int(np.argmax(vals))
-    imin = int(np.argmin(vals))
-    s_max, tmax1, tmax2 = vals.flat[imax], float(ax[imax // n]), float(ax[imax % n])
-    s_min, tmin1, tmin2 = vals.flat[imin], float(ax[imin // n]), float(ax[imin % n])
-
-    if cfg.refine:
-        width = float(ax[1] - ax[0])
-        s_max, tmax1, tmax2 = _refine(field, tmax1, tmax2, width, s_max, +1.0, cfg)
-        s_min, tmin1, tmin2 = _refine(field, tmin1, tmin2, width, s_min, -1.0, cfg)
-
+    s_max, tmax1, tmax2 = _extremum(field, vals, ax, +1.0, cfg)
+    s_min, tmin1, tmin2 = _extremum(field, vals, ax, -1.0, cfg)
     return SweepExtrema(float(s_max), float(s_min),
                         Frequency(tmax1, tmax2), Frequency(tmin1, tmin2))
 
@@ -218,13 +209,7 @@ def smoothing_factor(s: Stencil2D, omega: float, n_sweeps: int = 1,
         return np.abs(power[..., 1, 1]) ** (1.0 / n_sweeps)
 
     ax = _axis(cfg)
-    vals = field(ax[:, None], ax[None, :])
-    n = len(ax)
-    i = int(np.argmax(vals))
-    best, t1, t2 = vals.flat[i], float(ax[i // n]), float(ax[i % n])
-    if cfg.refine:
-        best, t1, t2 = _refine(field, t1, t2, float(ax[1] - ax[0]), best, +1.0, cfg)
-
+    best, t1, t2 = _extremum(field, field(ax[:, None], ax[None, :]), ax, +1.0, cfg)
     return SmoothingReport(float(best), n_sweeps, omega, Frequency(t1, t2))
 
 

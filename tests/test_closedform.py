@@ -162,6 +162,15 @@ class TestZones:
         with pytest.raises(ValueError, match="violates"):
             cf.zone_of(0.1295)
 
+    def test_dip_raises_inside_the_c_eighth_window(self):
+        # rho_opt_closed returns 25/217 within 1e-6 of 1/8, but the true
+        # curve is already below it on the right of 1/8
+        with pytest.raises(ValueError, match="violates the tabulated zone"):
+            cf.zone_of(0.1250005)
+        assert cf.zone_of(0.125).zone_tag == "above_1_27"
+        assert cf.zone_of(0.1249995).zone_tag == "above_1_27"
+        assert cf.zone_of(cf.C_DIP_END + 1e-4).zone_tag == "above_1_27"
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cf.zone_of(-1.0)

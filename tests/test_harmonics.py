@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from stokesmg.stencil import Frequency, make_operator
-from stokesmg.harmonics import (color_factors, evaluate_mode, harmonics_of,
-                                jacobi_symbol, numerical_lfa_oracle,
-                                projected_eigenvalue_grid, rep_grid,
-                                two_color_rep)
+from stokesmg.harmonics import (evaluate_mode, harmonics_of, jacobi_symbol,
+                                numerical_lfa_oracle, periodic_two_color_sweep,
+                                projected_eigenvalue_grid, rep_grid, two_color_rep)
 
 PI = math.pi
 
@@ -56,20 +55,30 @@ class TestEvaluateMode:
 class TestJacobiSymbol:
     def test_kernel_mode(self):
         lap = make_operator("laplacian")
-        assert jacobi_symbol(lap, Frequency(0, 0)) == 1
+        assert jacobi_symbol(lap, 0.0, 0.0) == 1
 
     def test_checkerboard(self):
         lap = make_operator("laplacian")
-        assert jacobi_symbol(lap, Frequency(PI, PI)) == pytest.approx(-1, abs=1e-12)
+        assert jacobi_symbol(lap, PI, PI) == pytest.approx(-1, abs=1e-12)
 
     def test_mid_mode(self):
         lap = make_operator("laplacian")
-        assert jacobi_symbol(lap, Frequency(PI / 2, PI / 2)) == pytest.approx(0, abs=1e-12)
+        assert jacobi_symbol(lap, PI / 2, PI / 2) == pytest.approx(0, abs=1e-12)
 
     def test_zero_center_rejected(self):
         ddx = make_operator("ddx")
         with pytest.raises(ValueError, match="zero center"):
-            jacobi_symbol(ddx, Frequency(0.3, 0.1))
+            jacobi_symbol(ddx, 0.3, 0.1)
+
+    def test_vectorized_matches_pointwise(self):
+        pb = make_operator("pressure_block", c=0.3)
+        t1 = np.linspace(-1.2, 1.5, 5)[:, None]
+        t2 = np.linspace(-1.4, 1.1, 4)[None, :]
+        grid = jacobi_symbol(pb, t1, t2)
+        assert grid.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                assert grid[i, j] == jacobi_symbol(pb, t1[i, 0], t2[0, j])
 
 
 class TestTwoColorRep:
@@ -84,17 +93,17 @@ class TestTwoColorRep:
         assert rep[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_red_factor_structure(self):
-        # the red factor is 1/2 [[a0+1, a1-1], [a0-1, a1+1]]
+        # the sweep is black @ red with the half-sweep factors
+        # red = 1/2 [[a0+1, a1-1], [a0-1, a1+1]] and
+        # black = 1/2 [[a0+1, 1-a1], [1-a0, a1+1]]
         rng = np.random.default_rng(2)
         pb = make_operator("pressure_block", c=0.2)
         for _ in range(10):
             pair = harmonics_of(lattice_low_frequency(rng, 64))
-            red, black = color_factors(pb, pair)
-            a0 = jacobi_symbol(pb, pair.base)
-            a1 = jacobi_symbol(pb, pair.high)
-            assert red[0, 1] == pytest.approx((a1 - 1) / 2, abs=1e-14)
-            assert red[0, 0] == pytest.approx((a0 + 1) / 2, abs=1e-14)
-            assert black[1, 0] == pytest.approx((1 - a0) / 2, abs=1e-14)
+            a0 = complex(jacobi_symbol(pb, *pair.base.as_tuple()))
+            a1 = complex(jacobi_symbol(pb, *pair.high.as_tuple()))
+            red = 0.5 * np.array([[a0 + 1, a1 - 1], [a0 - 1, a1 + 1]])
+            black = 0.5 * np.array([[a0 + 1, 1 - a1], [1 - a0, a1 + 1]])
             assert np.abs(black @ red - two_color_rep(pb, pair)).max() < 1e-14
 
     def test_rep_grid_matches_pair_function(self):
@@ -178,6 +187,14 @@ def test_oracle_input_validation():
     off_lattice = harmonics_of(Frequency(0.4, 0))
     with pytest.raises(ValueError, match="not a multiple"):
         numerical_lfa_oracle(lap, off_lattice, 16)
+
+
+def test_periodic_sweep_rejects_zero_center():
+    ddx = make_operator("ddx")
+    with pytest.raises(ValueError, match="zero center"):
+        periodic_two_color_sweep(ddx, np.ones((8, 8)))
+    with pytest.raises(ValueError, match="zero center"):
+        numerical_lfa_oracle(ddx, harmonics_of(Frequency(PI / 4, 0)), 8)
 
 
 def test_mixed_high_pair_rep_and_oracle():

@@ -10,8 +10,7 @@ from stokesmg.mgsolver import (CycleSpec, StokesProblem, StokesState,
                                max_levels, measure_convergence_factor,
                                measure_periodic_smoothing, prolong, random_state,
                                residual_norm, restrict, v_cycle, zero_state)
-from stokesmg.smoothing import apply_damping
-from stokesmg.harmonics import projected_eigenvalue_grid
+from stokesmg.harmonics import periodic_two_color_sweep, projected_eigenvalue_grid
 from stokesmg.stencil import apply_stencil, make_operator
 
 PI = math.pi
@@ -51,7 +50,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CycleSpec(omega=2.0)
         with pytest.raises(ValueError):
-            CycleSpec(cycle_kind="W")
+            CycleSpec(pre_sweeps=-1)
 
 
 class TestResidual:
@@ -256,7 +255,7 @@ class TestVCycle:
         for _ in range(3 * sweeps_per_cycle):
             st = distributive_two_color_sweep(prob, st, OMEGA_8)
         smoothing_only = residual_norm(prob, st)
-        spec = CycleSpec(levels=2, omega=OMEGA_8, cycle_kind="two_grid")
+        spec = CycleSpec(levels=2, omega=OMEGA_8)  # two-grid cycle
         st = st0.copy()
         for _ in range(3):
             st = v_cycle(prob, st, spec)
@@ -317,6 +316,24 @@ class TestConvergenceMeasurement:
         assert report.diverged
         assert report.rho_observed > 1.0
 
+    def test_steady_slow_growth_flagged(self):
+        # without band relaxation the n = 127 V-cycle grows the residual
+        # by about 1.17 per cycle, never by 1.5
+        prob = homogeneous_problem(127, 0.125)
+        spec = CycleSpec(levels=max_levels(127), omega=OMEGA_8, boundary_relax=0)
+        report = measure_convergence_factor(prob, spec, 12)
+        assert max(report.ratios()[-5:]) < 1.5
+        assert report.rho_observed > 1.1
+        assert report.diverged
+
+    def test_nan_residual_flagged(self):
+        prob = homogeneous_problem(15, 0.125)
+        prob.f1[5, 5] = np.nan
+        report = measure_convergence_factor(prob, CycleSpec(levels=3, omega=OMEGA_8), 10)
+        assert math.isnan(report.residual_history[-1])
+        assert len(report.residual_history) == 1  # stops at the non-finite residual
+        assert report.diverged
+
 
 class TestPeriodicSmoothing:
     def test_single_pair_matches_prediction(self):
@@ -327,7 +344,7 @@ class TestPeriodicSmoothing:
         n_grid = 32
         base = (2 * PI * 2 / n_grid, 2 * PI * 3 / n_grid)
         lam = complex(projected_eigenvalue_grid(pb, *base)).real
-        predicted = abs(apply_damping(lam, omega))
+        predicted = abs((1 - omega) + omega * lam)
 
         k1, k2 = np.meshgrid(np.arange(n_grid), np.arange(n_grid), indexing="ij")
         theta = 2 * PI * np.fft.fftfreq(n_grid)
@@ -335,16 +352,7 @@ class TestPeriodicSmoothing:
         high = ~(((t1 > -PI / 2) & (t1 <= PI / 2)) & ((t2 > -PI / 2) & (t2 <= PI / 2)))
 
         def sweep(e):
-            def apply_periodic(g):
-                out = np.zeros_like(g)
-                for (o1, o2), coef in pb.entries.items():
-                    out += coef * np.roll(g, (-o1, -o2), axis=(0, 1))
-                return out
-            red = (k1 + k2) % 2 == 0
-            e0 = e
-            e = np.where(red, e - apply_periodic(e) / pb.center, e)
-            e = np.where(~red, e - apply_periodic(e) / pb.center, e)
-            return (1 - omega) * e0 + omega * e
+            return (1 - omega) * e + omega * periodic_two_color_sweep(pb, e)
 
         e = np.exp(1j * ((base[0] + PI) * k1 + (base[1] + PI) * k2))
         for _ in range(6):
