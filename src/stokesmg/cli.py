@@ -14,7 +14,7 @@ import numpy as np
 
 from . import closedform as cf
 from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
-from .mgsolver import (CycleSpec, homogeneous_problem, max_levels,
+from .mgsolver import (BOTTOM_MAX_N, CycleSpec, homogeneous_problem, max_levels,
                        measure_convergence_factor)
 from .smoothing import SweepConfig, one_stage_optimum, stokes_smoothing_factor
 from .stencil import Frequency, OPERATOR_KINDS, make_operator, symbol
@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="damping (default: closed-form optimum for c)")
     p.add_argument("--cycles", type=int, default=20)
     p.add_argument("--levels", type=int, default=None,
-                   help="hierarchy depth (default: deepest); 2 is the two-grid cycle")
+                   help="hierarchy depth (default: deepest); 2 is the two-grid "
+                        "cycle; the bottom grid is solved exactly and may be at "
+                        f"most {BOTTOM_MAX_N}x{BOTTOM_MAX_N}")
     p.add_argument("--pre", type=int, default=2)
     p.add_argument("--post", type=int, default=2)
     p.add_argument("--seed", type=int, default=42)

@@ -22,8 +22,13 @@ pressure error; V-cycles therefore apply a few extra band-restricted
 sweeps per smoothing step.  Without them the V-cycle convergence factor
 degrades with every added level and diverges on fine grids, while
 two-grid cycles stay near the interior prediction.
+
+The bottom grid of every cycle is solved exactly, by one correction
+with the cached pseudo-inverse of its system matrix; it may be at most
+BOTTOM_MAX_N x BOTTOM_MAX_N.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,17 +100,15 @@ class CycleSpec:
     """Multigrid cycle parameters.
 
     levels is the depth of the hierarchy the cycle visits; levels = 2 is
-    the two-grid cycle.  boundary_band / boundary_relax control the extra
-    band-restricted sweeps appended to every smoothing step (width in
-    nodes, repetitions; band sweeps are undamped).  Set boundary_relax = 0
-    to disable.
+    the two-grid cycle.  boundary_relax is the number of undamped sweeps
+    over the BOUNDARY_BAND nodes next to the boundary appended to every
+    smoothing step.  Set boundary_relax = 0 to disable.
     """
 
     pre_sweeps: int = 2
     post_sweeps: int = 2
     levels: int = 2
     omega: float = 1.0
-    boundary_band: int = 3
     boundary_relax: int = 2
 
     def __post_init__(self):
@@ -158,17 +161,16 @@ def _ddy(a: np.ndarray, h: float) -> np.ndarray:
     return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * h)
 
 
-def _interior_masks(n: int) -> list:
-    ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    return [(ii + jj) % 2 == 0, (ii + jj) % 2 == 1]
+# width in nodes of the boundary band that CycleSpec.boundary_relax sweeps
+BOUNDARY_BAND = 3
 
 
-def _band_masks(n: int, width: int) -> list:
-    masks = _interior_masks(n)
+def _band_mask(n: int) -> np.ndarray:
+    """Interior nodes within BOUNDARY_BAND of the boundary, as an (n, n) mask."""
     inner = np.zeros((n, n), dtype=bool)
-    if n > 2 * width:
-        inner[width:n - width, width:n - width] = True
-    return [m & ~inner for m in masks]
+    if n > 2 * BOUNDARY_BAND:
+        inner[BOUNDARY_BAND:n - BOUNDARY_BAND, BOUNDARY_BAND:n - BOUNDARY_BAND] = True
+    return ~inner
 
 
 def max_levels(n: int) -> int:
@@ -290,7 +292,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     d_vel = 4.0 / h**2
     d_pre = (20.0 * prob.c + 1.0) / h**2
     out = st.copy()
-    colors = _interior_masks(prob.n)
+    red = np.add.outer(np.arange(prob.n), np.arange(prob.n)) % 2 == 0
+    colors = [red, ~red]
     if point_mask is not None:
         colors = [m & point_mask for m in colors]
     for color in colors:
@@ -362,22 +365,67 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cycles
+# exact bottom solve
 
-_COARSEST_SWEEPS = 200
+# largest bottom grid: its pseudo-inverse takes about 0.2 s to build at
+# 15x15 (675 unknowns), but about 9 s and 66 MB at 31x31
+BOTTOM_MAX_N = 15
+
+
+def _interior_vector(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> np.ndarray:
+    return np.concatenate([r[1:-1, 1:-1].ravel() for r in (r1, r2, r3)])
+
+
+# bounded: a 15x15 pseudo-inverse holds 3.6 MB, and a sweep over c adds one per c
+@functools.lru_cache(maxsize=16)
+def _bottom_pinv(n: int, c: float) -> np.ndarray:
+    """Pseudo-inverse of the system matrix on the n x n grid, read-only.
+
+    Column k is the operator applied to the k-th unit state (interior u,
+    then v, then p, each row-major), read off assemble_residual so that
+    the discretization has one implementation.  The constant pressure
+    spans the one-dimensional null space, which the pseudo-inverse
+    absorbs; the caller re-anchors the pressure.
+    """
+    prob = homogeneous_problem(n, c)
+    st = zero_state(prob)
+    cols = []
+    for a in (st.u, st.v, st.p):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                a[i, j] = 1.0
+                cols.append(-_interior_vector(*assemble_residual(prob, st)))
+                a[i, j] = 0.0
+    pinv = np.linalg.pinv(np.column_stack(cols))
+    pinv.setflags(write=False)
+    return pinv
+
+
+def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
+    """One exact correction st + A^+ r(st); returns a new, anchored state.
+
+    A matrix-vector product rather than a least-squares solve per call,
+    so a non-finite residual passes through to the divergence check.
+    """
+    n = prob.n
+    d = _bottom_pinv(n, prob.c) @ _interior_vector(*assemble_residual(prob, st))
+    out = st.copy()
+    for a, block in zip((out.u, out.v, out.p), d.reshape(3, n, n)):
+        a[1:-1, 1:-1] += block
+    _anchor(out, prob)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cycles
 
 
 def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
            ) -> StokesState:
-    if depth <= 1 or prob.n < 7:
-        for _ in range(_COARSEST_SWEEPS):
-            st = distributive_two_color_sweep(prob, st, spec.omega)
-        return st
+    if depth == 1:
+        return _bottom_solve(prob, st)
 
-    band = None
-    if spec.boundary_relax > 0 and spec.boundary_band > 0:
-        band = _band_masks(prob.n, spec.boundary_band)
-        band = band[0] | band[1]
+    band = _band_mask(prob.n) if spec.boundary_relax > 0 else None
 
     for _ in range(spec.pre_sweeps):
         st = _smooth_step(prob, st, spec, band)
@@ -402,10 +450,19 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
 
 
 def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesState:
-    """One V-cycle over spec.levels levels (two-grid for levels = 2)."""
+    """One V-cycle over spec.levels levels (two-grid for levels = 2).
+
+    The bottom grid is solved exactly and may be at most
+    BOTTOM_MAX_N x BOTTOM_MAX_N.
+    """
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
                          f"(max {max_levels(prob.n)})")
+    nb = (prob.n + 1) // 2 ** (spec.levels - 1) - 1
+    if nb > BOTTOM_MAX_N:
+        raise ValueError(f"{spec.levels} levels leave a {nb}x{nb} bottom grid at "
+                         f"n = {prob.n}; the exact bottom solve takes at most "
+                         f"{BOTTOM_MAX_N}x{BOTTOM_MAX_N}, so use more levels")
     return _cycle(prob, st, spec, spec.levels)
 
 

@@ -155,6 +155,11 @@ class TestSolveCommand:
         assert main(["solve", "--c", "0.125", "--n", "20"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_bottom_grid_too_large_is_usage_error(self, capsys):
+        # two-grid at n = 63 leaves a 31x31 bottom grid, beyond the exact solve
+        assert main(["solve", "--c", "0.125", "--n", "63", "--levels", "2"]) == EXIT_USAGE
+        assert "31x31" in capsys.readouterr().err
+
     def test_seed_determinism(self, capsys):
         main(["solve", "--c", "0.125", "--n", "15", "--cycles", "10", "--seed", "9"])
         first = capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokesmg import closedform as cf
+from stokesmg import mgsolver
 from stokesmg.mgsolver import (CycleSpec, StokesProblem, StokesState,
                                assemble_residual, distributive_two_color_sweep,
                                homogeneous_problem, manufactured_problem,
@@ -265,6 +266,39 @@ class TestVCycle:
         prob = homogeneous_problem(15, 0.125)
         with pytest.raises(ValueError, match="levels"):
             v_cycle(prob, zero_state(prob), CycleSpec(levels=5, omega=OMEGA_8))
+
+    def test_bottom_grid_beyond_exact_solve_rejected(self):
+        prob = homogeneous_problem(63, 0.125)
+        with pytest.raises(ValueError, match="31x31 bottom grid"):
+            v_cycle(prob, zero_state(prob), CycleSpec(levels=2, omega=OMEGA_8))
+
+    def test_bottom_level_calls_no_smoother(self, monkeypatch):
+        sizes = []
+        sweep = mgsolver.distributive_two_color_sweep
+
+        def recording_sweep(prob, *args, **kwargs):
+            sizes.append(prob.n)
+            return sweep(prob, *args, **kwargs)
+
+        monkeypatch.setattr(mgsolver, "distributive_two_color_sweep", recording_sweep)
+        prob = homogeneous_problem(15, 0.125)
+        v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
+        assert sorted(set(sizes)) == [7, 15]  # nothing on the 3x3 bottom grid
+
+
+class TestBottomSolve:
+    @pytest.mark.parametrize("n", [3, 7, 15])
+    @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
+    def test_one_correction_recovers_manufactured_state(self, n, c):
+        prob, exact = manufactured_problem(n, c)
+        after = mgsolver._bottom_solve(prob, random_state(prob))
+        assert state_diff(after, exact) <= 1e-10
+
+    def test_matrix_has_only_the_constant_pressure_null_space(self):
+        pinv = mgsolver._bottom_pinv(3, 0.125)
+        assert pinv.shape == (27, 27)
+        assert np.linalg.matrix_rank(pinv) == 26
+        assert not pinv.flags.writeable
 
 
 class TestConvergenceMeasurement:
