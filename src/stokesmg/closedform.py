@@ -6,12 +6,12 @@ laplacian_2h, as functions of the stabilization parameter c, together
 with the derived optimal damping omega_opt(c) and factor rho_opt(c),
 their limits, and the zone boundaries.  The frequency sweep in
 ``stokesmg.smoothing`` is the independent referee for every expression
-here; all surds are evaluated exactly as displayed, without algebraic
-simplification.
+here.
 
-c = 1/8 is a removable singularity of the general expressions (matching
-(1-8c)^2 factors cancel); within |c - 1/8| <= 1e-6 the dedicated values
-are returned instead of evaluating the 0/0 form.
+Everything derives from the two extreme eigenvalues: s_max at the origin
+and s_min at the diagonal critical point s*.  The formula for s* is
+rationalized, so it has no removable 0/0 at c = 1/8 and loses no digits
+to cancellation next to it.
 """
 
 import math
@@ -49,8 +49,6 @@ OMEGA_LIMIT_LARGE_C = 50.0 / 43.0
 OMEGA_GLOBAL_MIN_REF = 0.834733
 C0_REF = 0.0360548
 
-_C_EIGHTH_WINDOW = 1e-6
-
 
 @dataclass(frozen=True)
 class CZoneReport:
@@ -65,13 +63,6 @@ class CZoneReport:
 def _radicand(c: float) -> float:
     # 82944 c^4 - 6912 c^3 + 336 c^2 + 24 c + 1, positive for all c > 0
     return (((82944.0 * c - 6912.0) * c + 336.0) * c + 24.0) * c + 1.0
-
-
-def _shared_denominator(c: float) -> float:
-    poly = ((((((52199424.0 * c - 2985984.0) * c - 2115072.0) * c + 157248.0) * c
-              + 2736.0) * c - 36.0) * c - 1.0)
-    r = _radicand(c)
-    return poly + r * math.sqrt(r)
 
 
 def projected_eigenvalue_s(s1: float, s2: float, c: float) -> float:
@@ -98,16 +89,15 @@ def eigenvalue_at_origin(c: float) -> float:
 def critical_point(c: float) -> float:
     """Interior stationary point s1 = s2 = s* of the projected eigenvalue.
 
-    Valid for c > 0 away from the removable singularity at c = 1/8; the
-    returned value lies in [0, 1/2] and the eigenvalue gradient vanishes
-    there.
+    s* = (1 - 12c + 192c^2) / (sqrt(R) + 1 - 36c + 480c^2), R the
+    radicand; both quadratics are positive for every c, so there is no
+    cancellation, and s*(1/8) = 5/16.  The returned value lies in
+    [0, 1/2] and the eigenvalue gradient vanishes there.
     """
     if c <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {c}")
-    if abs(c - 0.125) <= 1e-9:
-        raise ValueError("critical point formula degenerates at c = 1/8")
-    num = -1.0 + 36.0 * c - 480.0 * c * c + math.sqrt(_radicand(c))
-    return -num / (96.0 * c * (-1.0 + 8.0 * c))
+    num = (192.0 * c - 12.0) * c + 1.0
+    return num / (math.sqrt(_radicand(c)) + (480.0 * c - 36.0) * c + 1.0)
 
 
 def eigenvalue_at_critical(c: float) -> float:
@@ -115,48 +105,29 @@ def eigenvalue_at_critical(c: float) -> float:
 
     Lies in (-1, 0) for every admissible c.
     """
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
-    if abs(c - 0.125) <= 1e-9:
-        raise ValueError("closed form degenerates at c = 1/8")
-    poly = ((((((20348928.0 * c - 3649536.0) * c + 483840.0) * c - 5184.0) * c
-              - 1008.0) * c + 36.0) * c + 1.0)
-    r = _radicand(c)
-    num = poly - r * math.sqrt(r)
-    den = 1728.0 * c * c * (1.0 - 8.0 * c) ** 2 * (1.0 + 20.0 * c) ** 2
-    return num / den
+    s = critical_point(c)
+    return projected_eigenvalue_s(s, s, c)
 
 
 def rho_opt_closed(c: float) -> float:
     """Optimal one-stage smoothing factor of the pressure block.
 
-    Against a 40-digit evaluation of the same optimum, the error is about
-    1e-14 or less for |c - 1/8| >= 2.5e-4, including at C_RHO_MIN and
-    C_DIP_END.  Closer to 1/8 the surds cancel and digits are lost: the
-    error exceeds 1e-9 for |c - 1/8| below about 2e-5 (3.6e-8 at
-    c = 0.124998, 1.4e-9 at c = 0.125002) and reaches about 5e-7 just
-    outside the 1e-6 window in which 25/217 is returned.  A 1e-9 check of
-    the zone therefore holds on grids that keep away from 1/8, not
-    arbitrarily close to it.
+    (s_max - s_min) / (2 - s_max - s_min), from eigenvalue_at_origin and
+    eigenvalue_at_critical.  Since s_max > 0 > s_min, neither sum
+    cancels; the error against a 40-digit evaluation is a few ulp,
+    also next to c = 1/8, where the value is 25/217.
     """
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
-    if abs(c - 0.125) <= _C_EIGHTH_WINDOW:
-        return RHO_AT_C_EIGHTH
-    poly = ((((((-4423680.0 * c - 2985984.0) * c + 539136.0) * c - 63936.0) * c
-              + 2736.0) * c - 36.0) * c - 1.0)
-    r = _radicand(c)
-    return (poly + r * math.sqrt(r)) / _shared_denominator(c)
+    s_max, s_min = eigenvalue_at_origin(c), eigenvalue_at_critical(c)
+    return (s_max - s_min) / (2.0 - s_max - s_min)
 
 
 def omega_opt_closed(c: float) -> float:
-    """Optimal one-stage damping parameter of the pressure block."""
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
-    if abs(c - 0.125) <= _C_EIGHTH_WINDOW:
-        return OMEGA_AT_C_EIGHTH
-    num = 3456.0 * (1.0 - 8.0 * c) ** 2 * c * c * (20.0 * c + 1.0) ** 2
-    return num / _shared_denominator(c)
+    """Optimal one-stage damping parameter of the pressure block.
+
+    2 / (2 - s_max - s_min); 28/31 at c = 1/8.
+    """
+    s_max, s_min = eigenvalue_at_origin(c), eigenvalue_at_critical(c)
+    return 2.0 / (2.0 - s_max - s_min)
 
 
 def poisson_optimum() -> tuple[float, float]:
@@ -194,8 +165,8 @@ def zone_of(c: float, check_tol: float = 1e-12) -> CZoneReport:
     raises ValueError when rho_opt(c) falls outside the zone.  That
     genuinely happens for every c in (1/8, C_DIP_END): the true curve dips
     to RHO_MIN at C_RHO_MIN, below the tabulated lower bound 25/217; see
-    README, "Known deviations".  The whole interval raises, including the
-    part within 1e-6 of 1/8 where rho_opt_closed returns 25/217 itself.
+    README, "Known deviations".  The whole interval raises, also just
+    above 1/8, where rho_opt(c) is only barely below 25/217.
     """
     if c <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {c}")

@@ -148,29 +148,101 @@ def _mirror_ghosts(p: np.ndarray):
     p[:, -1] = p[:, -2]
 
 
-def _neg_lap(a: np.ndarray, h: float) -> np.ndarray:
-    return (4.0 * a[1:-1, 1:-1] - a[2:, 1:-1] - a[:-2, 1:-1]
-            - a[1:-1, 2:] - a[1:-1, :-2]) / h**2
+# A node selector names a set of interior nodes together with their four
+# neighbours: five indices into the (n+2) x (n+2) arrays, for the nodes
+# themselves and for the nodes shifted by i+1, i-1, j+1 and j-1.  Each
+# index is a pair of slices (the interior, a strided color sub-lattice) or
+# a pair of index arrays (the colored nodes of a point mask).  The
+# difference operators evaluate at any selector, so residuals and
+# distributed corrections alike come from this one set of stencils.
 
 
-def _ddx(a: np.ndarray, h: float) -> np.ndarray:
-    return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * h)
+def _selector(i, j) -> tuple:
+    if isinstance(i, slice):
+        def shift(s, d):
+            return slice(s.start + d, s.stop + d, s.step)
+    else:
+        def shift(s, d):
+            return s + d
+    return ((i, j), (shift(i, 1), j), (shift(i, -1), j),
+            (i, shift(j, 1)), (i, shift(j, -1)))
 
 
-def _ddy(a: np.ndarray, h: float) -> np.ndarray:
-    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * h)
+def _neg_lap(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
+    c, xp, xm, yp, ym = at
+    return (4.0 * a[c] - a[xp] - a[xm] - a[yp] - a[ym]) / h**2
+
+
+def _ddx(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
+    return (a[at[1]] - a[at[2]]) / (2.0 * h)
+
+
+def _ddy(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
+    return (a[at[3]] - a[at[4]]) / (2.0 * h)
+
+
+@functools.lru_cache(maxsize=None)
+def _interior(n: int) -> tuple:
+    return _selector(slice(1, n + 1), slice(1, n + 1))
+
+
+# The sweep plans below list, per color (red first), the selectors of the
+# nodes the color updates and of the other-color interior nodes next to
+# them.  A node's four neighbours always have the other color.
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_plan(n: int) -> tuple:
+    """Sweep plan over the whole interior, by strided sub-lattices.
+
+    Red nodes (even index sum) are the (odd, odd) and (even, even) nodes
+    of the padded array, black ones the two mixed sub-lattices.
+    """
+    odd, even = slice(1, n + 1, 2), slice(2, n + 1, 2)
+    red = (_selector(odd, odd), _selector(even, even))
+    black = (_selector(odd, even), _selector(even, odd))
+    return (red, black), (black, red)
+
+
+# bounded: one band per grid size in use, plus whatever masks callers pass
+@functools.lru_cache(maxsize=32)
+def _masked_plan(n: int, packed_mask: bytes) -> tuple:
+    """Sweep plan over the nodes of an (n, n) point mask, by index arrays.
+
+    The mask comes bit-packed (np.packbits) so that it can key the cache.
+    The index arrays are read-only.
+    """
+    mask = np.unpackbits(np.frombuffer(packed_mask, dtype=np.uint8), count=n * n)
+    i, j = np.nonzero(mask.reshape(n, n))
+    i, j = i + 1, j + 1
+    plan = []
+    for parity in (0, 1):
+        own = (i + j) % 2 == parity
+        ci, cj = i[own], j[own]
+        near = np.zeros((n + 2, n + 2), dtype=bool)
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            near[ci + di, cj + dj] = True
+        ni, nj = np.nonzero(near[1:-1, 1:-1])
+        sels = (_selector(ci, cj), _selector(ni + 1, nj + 1))
+        for idx in (a for sel in sels for pair in sel for a in pair):
+            idx.setflags(write=False)
+        plan.append(((sels[0],), (sels[1],)))
+    return tuple(plan)
 
 
 # width in nodes of the boundary band that CycleSpec.boundary_relax sweeps
 BOUNDARY_BAND = 3
 
 
+@functools.lru_cache(maxsize=None)
 def _band_mask(n: int) -> np.ndarray:
-    """Interior nodes within BOUNDARY_BAND of the boundary, as an (n, n) mask."""
+    """Interior nodes within BOUNDARY_BAND of the boundary, as a read-only (n, n) mask."""
     inner = np.zeros((n, n), dtype=bool)
     if n > 2 * BOUNDARY_BAND:
         inner[BOUNDARY_BAND:n - BOUNDARY_BAND, BOUNDARY_BAND:n - BOUNDARY_BAND] = True
-    return ~inner
+    band = ~inner
+    band.setflags(write=False)
+    return band
 
 
 def max_levels(n: int) -> int:
@@ -226,10 +298,11 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
     p -= p[1, 1]
     _mirror_ghosts(p)
 
+    at = _interior(n)
     f1, f2, f3 = _zeros(n), _zeros(n), _zeros(n)
-    f1[1:-1, 1:-1] = _neg_lap(u, h) + _ddx(p, h)
-    f2[1:-1, 1:-1] = _neg_lap(v, h) + _ddy(p, h)
-    f3[1:-1, 1:-1] = _ddx(u, h) + _ddy(v, h) + c * h**2 * _neg_lap(p, h)
+    f1[at[0]] = _neg_lap(u, h, at) + _ddx(p, h, at)
+    f2[at[0]] = _neg_lap(v, h, at) + _ddy(p, h, at)
+    f3[at[0]] = _ddx(u, h, at) + _ddy(v, h, at) + c * h**2 * _neg_lap(p, h, at)
 
     g_u = u.copy()
     g_u[1:-1, 1:-1] = 0.0
@@ -243,21 +316,32 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
 # residual and smoother
 
 
+def _residual_at(prob: StokesProblem, u: np.ndarray, v: np.ndarray, p: np.ndarray,
+                 at: tuple) -> tuple:
+    """Residual rhs - L x at the nodes of selector at; p's ghosts must be mirrored."""
+    h, c = prob.h, at[0]
+    r1 = prob.f1[c] - (_neg_lap(u, h, at) + _ddx(p, h, at))
+    r2 = prob.f2[c] - (_neg_lap(v, h, at) + _ddy(p, h, at))
+    r3 = prob.f3[c] - (_ddx(u, h, at) + _ddy(v, h, at)
+                       + prob.c * h**2 * _neg_lap(p, h, at))
+    return r1, r2, r3
+
+
 def assemble_residual(prob: StokesProblem, st: StokesState):
     """Residual rhs - L x at interior nodes; returned rings are zero.
 
     The pressure ring is re-derived by mirroring before differencing, so
     the result does not depend on the ghost values the caller left in p.
     """
-    h = prob.h
     p = st.p.copy()
     _mirror_ghosts(p)
-    r1, r2, r3 = _zeros(prob.n), _zeros(prob.n), _zeros(prob.n)
-    r1[1:-1, 1:-1] = prob.f1[1:-1, 1:-1] - (_neg_lap(st.u, h) + _ddx(p, h))
-    r2[1:-1, 1:-1] = prob.f2[1:-1, 1:-1] - (_neg_lap(st.v, h) + _ddy(p, h))
-    r3[1:-1, 1:-1] = prob.f3[1:-1, 1:-1] - (_ddx(st.u, h) + _ddy(st.v, h)
-                                            + prob.c * h**2 * _neg_lap(p, h))
-    return r1, r2, r3
+    at = _interior(prob.n)
+    out = []
+    for block in _residual_at(prob, st.u, st.v, p, at):
+        r = _zeros(prob.n)
+        r[at[0]] = block
+        out.append(r)
+    return tuple(out)
 
 
 def residual_norm(prob: StokesProblem, st: StokesState) -> float:
@@ -286,30 +370,49 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     the pressure is re-anchored at the problem's anchor node.
 
     point_mask optionally restricts the update to a subset of interior
-    nodes (used for the boundary-band relaxation).
+    nodes, an (n, n) boolean array (used for the boundary-band
+    relaxation).  Each color evaluates its residual only at the nodes it
+    updates, and distributes only onto them and their neighbours: a full
+    sweep works through strided sub-lattices, a masked one through
+    cached index arrays, so a band sweep costs O(band) stencil work.
     """
-    h = prob.h
+    n, h = prob.n, prob.h
     d_vel = 4.0 / h**2
     d_pre = (20.0 * prob.c + 1.0) / h**2
+    if point_mask is None:
+        plan = _lattice_plan(n)
+    elif point_mask.shape != (n, n):
+        raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
+    else:
+        plan = _masked_plan(n, np.packbits(point_mask).tobytes())
     out = st.copy()
-    red = np.add.outer(np.arange(prob.n), np.arange(prob.n)) % 2 == 0
-    colors = [red, ~red]
-    if point_mask is not None:
-        colors = [m & point_mask for m in colors]
-    for color in colors:
-        r1, r2, r3 = assemble_residual(prob, out)
-        w1, w2, w3 = _zeros(prob.n), _zeros(prob.n), _zeros(prob.n)
-        w1[1:-1, 1:-1] = np.where(color, r1[1:-1, 1:-1] / d_vel, 0.0)
-        w2[1:-1, 1:-1] = np.where(color, r2[1:-1, 1:-1] / d_vel, 0.0)
-        w3[1:-1, 1:-1] = np.where(color, r3[1:-1, 1:-1] / d_pre, 0.0)
-        out.u[1:-1, 1:-1] += w1[1:-1, 1:-1] - _ddx(w3, h)
-        out.v[1:-1, 1:-1] += w2[1:-1, 1:-1] - _ddy(w3, h)
-        out.p[1:-1, 1:-1] += _neg_lap(w3, h)
+    _mirror_ghosts(out.p)
+    w3 = np.zeros_like(out.p)
+    for nodes, near in plan:
+        # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
+        # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
+        # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both.  No
+        # two nodes of a color are neighbours, so adding w1, w2 on one
+        # sub-lattice leaves the residual on the next one unchanged.
+        for at in nodes:
+            r1, r2, r3 = _residual_at(prob, out.u, out.v, out.p, at)
+            out.u[at[0]] += r1 / d_vel
+            out.v[at[0]] += r2 / d_vel
+            w3[at[0]] = r3 / d_pre
+        for at in nodes:
+            out.p[at[0]] += _neg_lap(w3, h, at)
+        for at in near:
+            out.u[at[0]] -= _ddx(w3, h, at)
+            out.v[at[0]] -= _ddy(w3, h, at)
+            out.p[at[0]] += _neg_lap(w3, h, at)
         _mirror_ghosts(out.p)
+        for at in nodes:
+            w3[at[0]] = 0.0
     if omega != 1.0:
-        out.u[:] = st.u + omega * (out.u - st.u)
-        out.v[:] = st.v + omega * (out.v - st.v)
-        out.p[:] = st.p + omega * (out.p - st.p)
+        for new, old in ((out.u, st.u), (out.v, st.v), (out.p, st.p)):
+            new -= old
+            new *= omega
+            new += old
     _anchor(out, prob)
     return out
 

@@ -38,8 +38,10 @@ class TestCriticalPoint:
     def test_rejected_inputs(self):
         with pytest.raises(ValueError):
             cf.critical_point(0.0)
-        with pytest.raises(ValueError):
-            cf.critical_point(0.125)
+
+    def test_no_singularity_at_c_eighth(self):
+        assert cf.critical_point(0.125) == 5 / 16
+        assert cf.eigenvalue_at_critical(0.125) == pytest.approx(-23 / 98, abs=1e-15)
 
 
 class TestEigenvalueRoutes:
@@ -94,8 +96,12 @@ class TestRhoOptClosed:
 
 class TestOmegaOptClosed:
     def test_value_near_c_eighth(self):
+        # exact at 1/8, and no flat window around it: 1e-7 away the value
+        # moves by 1e-7 times the slope
         assert cf.omega_opt_closed(1 / 8) == 28 / 31
-        assert cf.omega_opt_closed(1 / 8 + 1e-7) == 28 / 31
+        slope = (cf.omega_opt_closed(1 / 8 + 1e-4) - cf.omega_opt_closed(1 / 8 - 1e-4)) / 2e-4
+        assert cf.omega_opt_closed(1 / 8 + 1e-7) - 28 / 31 == pytest.approx(1e-7 * slope,
+                                                                            rel=1e-3)
 
     def test_large_c_limit(self):
         assert cf.omega_opt_closed(1e6) == pytest.approx(50 / 43, abs=1e-4)
@@ -163,7 +169,7 @@ class TestZones:
             cf.zone_of(0.1295)
 
     def test_dip_raises_inside_the_c_eighth_window(self):
-        # rho_opt_closed returns 25/217 within 1e-6 of 1/8, but the true
+        # within 1e-6 of 1/8, rho_opt is within 2e-8 of 25/217, but the
         # curve is already below it on the right of 1/8
         with pytest.raises(ValueError, match="violates the tabulated zone"):
             cf.zone_of(0.1250005)
@@ -204,8 +210,8 @@ class TestCurveShape:
         assert res.rho_opt < 25 / 217
 
 
-def _mp_rho_opt(c):
-    """rho_opt(c) at mpmath's working precision, from the rational eigenvalue.
+def _mp_extremes(c):
+    """(s_max, s_min) at mpmath's working precision, from the rational eigenvalue.
 
     s_max sits at the origin and s_min at the diagonal critical point, the
     root of d/ds projected_eigenvalue_s(s, s, c); none of the surd closed
@@ -215,7 +221,11 @@ def _mp_rho_opt(c):
     lam = cf.projected_eigenvalue_s
     s = mp.findroot(lambda u: mp.diff(lambda v: lam(v, v, c), u), mp.mpf("0.3"))
     assert 0 <= s <= 0.5
-    s_max, s_min = lam(0, 0, c), lam(s, s, c)
+    return lam(0, 0, c), lam(s, s, c)
+
+
+def _mp_rho_opt(c):
+    s_max, s_min = _mp_extremes(c)
     return (s_max - s_min) / (2 - s_max - s_min)
 
 
@@ -236,6 +246,19 @@ class TestDip:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             assert mp.diff(_mp_rho_opt, mp.mpf(1) / 8) < 0
+
+    def test_closed_forms_accurate_next_to_c_eighth(self):
+        # the conjugate-surd forms lost up to 9e-7 here to cancellation
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for side in (-1.0, 1.0):
+                for gap in np.logspace(-6, -3, 7):
+                    c = 0.125 + side * float(gap)
+                    s_max, s_min = _mp_extremes(mp.mpf(c))
+                    rho = (s_max - s_min) / (2 - s_max - s_min)
+                    omega = 2 / (2 - s_max - s_min)
+                    assert abs(cf.rho_opt_closed(c) - rho) <= 1e-12, c
+                    assert abs(cf.omega_opt_closed(c) - omega) <= 1e-12, c
 
     def test_sweep_reaches_the_minimum(self):
         res = one_stage_optimum(make_operator("pressure_block", c=cf.C_RHO_MIN))

@@ -23,6 +23,99 @@ def state_diff(a, b):
                np.abs(a.p - b.p).max())
 
 
+# Referee for the sweep: the masked formulation it replaced, which
+# evaluates the whole residual per color and selects the color with
+# np.where, with the whole-interior stencils it was written against.
+
+def _ref_mirror_ghosts(p):
+    p[0, :] = p[1, :]
+    p[-1, :] = p[-2, :]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
+
+
+def _ref_neg_lap(a, h):
+    return (4.0 * a[1:-1, 1:-1] - a[2:, 1:-1] - a[:-2, 1:-1]
+            - a[1:-1, 2:] - a[1:-1, :-2]) / h**2
+
+
+def _ref_ddx(a, h):
+    return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * h)
+
+
+def _ref_ddy(a, h):
+    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * h)
+
+
+def _ref_zeros(n):
+    return np.zeros((n + 2, n + 2))
+
+
+def _ref_assemble_residual(prob, st):
+    h = prob.h
+    p = st.p.copy()
+    _ref_mirror_ghosts(p)
+    r1, r2, r3 = _ref_zeros(prob.n), _ref_zeros(prob.n), _ref_zeros(prob.n)
+    r1[1:-1, 1:-1] = prob.f1[1:-1, 1:-1] - (_ref_neg_lap(st.u, h) + _ref_ddx(p, h))
+    r2[1:-1, 1:-1] = prob.f2[1:-1, 1:-1] - (_ref_neg_lap(st.v, h) + _ref_ddy(p, h))
+    r3[1:-1, 1:-1] = prob.f3[1:-1, 1:-1] - (_ref_ddx(st.u, h) + _ref_ddy(st.v, h)
+                                            + prob.c * h**2 * _ref_neg_lap(p, h))
+    return r1, r2, r3
+
+
+def _ref_anchor(st, prob):
+    ai, aj = prob.pressure_anchor
+    st.p[1:-1, 1:-1] -= st.p[ai, aj]
+    _ref_mirror_ghosts(st.p)
+
+
+def _reference_sweep(prob, st, omega, point_mask=None):
+    h = prob.h
+    d_vel = 4.0 / h**2
+    d_pre = (20.0 * prob.c + 1.0) / h**2
+    out = st.copy()
+    red = np.add.outer(np.arange(prob.n), np.arange(prob.n)) % 2 == 0
+    colors = [red, ~red]
+    if point_mask is not None:
+        colors = [m & point_mask for m in colors]
+    for color in colors:
+        r1, r2, r3 = _ref_assemble_residual(prob, out)
+        w1, w2, w3 = _ref_zeros(prob.n), _ref_zeros(prob.n), _ref_zeros(prob.n)
+        w1[1:-1, 1:-1] = np.where(color, r1[1:-1, 1:-1] / d_vel, 0.0)
+        w2[1:-1, 1:-1] = np.where(color, r2[1:-1, 1:-1] / d_vel, 0.0)
+        w3[1:-1, 1:-1] = np.where(color, r3[1:-1, 1:-1] / d_pre, 0.0)
+        out.u[1:-1, 1:-1] += w1[1:-1, 1:-1] - _ref_ddx(w3, h)
+        out.v[1:-1, 1:-1] += w2[1:-1, 1:-1] - _ref_ddy(w3, h)
+        out.p[1:-1, 1:-1] += _ref_neg_lap(w3, h)
+        _ref_mirror_ghosts(out.p)
+    if omega != 1.0:
+        out.u[:] = st.u + omega * (out.u - st.u)
+        out.v[:] = st.v + omega * (out.v - st.v)
+        out.p[:] = st.p + omega * (out.p - st.p)
+    _ref_anchor(out, prob)
+    return out
+
+
+def states_equal(a, b, equal_nan=False):
+    return all(np.array_equal(x, y, equal_nan=equal_nan)
+               for x, y in ((a.u, b.u), (a.v, b.v), (a.p, b.p)))
+
+
+def scrambled_problem(n, c, seed):
+    """Random right-hand sides, boundary data and state, with stale pressure ghosts."""
+    rng = np.random.default_rng(seed)
+    prob = homogeneous_problem(n, c)
+    for a in (prob.f1, prob.f2, prob.f3):
+        a[1:-1, 1:-1] = rng.standard_normal((n, n))
+    for a in (prob.g_u, prob.g_v):
+        a[:] = rng.standard_normal((n + 2, n + 2))
+        a[1:-1, 1:-1] = 0.0
+    st = random_state(prob, seed)
+    st.p[0, :] = rng.standard_normal(n + 2)
+    st.p[:, -1] = rng.standard_normal(n + 2)
+    return prob, st
+
+
 class TestProblemValidation:
     def test_grid_size_must_be_power_of_two_minus_one(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -86,6 +179,12 @@ class TestResidual:
                 assert abs(r1[i, j] - e1) < 1e-13
                 assert abs(r2[i, j] - e2) < 1e-13
                 assert abs(r3[i, j] - e3) < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 15, 127])
+    def test_bit_identical_to_whole_interior_referee(self, n):
+        prob, st = scrambled_problem(n, 0.3, seed=n)
+        for mine, ref in zip(assemble_residual(prob, st), _ref_assemble_residual(prob, st)):
+            assert np.array_equal(mine, ref)
 
     def test_residual_rings_are_zero(self):
         prob = homogeneous_problem(7, 0.1)
@@ -171,6 +270,51 @@ class TestSweep:
         for _ in range(3):
             st = distributive_two_color_sweep(prob, st, OMEGA_8)
         assert residual_norm(prob, st) < before
+
+
+class TestSweepMatchesReferee:
+    """The sub-lattice and band sweeps give the masked formulation's states bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 7, 15, 31, 127])
+    @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
+    def test_bit_identical(self, n, c):
+        prob, st = scrambled_problem(n, c, seed=n)
+        for mask in (None, mgsolver._band_mask(n)):
+            for omega in (0.0, OMEGA_8, 1.0):
+                mine = distributive_two_color_sweep(prob, st, omega, point_mask=mask)
+                ref = _reference_sweep(prob, st, omega, point_mask=mask)
+                assert states_equal(mine, ref), (mask is not None, omega)
+
+    def test_arbitrary_mask(self):
+        prob, st = scrambled_problem(15, 0.125, seed=1)
+        mask = np.random.default_rng(2).random((15, 15)) < 0.2
+        mine = distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask)
+        assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_nan_propagates_alike(self, masked):
+        prob, st = scrambled_problem(15, 0.125, seed=3)
+        st.u[2, 2] = np.nan  # inside the band
+        prob.f1[5, 5] = np.nan
+        mask = mgsolver._band_mask(15) if masked else None
+        mine = distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask)
+        ref = _reference_sweep(prob, st, OMEGA_8, point_mask=mask)
+        assert np.isnan(mine.p).any()
+        assert states_equal(mine, ref, equal_nan=True)
+
+    def test_mask_shape_checked(self):
+        prob = homogeneous_problem(7, 0.125)
+        with pytest.raises(ValueError, match="point_mask"):
+            distributive_two_color_sweep(prob, zero_state(prob), 1.0,
+                                         point_mask=np.ones((9, 9), dtype=bool))
+
+    def test_cached_index_sets_are_read_only(self):
+        band = mgsolver._band_mask(31)
+        assert band is mgsolver._band_mask(31) and not band.flags.writeable
+        plan = mgsolver._masked_plan(31, np.packbits(band).tobytes())
+        for nodes, near in plan:
+            for at in nodes + near:
+                assert all(not idx.flags.writeable for pair in at for idx in pair)
 
 
 class TestTransfers:
