@@ -52,7 +52,9 @@ class StokesProblem:
     two so standard coarsening reaches the 3x3 coarsest grid.  f3 is the
     right-hand side of the stabilized continuity equation (zero for the
     plain flow problem, nonzero for coarse-level correction equations and
-    manufactured solutions).
+    manufactured solutions).  The problem owns the work buffers of the
+    sweeps and residuals evaluated on it, so two threads must not sweep
+    or take residuals on one problem at the same time.
     """
 
     n: int
@@ -63,6 +65,9 @@ class StokesProblem:
     g_u: np.ndarray
     g_v: np.ndarray
     pressure_anchor: tuple[int, int] = (1, 1)
+    # work buffers of the sweeps and residuals on this grid, by name, made
+    # on first use (see _buffers); they live and die with the problem
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c <= 0:
@@ -148,85 +153,139 @@ def _mirror_ghosts(p: np.ndarray):
     p[:, -1] = p[:, -2]
 
 
-# A node selector names a set of interior nodes together with their four
-# neighbours: five indices into the (n+2) x (n+2) arrays, for the nodes
-# themselves and for the nodes shifted by i+1, i-1, j+1 and j-1.  Each
-# index is a pair of slices (the interior, a strided color sub-lattice) or
-# a pair of index arrays (the colored nodes of a point mask).  The
-# difference operators evaluate at any selector, so residuals and
+# A problem's work buffers, (n+2) x (n+2) each, by name and count:
+# w3, the sweep's ghost buffer for the pressure correction (zero between
+# colors); state, the old state a damped in-place sweep blends with, which
+# assemble_residual also uses for its mirrored p and a temporary between
+# sweeps; blocks, the residual blocks of the cycle and residual_norm,
+# which also hold a sweep's four half-grid temporaries.
+_SCRATCH = {"w3": 1, "state": 3, "blocks": 3}
+
+
+def _buffers(prob: StokesProblem, name: str) -> tuple:
+    """The work buffers of prob under name, made zeroed on first use."""
+    bufs = prob._scratch.get(name)
+    if bufs is None:
+        bufs = prob._scratch[name] = tuple(_zeros(prob.n) for _ in range(_SCRATCH[name]))
+    return bufs
+
+
+def _flat(a: np.ndarray, n: int) -> np.ndarray:
+    """a read as a flat C-order vector: a view if a is C-contiguous, else a copy."""
+    if a.shape != (n + 2, n + 2):
+        raise ValueError(f"array has shape {a.shape}, expected {(n + 2, n + 2)}")
+    return a.reshape(-1)
+
+
+def _flat_out(arrays, n: int) -> list:
+    """Flat views of the arrays an out= argument names, which must be C-contiguous."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError("out= needs C-contiguous arrays, so that flat views write through")
+    return [_flat(a, n) for a in arrays]
+
+
+# The grid is stored flat, k = i (n+2) + j.  A node selector names a set
+# of nodes together with their four neighbours: five flat indices, for the
+# nodes themselves and for the nodes at i+1, i-1, j+1 and j-1, which are
+# shifts by n+2, -(n+2), 1 and -1.  Each index is a slice (a run of the
+# grid) or an index array (the nodes of a point mask).  The difference
+# operators evaluate at any selector into a given output, so residuals and
 # distributed corrections alike come from this one set of stencils.
+#
+# n+2 is odd, so the parity of k is the parity of i + j: each color is one
+# stride-2 run, and the interior is one stride-1 run.  A run also passes
+# the ring columns j = 0 and j = n+1 of rows 1..n; its values there are
+# junk, computed from wrapped neighbours, and never reach u, v or w3.
 
 
-def _selector(i, j) -> tuple:
-    if isinstance(i, slice):
-        def shift(s, d):
-            return slice(s.start + d, s.stop + d, s.step)
+def _selector(k, stride: int) -> tuple:
+    if isinstance(k, slice):
+        def shift(d):
+            return slice(k.start + d, k.stop + d, k.step)
     else:
-        def shift(s, d):
-            return s + d
-    return ((i, j), (shift(i, 1), j), (shift(i, -1), j),
-            (i, shift(j, 1)), (i, shift(j, -1)))
+        def shift(d):
+            return k + d
+    return (k, shift(stride), shift(-stride), shift(1), shift(-1))
 
 
-def _neg_lap(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
+def _count(k) -> int:
+    return len(range(k.start, k.stop, k.step)) if isinstance(k, slice) else len(k)
+
+
+def _neg_lap(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
     c, xp, xm, yp, ym = at
-    return (4.0 * a[c] - a[xp] - a[xm] - a[yp] - a[ym]) / h**2
+    np.multiply(a[c], 4.0, out=out)
+    for s in (xp, xm, yp, ym):
+        np.subtract(out, a[s], out=out)
+    return np.divide(out, h**2, out=out)
 
 
-def _ddx(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
-    return (a[at[1]] - a[at[2]]) / (2.0 * h)
+def _ddx(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
+    np.subtract(a[at[1]], a[at[2]], out=out)
+    return np.divide(out, 2.0 * h, out=out)
 
 
-def _ddy(a: np.ndarray, h: float, at: tuple) -> np.ndarray:
-    return (a[at[3]] - a[at[4]]) / (2.0 * h)
+def _ddy(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
+    np.subtract(a[at[3]], a[at[4]], out=out)
+    return np.divide(out, 2.0 * h, out=out)
 
 
 @functools.lru_cache(maxsize=None)
 def _interior(n: int) -> tuple:
-    return _selector(slice(1, n + 1), slice(1, n + 1))
+    """Selector of the run from node (1, 1) to node (n, n)."""
+    return _selector(slice(n + 3, n * (n + 3) + 1, 1), n + 2)
 
 
-# The sweep plans below list, per color (red first), the selectors of the
-# nodes the color updates and of the other-color interior nodes next to
-# them.  A node's four neighbours always have the other color.
+def _ring_positions(n: int, k) -> np.ndarray:
+    """Read-only positions, within the nodes k, of those on a ring column."""
+    col = np.arange((n + 2) ** 2)[k] % (n + 2)
+    pos = np.flatnonzero((col == 0) | (col == n + 1))
+    pos.setflags(write=False)
+    return pos
+
+
+# The sweep plans below list, per color (red first), the selector of the
+# nodes the color updates and that of the other-color interior nodes next
+# to them, each with the positions of its ring-column junk.  A node's four
+# neighbours always have the other color.
 
 
 @functools.lru_cache(maxsize=None)
 def _lattice_plan(n: int) -> tuple:
-    """Sweep plan over the whole interior, by strided sub-lattices.
+    """Sweep plan over the whole interior: one stride-2 run per color.
 
-    Red nodes (even index sum) are the (odd, odd) and (even, even) nodes
-    of the padded array, black ones the two mixed sub-lattices.
+    Red nodes (even index sum) have even flat index, black ones odd.
     """
-    odd, even = slice(1, n + 1, 2), slice(2, n + 1, 2)
-    red = (_selector(odd, odd), _selector(even, even))
-    black = (_selector(odd, even), _selector(even, odd))
-    return (red, black), (black, red)
+    stop = n * (n + 3) + 1
+    red, black = slice(n + 3, stop, 2), slice(n + 4, stop, 2)
+    return tuple((_selector(own, n + 2), _ring_positions(n, own),
+                  _selector(other, n + 2), _ring_positions(n, other))
+                 for own, other in ((red, black), (black, red)))
 
 
 # bounded: one band per grid size in use, plus whatever masks callers pass
 @functools.lru_cache(maxsize=32)
 def _masked_plan(n: int, packed_mask: bytes) -> tuple:
-    """Sweep plan over the nodes of an (n, n) point mask, by index arrays.
+    """Sweep plan over the nodes of an (n, n) point mask, by flat index arrays.
 
     The mask comes bit-packed (np.packbits) so that it can key the cache.
-    The index arrays are read-only.
+    The index arrays are read-only; they name interior nodes only.
     """
     mask = np.unpackbits(np.frombuffer(packed_mask, dtype=np.uint8), count=n * n)
     i, j = np.nonzero(mask.reshape(n, n))
-    i, j = i + 1, j + 1
+    k = (i + 1) * (n + 2) + (j + 1)
+    none = np.empty(0, dtype=np.intp)
+    none.setflags(write=False)
     plan = []
     for parity in (0, 1):
-        own = (i + j) % 2 == parity
-        ci, cj = i[own], j[own]
+        own = k[k % 2 == parity]
         near = np.zeros((n + 2, n + 2), dtype=bool)
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            near[ci + di, cj + dj] = True
-        ni, nj = np.nonzero(near[1:-1, 1:-1])
-        sels = (_selector(ci, cj), _selector(ni + 1, nj + 1))
-        for idx in (a for sel in sels for pair in sel for a in pair):
+        near.reshape(-1)[np.concatenate([own + d for d in (n + 2, -n - 2, 1, -1)])] = True
+        near[[0, -1], :] = near[:, [0, -1]] = False
+        sels = (_selector(own, n + 2), _selector(np.flatnonzero(near), n + 2))
+        for idx in (a for sel in sels for a in sel):
             idx.setflags(write=False)
-        plan.append(((sels[0],), (sels[1],)))
+        plan.append((sels[0], none, sels[1], none))
     return tuple(plan)
 
 
@@ -289,7 +348,6 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
     f3), so the returned state solves the discrete system to rounding and
     is a fixed point of the smoother and the cycles.
     """
-    h = 1.0 / (n + 1)
     x = np.linspace(0.0, 1.0, n + 2)
     xg, yg = np.meshgrid(x, x, indexing="ij")
     u = np.sin(PI * xg) * np.sin(PI * yg)
@@ -297,19 +355,15 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
     p = np.cos(PI * xg) * np.cos(PI * yg)
     p -= p[1, 1]
     _mirror_ghosts(p)
+    exact = StokesState(u, v, p)
 
-    at = _interior(n)
-    f1, f2, f3 = _zeros(n), _zeros(n), _zeros(n)
-    f1[at[0]] = _neg_lap(u, h, at) + _ddx(p, h, at)
-    f2[at[0]] = _neg_lap(v, h, at) + _ddy(p, h, at)
-    f3[at[0]] = _ddx(u, h, at) + _ddy(v, h, at) + c * h**2 * _neg_lap(p, h, at)
-
+    # L x is minus the residual of x against zero right-hand sides
+    f1, f2, f3 = (-r for r in assemble_residual(homogeneous_problem(n, c), exact))
     g_u = u.copy()
     g_u[1:-1, 1:-1] = 0.0
     g_v = v.copy()
     g_v[1:-1, 1:-1] = 0.0
-    prob = StokesProblem(n, c, f1, f2, f3, g_u, g_v)
-    return prob, StokesState(u, v, p)
+    return StokesProblem(n, c, f1, f2, f3, g_u, g_v), exact
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +371,63 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
 
 
 def _residual_at(prob: StokesProblem, u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                 at: tuple) -> tuple:
-    """Residual rhs - L x at the nodes of selector at; p's ghosts must be mirrored."""
-    h, c = prob.h, at[0]
-    r1 = prob.f1[c] - (_neg_lap(u, h, at) + _ddx(p, h, at))
-    r2 = prob.f2[c] - (_neg_lap(v, h, at) + _ddy(p, h, at))
-    r3 = prob.f3[c] - (_ddx(u, h, at) + _ddy(v, h, at)
-                       + prob.c * h**2 * _neg_lap(p, h, at))
-    return r1, r2, r3
+                 at: tuple, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
+                 t: np.ndarray):
+    """Residual rhs - L x at the nodes of selector at, into r1, r2, r3.
+
+    u, v, p are flat, and p's ghosts must be mirrored; t is scratch of
+    the same length as the outputs.
+    """
+    h, k = prob.h, at[0]
+    f1, f2, f3 = (_flat(f, prob.n)[k] for f in (prob.f1, prob.f2, prob.f3))
+    _neg_lap(u, h, at, r1)
+    r1 += _ddx(p, h, at, t)
+    np.subtract(f1, r1, out=r1)
+    _neg_lap(v, h, at, r2)
+    r2 += _ddy(p, h, at, t)
+    np.subtract(f2, r2, out=r2)
+    _ddx(u, h, at, r3)
+    r3 += _ddy(v, h, at, t)
+    _neg_lap(p, h, at, t)
+    t *= prob.c * h**2
+    r3 += t
+    np.subtract(f3, r3, out=r3)
 
 
-def assemble_residual(prob: StokesProblem, st: StokesState):
+def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tuple:
     """Residual rhs - L x at interior nodes; returned rings are zero.
 
     The pressure ring is re-derived by mirroring before differencing, so
     the result does not depend on the ghost values the caller left in p.
+    out, like numpy's, takes the three C-contiguous (n+2) x (n+2) arrays
+    to write the blocks into and is returned; by default they are new.
     """
-    p = st.p.copy()
+    n = prob.n
+    if out is None:
+        out = (_zeros(n), _zeros(n), _zeros(n))
+    at = _interior(n)
+    blocks = [r[at[0]] for r in _flat_out(out, n)]
+    p, t = _buffers(prob, "state")[:2]
+    np.copyto(p, st.p)
     _mirror_ghosts(p)
-    at = _interior(prob.n)
-    out = []
-    for block in _residual_at(prob, st.u, st.v, p, at):
-        r = _zeros(prob.n)
-        r[at[0]] = block
-        out.append(r)
-    return tuple(out)
+    _residual_at(prob, _flat(st.u, n), _flat(st.v, n), p.reshape(-1), at, *blocks,
+                 t.reshape(-1)[:len(blocks[0])])
+    for r in out:  # also clears the junk the run left on the ring columns
+        r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
+    return out
 
 
 def residual_norm(prob: StokesProblem, st: StokesState) -> float:
-    r1, r2, r3 = assemble_residual(prob, st)
-    return float(np.sqrt((r1**2).sum() + (r2**2).sum() + (r3**2).sum()))
+    blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
+    sq = _buffers(prob, "state")[0]
+    sums = [np.square(r, out=sq).sum() for r in blocks]
+    return float(np.sqrt(sums[0] + sums[1] + sums[2]))
+
+
+def _copy_into(dst: StokesState, src: StokesState) -> StokesState:
+    for a, b in ((dst.u, src.u), (dst.v, src.v), (dst.p, src.p)):
+        np.copyto(a, b)
+    return dst
 
 
 def _anchor(st: StokesState, prob: StokesProblem):
@@ -356,9 +437,9 @@ def _anchor(st: StokesState, prob: StokesProblem):
 
 
 def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
-                                 omega: float, point_mask: np.ndarray | None = None
-                                 ) -> StokesState:
-    """One damped two-color distributive Jacobi sweep; returns a new state.
+                                 omega: float, point_mask: np.ndarray | None = None,
+                                 *, out: StokesState | None = None) -> StokesState:
+    """One damped two-color distributive Jacobi sweep of st.
 
     Red interior nodes (even index sum) are treated first, then black,
     each from a fresh residual.  Ghost corrections are divided by the
@@ -373,8 +454,13 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     nodes, an (n, n) boolean array (used for the boundary-band
     relaxation).  Each color evaluates its residual only at the nodes it
     updates, and distributes only onto them and their neighbours: a full
-    sweep works through strided sub-lattices, a masked one through
-    cached index arrays, so a band sweep costs O(band) stencil work.
+    sweep works through one stride-2 run of the flat grid per color, a
+    masked one through cached flat index arrays, so a band sweep costs
+    O(band) stencil work.  Temporaries live in buffers the problem owns.
+
+    The result goes to a new state by default.  out, like numpy's, names
+    the state to write it into and is returned; out=st sweeps st in place.
+    Its arrays must be C-contiguous.
     """
     n, h = prob.n, prob.h
     d_vel = 4.0 / h**2
@@ -385,45 +471,64 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
-    out = st.copy()
+    given = out is not None
+    if not given:
+        out = st.copy()
+    u, v, p = _flat_out((out.u, out.v, out.p), n)  # raises before anything is written
+    old = st
+    if given and omega != 1.0:
+        old = _copy_into(StokesState(*_buffers(prob, "state")), st)
+    if given and out is not st:
+        _copy_into(out, st)
+    w3 = _buffers(prob, "w3")[0].reshape(-1)
+    half = (n + 2) ** 2 // 2  # at least the nodes of a color
+    tmp = [b.reshape(-1)[k * half:(k + 1) * half]
+           for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
     _mirror_ghosts(out.p)
-    w3 = np.zeros_like(out.p)
-    for nodes, near in plan:
-        # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
-        # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
-        # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both.  No
-        # two nodes of a color are neighbours, so adding w1, w2 on one
-        # sub-lattice leaves the residual on the next one unchanged.
-        for at in nodes:
-            r1, r2, r3 = _residual_at(prob, out.u, out.v, out.p, at)
-            out.u[at[0]] += r1 / d_vel
-            out.v[at[0]] += r2 / d_vel
-            w3[at[0]] = r3 / d_pre
-        for at in nodes:
-            out.p[at[0]] += _neg_lap(w3, h, at)
-        for at in near:
-            out.u[at[0]] -= _ddx(w3, h, at)
-            out.v[at[0]] -= _ddy(w3, h, at)
-            out.p[at[0]] += _neg_lap(w3, h, at)
-        _mirror_ghosts(out.p)
-        for at in nodes:
-            w3[at[0]] = 0.0
+    try:
+        for nodes, ring, near, near_ring in plan:
+            # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
+            # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
+            # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both.  No
+            # two nodes of a color are neighbours, so the color's residual is
+            # the same before and after its own velocity updates.
+            m = _count(nodes[0])
+            r1, r2, r3, t = (b[:m] for b in tmp)
+            _residual_at(prob, u, v, p, nodes, r1, r2, r3, t)
+            for r, d in ((r1, d_vel), (r2, d_vel), (r3, d_pre)):
+                r /= d
+                r[ring] = 0.0
+            u[nodes[0]] += r1
+            v[nodes[0]] += r2
+            w3[nodes[0]] = r3
+            p[nodes[0]] += _neg_lap(w3, h, nodes, t)
+            du, dv, dp = (b[:_count(near[0])] for b in tmp[:3])
+            _ddx(w3, h, near, du)[near_ring] = 0.0
+            u[near[0]] -= du
+            _ddy(w3, h, near, dv)[near_ring] = 0.0
+            v[near[0]] -= dv
+            p[near[0]] += _neg_lap(w3, h, near, dp)
+            _mirror_ghosts(out.p)  # also overwrites the junk on p's ring
+            w3[nodes[0]] = 0.0
+    except BaseException:
+        w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
+        raise
     if omega != 1.0:
-        for new, old in ((out.u, st.u), (out.v, st.v), (out.p, st.p)):
-            new -= old
+        for new, prev in ((out.u, old.u), (out.v, old.v), (out.p, old.p)):
+            new -= prev
             new *= omega
-            new += old
+            new += prev
     _anchor(out, prob)
     return out
 
 
 def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec,
-                 band: np.ndarray | None) -> StokesState:
-    st = distributive_two_color_sweep(prob, st, spec.omega)
+                 band: np.ndarray | None):
+    """One smoothing step of st, in place."""
+    distributive_two_color_sweep(prob, st, spec.omega, out=st)
     if band is not None:
         for _ in range(spec.boundary_relax):
-            st = distributive_two_color_sweep(prob, st, 1.0, point_mask=band)
-    return st
+            distributive_two_color_sweep(prob, st, 1.0, point_mask=band, out=st)
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +610,17 @@ def _bottom_pinv(n: int, c: float) -> np.ndarray:
 
 
 def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
-    """One exact correction st + A^+ r(st); returns a new, anchored state.
+    """One exact correction st += A^+ r(st), in place; returns st, anchored.
 
     A matrix-vector product rather than a least-squares solve per call,
     so a non-finite residual passes through to the divergence check.
     """
     n = prob.n
     d = _bottom_pinv(n, prob.c) @ _interior_vector(*assemble_residual(prob, st))
-    out = st.copy()
-    for a, block in zip((out.u, out.v, out.p), d.reshape(3, n, n)):
+    for a, block in zip((st.u, st.v, st.p), d.reshape(3, n, n)):
         a[1:-1, 1:-1] += block
-    _anchor(out, prob)
-    return out
+    _anchor(st, prob)
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +629,21 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
 
 def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
            ) -> StokesState:
+    """One cycle of the given depth on st, in place; returns st."""
     if depth == 1:
         return _bottom_solve(prob, st)
 
     band = _band_mask(prob.n) if spec.boundary_relax > 0 else None
 
     for _ in range(spec.pre_sweeps):
-        st = _smooth_step(prob, st, spec, band)
+        _smooth_step(prob, st, spec, band)
 
-    r1, r2, r3 = assemble_residual(prob, st)
+    r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     nc = (prob.n + 1) // 2 - 1
     coarse_prob = StokesProblem(nc, prob.c, restrict(r1), restrict(r2), restrict(r3),
                                 _zeros(nc), _zeros(nc))
     coarse = _cycle(coarse_prob, zero_state(coarse_prob), spec, depth - 1)
 
-    st = st.copy()
     st.u[1:-1, 1:-1] += prolong(coarse.u)[1:-1, 1:-1]
     st.v[1:-1, 1:-1] += prolong(coarse.v)[1:-1, 1:-1]
     _mirror_ghosts(coarse.p)
@@ -547,16 +651,17 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     _mirror_ghosts(st.p)
 
     for _ in range(spec.post_sweeps):
-        st = _smooth_step(prob, st, spec, band)
+        _smooth_step(prob, st, spec, band)
     _anchor(st, prob)
     return st
 
 
 def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesState:
-    """One V-cycle over spec.levels levels (two-grid for levels = 2).
+    """One V-cycle over spec.levels levels (two-grid for levels = 2); returns a new state.
 
     The bottom grid is solved exactly and may be at most
-    BOTTOM_MAX_N x BOTTOM_MAX_N.
+    BOTTOM_MAX_N x BOTTOM_MAX_N.  The cycle copies st once and smooths
+    the copy in place.
     """
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
@@ -566,7 +671,7 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
         raise ValueError(f"{spec.levels} levels leave a {nb}x{nb} bottom grid at "
                          f"n = {prob.n}; the exact bottom solve takes at most "
                          f"{BOTTOM_MAX_N}x{BOTTOM_MAX_N}, so use more levels")
-    return _cycle(prob, st, spec, spec.levels)
+    return _cycle(prob, st.copy(), spec, spec.levels)
 
 
 def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -311,10 +313,150 @@ class TestSweepMatchesReferee:
     def test_cached_index_sets_are_read_only(self):
         band = mgsolver._band_mask(31)
         assert band is mgsolver._band_mask(31) and not band.flags.writeable
-        plan = mgsolver._masked_plan(31, np.packbits(band).tobytes())
-        for nodes, near in plan:
-            for at in nodes + near:
-                assert all(not idx.flags.writeable for pair in at for idx in pair)
+        masked = mgsolver._masked_plan(31, np.packbits(band).tobytes())
+        for nodes, ring, near, near_ring in masked + mgsolver._lattice_plan(31):
+            arrays = [a for a in nodes + near if isinstance(a, np.ndarray)]
+            for idx in arrays + [ring, near_ring]:
+                assert not idx.flags.writeable
+        for nodes, ring, near, near_ring in mgsolver._lattice_plan(31):
+            # ring-column junk: each color's run passes columns 0 and 32 of
+            # the rows of its parity, 30 nodes once the run's ends are cut
+            assert len(ring) == len(near_ring) == 30
+
+
+def _ref_cycle(prob, st, spec, depth):
+    """The V-cycle from the referee sweep and residual, copying at every step."""
+    if depth == 1:
+        return mgsolver._bottom_solve(prob, st.copy())
+    band = mgsolver._band_mask(prob.n) if spec.boundary_relax > 0 else None
+
+    def smooth(st):
+        st = _reference_sweep(prob, st, spec.omega)
+        for _ in range(spec.boundary_relax if band is not None else 0):
+            st = _reference_sweep(prob, st, 1.0, point_mask=band)
+        return st
+
+    for _ in range(spec.pre_sweeps):
+        st = smooth(st)
+    r1, r2, r3 = _ref_assemble_residual(prob, st)
+    nc = (prob.n + 1) // 2 - 1
+    coarse_prob = StokesProblem(nc, prob.c, restrict(r1), restrict(r2), restrict(r3),
+                                _ref_zeros(nc), _ref_zeros(nc))
+    coarse = _ref_cycle(coarse_prob, zero_state(coarse_prob), spec, depth - 1)
+    coarse_p = coarse.p.copy()
+    _ref_mirror_ghosts(coarse_p)
+    st = st.copy()
+    st.u[1:-1, 1:-1] += prolong(coarse.u)[1:-1, 1:-1]
+    st.v[1:-1, 1:-1] += prolong(coarse.v)[1:-1, 1:-1]
+    st.p[1:-1, 1:-1] += prolong(coarse_p)[1:-1, 1:-1]
+    _ref_mirror_ghosts(st.p)
+    for _ in range(spec.post_sweeps):
+        st = smooth(st)
+    _ref_anchor(st, prob)
+    return st
+
+
+class TestInPlaceCycle:
+    """The in-place cycle on problem-owned buffers against the copying referee."""
+
+    @pytest.mark.parametrize("n", [7, 15, 31, 63])
+    @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
+    @pytest.mark.parametrize("relax", [0, 2])
+    def test_v_cycle_matches_referee(self, n, c, relax):
+        prob, st = scrambled_problem(n, c, seed=n)
+        spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c),
+                         boundary_relax=relax)
+        mine, ref = st, st
+        for _ in range(2):
+            mine = v_cycle(prob, mine, spec)
+            ref = _ref_cycle(prob, ref, spec, spec.levels)
+            assert states_equal(mine, ref)
+
+    def test_inputs_untouched(self):
+        prob, st = scrambled_problem(15, 0.125, seed=4)
+        before = st.copy()
+        spec = CycleSpec(levels=3, omega=OMEGA_8)
+        assert v_cycle(prob, st, spec) is not st
+        assert states_equal(st, before)
+        for mask in (None, mgsolver._band_mask(15)):
+            assert distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask) is not st
+            assert states_equal(st, before)
+        assemble_residual(prob, st)
+        residual_norm(prob, st)
+        assert states_equal(st, before)
+
+    @pytest.mark.parametrize("omega", [OMEGA_8, 1.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_out_writes_the_default_result(self, omega, masked):
+        prob, st = scrambled_problem(15, 0.125, seed=5)
+        mask = mgsolver._band_mask(15) if masked else None
+        want = distributive_two_color_sweep(prob, st, omega, point_mask=mask)
+        other = zero_state(prob)
+        got = distributive_two_color_sweep(prob, st, omega, point_mask=mask, out=other)
+        assert got is other and states_equal(other, want)
+        assert distributive_two_color_sweep(prob, st, omega, point_mask=mask, out=st) is st
+        assert states_equal(st, want)
+
+    def test_residual_out_returns_out(self):
+        prob, st = scrambled_problem(15, 0.3, seed=6)
+        out = tuple(np.full((17, 17), np.nan) for _ in range(3))
+        assert assemble_residual(prob, st, out=out) is out
+        for mine, ref in zip(out, _ref_assemble_residual(prob, st)):
+            assert np.array_equal(mine, ref)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_nan_sweep_leaves_clean_buffers(self, masked):
+        prob, st = scrambled_problem(15, 0.125, seed=3)
+        mask = mgsolver._band_mask(15) if masked else None
+        clean = st.copy()
+        f = prob.f3[5, 2]
+        prob.f3[5, 2] = np.nan  # a node of the band; w3 takes the NaN
+        dirty = st.copy()
+        distributive_two_color_sweep(prob, dirty, OMEGA_8, point_mask=mask, out=dirty)
+        assert np.isnan(dirty.p).any()
+        prob.f3[5, 2] = f
+        mine = distributive_two_color_sweep(prob, clean, OMEGA_8, point_mask=mask, out=clean)
+        assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
+        assert not mgsolver._buffers(prob, "w3")[0].any()
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_any_layout_through_default_path(self, layout):
+        prob, st = scrambled_problem(15, 0.125, seed=8)
+        if layout == "fortran":
+            other = StokesState(*(np.asfortranarray(a) for a in (st.u, st.v, st.p)))
+        else:
+            wide = [np.full((17, 34), np.nan) for _ in range(3)]
+            for w, a in zip(wide, (st.u, st.v, st.p)):
+                w[:, ::2] = a
+            other = StokesState(*(w[:, ::2] for w in wide))
+        assert not other.u.flags.c_contiguous
+        for mask in (None, mgsolver._band_mask(15)):
+            assert states_equal(distributive_two_color_sweep(prob, other, OMEGA_8, mask),
+                                distributive_two_color_sweep(prob, st, OMEGA_8, mask))
+        for mine, ref in zip(assemble_residual(prob, other), assemble_residual(prob, st)):
+            assert np.array_equal(mine, ref)
+        spec = CycleSpec(levels=3, omega=OMEGA_8)
+        assert states_equal(v_cycle(prob, other, spec), v_cycle(prob, st, spec))
+        assert residual_norm(prob, other) == residual_norm(prob, st)
+
+    def test_out_must_be_c_contiguous(self):
+        prob, st = scrambled_problem(15, 0.125, seed=9)
+        fortran = StokesState(*(np.asfortranarray(a) for a in (st.u, st.v, st.p)))
+        before = fortran.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            distributive_two_color_sweep(prob, fortran, OMEGA_8, out=fortran)
+        assert states_equal(fortran, before)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            assemble_residual(prob, st, out=(fortran.u, fortran.v, fortran.p))
+
+    def test_scratch_dies_with_its_problem(self):
+        prob = homogeneous_problem(15, 0.125)
+        v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
+        buffers = [weakref.ref(b) for bufs in prob._scratch.values() for b in bufs]
+        assert len(buffers) == 7
+        del prob
+        gc.collect()
+        assert all(ref() is None for ref in buffers)
 
 
 class TestTransfers:

@@ -1,4 +1,6 @@
-"""Property tests of the multigrid solver (hypothesis)."""
+"""Property tests of the multigrid solver and the LFA oracle (hypothesis)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from stokesmg import mgsolver
 from stokesmg.closedform import OMEGA_AT_C_EIGHTH
+from stokesmg.harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
 from stokesmg.mgsolver import distributive_two_color_sweep, manufactured_problem, prolong, restrict
+from stokesmg.stencil import Frequency, make_operator
 
 log_c = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -57,3 +61,18 @@ def test_restriction_is_quarter_transpose_of_prolongation(fine):
     want = 0.25 * _P[nc].T @ fine[1:-1, 1:-1].ravel()
     got = restrict(fine)[1:-1, 1:-1].ravel()
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * (1.0 + np.abs(fine).max()))
+
+
+ORACLE_GRID = 32
+# lattice indices of the base frequencies in the low box (-pi/2, pi/2]
+lattice_index = st.integers(-ORACLE_GRID // 4 + 1, ORACLE_GRID // 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(log10_c=log_c, j1=lattice_index, j2=lattice_index)
+def test_periodic_oracle_matches_two_color_rep(log10_c, j1, j2):
+    s = make_operator("pressure_block", c=10.0 ** log10_c)
+    step = 2.0 * math.pi / ORACLE_GRID
+    pair = harmonics_of(Frequency(step * j1, step * j2))
+    oracle = numerical_lfa_oracle(s, pair, ORACLE_GRID)
+    assert np.abs(oracle - two_color_rep(s, pair)).max() <= 1e-10

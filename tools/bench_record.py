@@ -1,0 +1,191 @@
+"""Record what the solver and the analysis cost, as BENCH_<tag>.json.
+
+Run from anywhere, on a checkout whose stokesmg it measures:
+
+    python3 tools/bench_record.py --tag <tag>
+
+It writes BENCH_<tag>.json at the root of the checkout, holding:
+
+* perfbench: for each workload of BENCHMARK.json, the env line and the
+  final JSON line of `perfbench/run.py --seed 1 --seconds <run_seconds>`,
+  run as a subprocess;
+* solve: the problem of `stokesmg solve --c 0.125 --n <n>` (deepest
+  hierarchy, V(2,2), closed-form omega, seed 42) at n = 63/127/255/511,
+  cycled SOLVE_CYCLES times after one warm-up cycle: median ms per cycle,
+  ns per unknown (3 n^2) per cycle, rho_observed as the command reports
+  it, and seconds of cycling per decimal digit of residual reduction;
+* layers: at n = 511, the median ms per call and the calls per cycle of
+  the functions the cycle calls on the finest grid (full sweep, band
+  sweep, assemble_residual, restrict, prolong) and of the bottom solve,
+  timed by wrapping the module attributes the cycle looks them up from;
+* commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
+  theorems` and `stokesmg curves --n-points 100` over c in [1e-3, 1e3].
+
+All of it runs single-threaded (OMP/OpenBLAS/MKL threads set to 1), one
+measurement at a time.
+"""
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy is imported
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from stokesmg import closedform, mgsolver  # noqa: E402
+
+C = 0.125
+SOLVE_NS = (63, 127, 255, 511)
+SOLVE_CYCLES = 12
+LAYER_N = 511
+LAYER_CYCLES = 3
+PERFBENCH_SEED = 1
+COMMANDS = {
+    "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "theorems": [sys.executable, "-m", "stokesmg.cli", "theorems"],
+    "curves": [sys.executable, "-m", "stokesmg.cli", "curves", "--c-min", "1e-3",
+               "--c-max", "1e3", "--n-points", "100", "--scale", "log"],
+}
+# what a call works on, per function the cycle calls: its grid size, and
+# for a sweep also whether it is a band sweep
+SIZES = {
+    "v_cycle": lambda a, k: a[0].n,
+    "distributive_two_color_sweep": lambda a, k: (a[0].n, k.get("point_mask") is not None),
+    "assemble_residual": lambda a, k: a[0].n,
+    "restrict": lambda a, k: a[0].shape[0] - 2,
+    "prolong": lambda a, k: 2 * a[0].shape[0] - 3,
+    "_bottom_solve": lambda a, k: a[0].n,
+}
+
+
+def _env():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update({var: "1" for var in THREAD_VARS})
+    return env
+
+
+def _spec(n):
+    return mgsolver.CycleSpec(levels=mgsolver.max_levels(n),
+                              omega=closedform.omega_opt_closed(C))
+
+
+def perfbench_rows():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rows = {}
+    for wl in bench["workloads"]:
+        cmd = [sys.executable, *bench["command"][1:], "--workload", wl["name"],
+               "--seed", str(PERFBENCH_SEED), "--seconds", str(bench["run_seconds"])]
+        out = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True,
+                             check=True).stdout.splitlines()
+        env_line = next(line for line in out if line.startswith("env "))
+        rows[wl["name"]] = {"command": " ".join(cmd[1:]),
+                            "env": json.loads(env_line[len("env "):]),
+                            "result": json.loads(out[-1])}
+    return rows
+
+
+class _Timed:
+    """Replaces module attributes by wrappers that time each call."""
+
+    def __init__(self, module, names):
+        self.module, self.names, self.calls = module, names, []
+
+    def __enter__(self):
+        self.saved = {name: getattr(self.module, name) for name in self.names}
+        for name, fn in self.saved.items():
+            setattr(self.module, name, self._wrap(name, fn))
+        return self
+
+    def _wrap(self, name, fn):
+        def timed(*args, **kwargs):
+            size = SIZES[name](args, kwargs)
+            t = time.perf_counter()
+            result = fn(*args, **kwargs)
+            self.calls.append((name, size, time.perf_counter() - t))
+            return result
+        return timed
+
+    def __exit__(self, *exc):
+        for name, fn in self.saved.items():
+            setattr(self.module, name, fn)
+        return False
+
+
+def solve_rows():
+    rows = []
+    for n in SOLVE_NS:
+        prob, spec = mgsolver.homogeneous_problem(n, C), _spec(n)
+        mgsolver.v_cycle(prob, mgsolver.random_state(prob), spec)  # caches, buffers
+        with _Timed(mgsolver, ["v_cycle"]) as timed:
+            report = mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)
+        cycle_s = [t for _, _, t in timed.calls]
+        digits = math.log10(report.initial_residual / report.residual_history[-1])
+        rows.append({
+            "n": n, "c": C, "levels": spec.levels, "cycles": len(cycle_s),
+            "ms_per_cycle": 1e3 * statistics.median(cycle_s),
+            "ns_per_unknown_cycle": 1e9 * statistics.median(cycle_s) / (3 * n * n),
+            "rho_observed": report.rho_observed,
+            "s_per_digit": sum(cycle_s) / digits,
+        })
+    return rows
+
+
+def layer_rows():
+    prob, spec = mgsolver.homogeneous_problem(LAYER_N, C), _spec(LAYER_N)
+    bottom_n = (LAYER_N + 1) // 2 ** (spec.levels - 1) - 1
+    # layer: (function, what its calls work on)
+    layers = {
+        "sweep_full": ("distributive_two_color_sweep", (LAYER_N, False)),
+        "sweep_band": ("distributive_two_color_sweep", (LAYER_N, True)),
+        "assemble_residual": ("assemble_residual", LAYER_N),
+        "restrict": ("restrict", LAYER_N),
+        "prolong": ("prolong", LAYER_N),
+        "bottom_solve": ("_bottom_solve", bottom_n),
+    }
+    st = mgsolver.v_cycle(prob, mgsolver.random_state(prob), spec)
+    with _Timed(mgsolver, sorted({fn for fn, _ in layers.values()})) as timed:
+        for _ in range(LAYER_CYCLES):
+            st = mgsolver.v_cycle(prob, st, spec)
+    rows = {"n": LAYER_N, "bottom_n": bottom_n}
+    for layer, (fn, size) in layers.items():
+        times = [t for name, s, t in timed.calls if (name, s) == (fn, size)]
+        rows[layer] = {"calls_per_cycle": len(times) / LAYER_CYCLES,
+                       "ms_per_call": 1e3 * statistics.median(times)}
+    return rows
+
+
+def command_rows():
+    rows = {}
+    for name, cmd in COMMANDS.items():
+        t = time.perf_counter()
+        out = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True)
+        rows[name] = {"command": " ".join(cmd[1:]), "seconds": time.perf_counter() - t,
+                      "exit_code": out.returncode,
+                      "last_line": (out.stdout.strip().splitlines() or [""])[-1]}
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
+    args = ap.parse_args(argv)
+    record = {"tag": args.tag, "perfbench": perfbench_rows(), "solve": solve_rows(),
+              "layers": layer_rows(), "commands": command_rows()}
+    path = ROOT / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
