@@ -12,11 +12,11 @@ import sys
 
 import numpy as np
 
-from . import closedform as cf
+from . import closedform as cf, criteria
 from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
 from .mgsolver import (BOTTOM_MAX_N, CycleSpec, homogeneous_problem, max_levels,
                        measure_convergence_factor)
-from .smoothing import SweepConfig, one_stage_optimum, stokes_smoothing_factor
+from .smoothing import SweepConfig, one_stage_optimum
 from .stencil import Frequency, OPERATOR_KINDS, make_operator, symbol
 
 EXIT_OK = 0
@@ -26,22 +26,22 @@ EXIT_DIVERGED = 3
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle: decimals or rational multiples of pi like '-pi/4', '2pi/3'."""
+    """Parse a finite angle: decimals or rational multiples of pi like '-pi/4', '2pi/3'."""
     t = text.strip().lower().replace(" ", "")
-    if "pi" not in t:
-        return float(t)
-    pre, _, post = t.partition("pi")
-    if pre in ("", "+"):
-        coef = 1.0
-    elif pre == "-":
-        coef = -1.0
+    pre, has_pi, post = t.partition("pi")
+    if not has_pi:
+        value = float(t)
     else:
-        coef = float(pre)
-    if post:
-        if not post.startswith("/"):
+        coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(pre) or float(pre)
+        if post and not post.startswith("/"):
             raise ValueError(f"cannot parse angle {text!r}")
-        coef /= float(post[1:])
-    return coef * math.pi
+        denominator = float(post[1:]) if post else 1.0
+        if denominator == 0:
+            raise ValueError(f"zero denominator in angle {text!r}")
+        value = coef * math.pi / denominator
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def parse_theta(text: str) -> tuple[float, float]:
@@ -115,105 +115,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-class _Table:
-    def __init__(self):
-        self.failures = 0
-
-    def row(self, name, expected, computed, tol, note=""):
-        diff = abs(computed - expected)
-        ok = diff <= tol
-        self._print(name, f"{expected:.9g}", computed, diff, ok, note)
-        return ok
-
-    def row_bound(self, name, description, computed, ok, note=""):
-        self._print(name, description, computed, float("nan"), ok, note)
-        return ok
-
-    def _print(self, name, expected, computed, diff, ok, note):
-        if not ok:
-            self.failures += 1
-        verdict = "PASS" if ok else "FAIL"
-        diff_s = f"{diff:.3g}" if diff == diff else "-"
-        line = f"{name:<42s} expected {expected:<14s} computed {computed:<18.10g} |diff| {diff_s:<10s} {verdict}"
-        if note:
-            line += f"  ({note})"
-        print(line)
-
-
 def cmd_theorems(args) -> int:
-    cfg = SweepConfig(n_samples_per_axis=args.n_samples)
-    t = _Table()
-
-    poisson = one_stage_optimum(make_operator("laplacian"), cfg)
-    t.row("poisson S_max", 0.0, poisson.s_max, 1e-9)
-    t.row("poisson S_min", -0.125, poisson.s_min, 1e-9)
-    t.row("poisson omega_opt", cf.POISSON_OMEGA, poisson.omega_opt, 1e-9)
-    t.row("poisson rho_opt", cf.POISSON_RHO, poisson.rho_opt, 1e-9)
-
-    pb8 = one_stage_optimum(make_operator("pressure_block", c=0.125), cfg)
-    t.row("pressure(1/8) S_max", 1.0 / 49.0, pb8.s_max, 1e-6)
-    t.row("pressure(1/8) S_min", -23.0 / 98.0, pb8.s_min, 1e-6)
-    t.row("pressure(1/8) rho_opt", cf.RHO_AT_C_EIGHTH, pb8.rho_opt, 1e-6)
-
-    # the two tabulated candidates disagree by a factor of two; report
-    # which one the sweep supports
-    near_alt = abs(pb8.omega_opt - cf.OMEGA_AT_C_EIGHTH_ALT) <= 1e-6
-    near_formula = abs(pb8.omega_opt - cf.OMEGA_AT_C_EIGHTH) <= 1e-6
-    supported = "28/31" if near_formula else ("98/217" if near_alt else "neither")
-    t.row_bound("pressure(1/8) omega_opt arbitration",
-                "98/217 or 28/31", pb8.omega_opt, near_alt != near_formula,
-                f"sweep supports {supported}; optimum formula gives 28/31")
-
-    for c in (0.02, 1.0 / 27.0, 0.0360548, 0.0625, 0.1, 0.2, 1.0, 10.0, 100.0):
-        res = one_stage_optimum(make_operator("pressure_block", c=c), cfg)
-        t.row(f"rho closed vs sweep (c={c:.6g})", cf.rho_opt_closed(c), res.rho_opt, 1e-6)
-        t.row(f"omega closed vs sweep (c={c:.6g})", cf.omega_opt_closed(c), res.omega_opt, 1e-6)
-
-    t.row("rho_opt limit, large c", cf.RHO_LIMIT_LARGE_C, cf.rho_opt_closed(1e6), 1e-4)
-    rho0 = cf.rho_opt_closed(1e-6)
-    t.row_bound("rho_opt limit, small c", ">= 0.99", rho0, rho0 >= 0.99)
-    t.row("omega_opt limit, large c", cf.OMEGA_LIMIT_LARGE_C, cf.omega_opt_closed(1e6), 1e-4)
-    t.row("omega_opt limit, small c", 1.0, cf.omega_opt_closed(1e-6), 1e-3)
-
-    grid = np.logspace(-3.0, 3.0, 4001)
-    omega_min = min(cf.omega_opt_closed(c) for c in grid)
-    t.row("min omega_opt over log grid", cf.OMEGA_GLOBAL_MIN_REF, omega_min, 1e-3)
-
-    c0 = cf.find_c0()
-    t.row("c0 (rho_opt = 11/43)", cf.C0_REF, c0, 1e-5)
-    t.row_bound("c0 bracket", "in (1/28, 1/27)", c0, 1.0 / 28.0 < c0 < 1.0 / 27.0)
-
-    upper = np.geomspace(1.0 / 27.0, 1e3, 201)[1:]
-    rhos_u = np.array([cf.rho_opt_closed(c) for c in upper])
-    lo_ok = bool((rhos_u >= cf.RHO_AT_C_EIGHTH - 1e-9).all())
-    hi_ok = bool((rhos_u <= cf.RHO_LIMIT_LARGE_C + 1e-6).all())
-    worst = int(np.argmin(rhos_u))
-    t.row_bound("zone above 1/27: rho <= 11/43", "200 log-spaced c", float(rhos_u.max()), hi_ok)
-    t.row_bound("zone above 1/27: rho >= 25/217", "200 log-spaced c", float(rhos_u.min()),
-                lo_ok, "" if lo_ok else
-                f"violated near c = {upper[worst]:.6g}; the curve's true minimum "
-                f"{cf.RHO_MIN:.10g} at c = {cf.C_RHO_MIN:.10g} lies "
-                f"{cf.RHO_AT_C_EIGHTH - cf.RHO_MIN:.4g} below 25/217")
-    lower = np.geomspace(1e-3, 1.0 / 27.0, 51)[1:]
-    rhos_l = np.array([cf.rho_opt_closed(c) for c in lower])
-    t.row_bound("zone below 1/27: rho in (25/217, 1)", "50 log-spaced c",
-                float(rhos_l.min()),
-                bool((rhos_l > cf.RHO_AT_C_EIGHTH).all() and (rhos_l < 1.0).all()))
-
-    dens_cfg = SweepConfig(n_samples_per_axis=65)
-    dom_cs = np.geomspace(1e-3, 1e3, 41)
-    factors = [stokes_smoothing_factor(float(c), dens_cfg) for c in dom_cs]
-    margin = min(f.rho_pressure - f.rho_poisson for f in factors)
-    t.row_bound("pressure block dominates poisson", "41 log-spaced c", margin, margin > 0)
-
-    dense = np.geomspace(1e-3, 1e3, 10001)
-    rho_min = min(cf.rho_opt_closed(c) for c in dense)
-    t.row("global min of rho_opt", cf.RHO_AT_C_EIGHTH, rho_min, 1e-6,
-          f"true minimum {cf.RHO_MIN:.10g} sits at c = {cf.C_RHO_MIN:.10g}, "
-          f"not at c = 1/8; see notes")
-
-    print(f"\n{t.failures} failing row(s)" if t.failures else "\nall rows pass")
-    return EXIT_VERIFY_FAIL if t.failures else EXIT_OK
+    failures = 0
+    for criterion in criteria.CRITERIA:
+        for row in criterion():
+            print(row.line())
+            failures += not row.ok
+    print(f"\n{failures} failing row(s)" if failures else "\nall rows pass")
+    return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
 def cmd_curves(args) -> int:
@@ -290,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("theorems", help="run the verification table")
-    p.add_argument("--n-samples", type=int, default=257)
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("curves", help="emit rho_opt(c) / omega_opt(c) as CSV")

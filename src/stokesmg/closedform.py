@@ -15,7 +15,6 @@ to cancellation next to it.
 """
 
 import math
-from dataclasses import dataclass
 
 # Poisson block: extreme eigenvalues are 0 and -1/8, hence these optima.
 POISSON_OMEGA = 16.0 / 17.0
@@ -50,16 +49,6 @@ OMEGA_GLOBAL_MIN_REF = 0.834733
 C0_REF = 0.0360548
 
 
-@dataclass(frozen=True)
-class CZoneReport:
-    """Zone bounds for rho_opt at a given stabilization parameter."""
-
-    c: float
-    rho_lower: float
-    rho_upper: float
-    zone_tag: str  # "above_1_27" or "below_1_27"
-
-
 def _radicand(c: float) -> float:
     # 82944 c^4 - 6912 c^3 + 336 c^2 + 24 c + 1, positive for all c > 0
     return (((82944.0 * c - 6912.0) * c + 336.0) * c + 24.0) * c + 1.0
@@ -81,8 +70,8 @@ def projected_eigenvalue_s(s1: float, s2: float, c: float) -> float:
 
 def eigenvalue_at_origin(c: float) -> float:
     """Projected eigenvalue at s = (0, 0); this is s_max for every c > 0."""
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     return ((1.0 - 12.0 * c) / (1.0 + 20.0 * c)) ** 2
 
 
@@ -94,8 +83,8 @@ def critical_point(c: float) -> float:
     cancellation, and s*(1/8) = 5/16.  The returned value lies in
     [0, 1/2] and the eigenvalue gradient vanishes there.
     """
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     num = (192.0 * c - 12.0) * c + 1.0
     return num / (math.sqrt(_radicand(c)) + (480.0 * c - 36.0) * c + 1.0)
 
@@ -130,11 +119,6 @@ def omega_opt_closed(c: float) -> float:
     return 2.0 / (2.0 - s_max - s_min)
 
 
-def poisson_optimum() -> tuple[float, float]:
-    """Optimal (omega, rho) of the two-color Jacobi sweep for the Laplacian."""
-    return POISSON_OMEGA, POISSON_RHO
-
-
 def find_c0(tol: float = 1e-8) -> float:
     """Root of rho_opt(c) = 11/43 in (1/28, 1/27), by bisection.
 
@@ -155,30 +139,3 @@ def find_c0(tol: float = 1e-8) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def zone_of(c: float, check_tol: float = 1e-12) -> CZoneReport:
-    """Tabulated zone bounds for rho_opt(c), verified against the value.
-
-    For c > 1/27 the tabulated zone is [25/217, 11/43]; for 0 < c <= 1/27
-    it is [rho_opt(1/27), 1), inclusive at the left endpoint.  The check
-    raises ValueError when rho_opt(c) falls outside the zone.  That
-    genuinely happens for every c in (1/8, C_DIP_END): the true curve dips
-    to RHO_MIN at C_RHO_MIN, below the tabulated lower bound 25/217; see
-    README, "Known deviations".  The whole interval raises, also just
-    above 1/8, where rho_opt(c) is only barely below 25/217.
-    """
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
-    rho = rho_opt_closed(c)
-    if c > 1.0 / 27.0:
-        report = CZoneReport(c, RHO_AT_C_EIGHTH, RHO_LIMIT_LARGE_C, "above_1_27")
-    else:
-        report = CZoneReport(c, rho_opt_closed(1.0 / 27.0), 1.0, "below_1_27")
-    in_dip = 0.125 < c < C_DIP_END
-    if in_dip or not (report.rho_lower - check_tol <= rho <= report.rho_upper + check_tol):
-        raise ValueError(f"rho_opt({c}) = {rho:.9f} violates the tabulated zone "
-                         f"[{report.rho_lower:.9f}, {report.rho_upper:.9f}]"
-                         + (f"; rho_opt < 25/217 on (1/8, {C_DIP_END:.9f})"
-                            if in_dip else ""))
-    return report

@@ -70,8 +70,9 @@ class StokesProblem:
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"stabilization parameter must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"stabilization parameter must be positive and finite, "
+                             f"got {self.c}")
         if self.n < 3 or (self.n + 1) & self.n != 0:
             raise ValueError(f"n + 1 must be a power of two with n >= 3, got n = {self.n}")
         shape = (self.n + 2, self.n + 2)

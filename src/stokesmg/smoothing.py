@@ -220,8 +220,8 @@ def stokes_smoothing_factor(c: float, cfg: SweepConfig = SweepConfig()) -> Stoke
     the stabilized pressure block; the system factor is their maximum,
     which for every c > 0 is the pressure block's.
     """
-    if c <= 0:
-        raise ValueError(f"stabilization parameter must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     poisson = one_stage_optimum(make_operator("laplacian"), cfg)
     pressure = one_stage_optimum(make_operator("pressure_block", c=c), cfg)
     return StokesSmoothing(max(poisson.rho_opt, pressure.rho_opt),

@@ -72,8 +72,8 @@ class Stencil2D:
     name: str
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"mesh size must be positive and finite, got {self.h}")
         if (0, 0) not in self.entries:
             raise ValueError("stencil must contain the center offset (0, 0)")
 
@@ -119,13 +119,13 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
     c : float, optional
         Stabilization parameter, required (and > 0) for c-dependent kinds.
     """
-    if h <= 0:
-        raise ValueError(f"mesh size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
     if kind in _C_DEPENDENT:
         if c is None:
             raise ValueError(f"operator {kind!r} requires the stabilization parameter c")
-        if c <= 0:
-            raise ValueError(f"stabilization parameter must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     elif kind not in _UNSCALED:
         raise ValueError(f"unknown operator kind {kind!r}; choose from {OPERATOR_KINDS}")
 

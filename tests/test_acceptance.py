@@ -1,43 +1,20 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
-Each test prints a single pass/fail line (visible with -s or in captured
-output on failure).  Criterion 7 asserts the zone the analysis gives.
-The tabulated lower bound 25/217 is the value at c = 1/8, not the
-minimum: the curve keeps falling past 1/8 to closedform.RHO_MIN at
-closedform.C_RHO_MIN (both solved at 40 digits and confirmed by the
-frequency sweep).  So the test bounds rho_opt below by RHO_MIN, and it
-asserts that the sampled c where rho_opt undercuts 25/217 are exactly
-those in (1/8, closedform.C_DIP_END).
+Criteria 01-10 are defined once, in stokesmg.criteria, which also
+prints them as `stokesmg theorems`; each test here asserts that every
+row of its criterion passes, and adds the wall-clock gates.  Criteria
+11-13 measure the solver.  Each test prints a single pass/fail line
+(visible with -s or in captured output on failure).
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
-from stokesmg import closedform as cf
-from stokesmg.harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
+from stokesmg import closedform as cf, criteria
 from stokesmg.mgsolver import (CycleSpec, homogeneous_problem, max_levels,
                                measure_convergence_factor,
                                measure_periodic_smoothing)
-from stokesmg.smoothing import (SweepConfig, one_stage_optimum, optimal_one_stage,
-                                sweep_extrema)
-from stokesmg.stencil import Frequency, make_operator
-
-PI = math.pi
-
-NINE_C = (0.02, 1.0 / 27.0, 0.0360548, 1.0 / 16.0, 0.1, 0.2, 1.0, 10.0, 100.0)
-
-_sweep_cache = {}
-
-
-def pressure_optimum(c, n_samples=257):
-    key = (c, n_samples)
-    if key not in _sweep_cache:
-        cfg = SweepConfig(n_samples_per_axis=n_samples)
-        _sweep_cache[key] = one_stage_optimum(make_operator("pressure_block", c=c), cfg)
-    return _sweep_cache[key]
+from stokesmg.smoothing import one_stage_optimum
+from stokesmg.stencil import make_operator
 
 
 def report(num, name, ok, detail=""):
@@ -46,191 +23,65 @@ def report(num, name, ok, detail=""):
     print(f"[acceptance {num:02d}] {name}: {tag}{suffix}")
 
 
-def test_01_poisson_one_stage_optimum():
+def check(num, name, criterion, seconds=None):
+    """Run a criterion, print its line and assert its rows (and time limit)."""
     start = time.perf_counter()
-    res = one_stage_optimum(make_operator("laplacian"))
+    rows = criterion()
     elapsed = time.perf_counter() - start
-    ok = (abs(res.s_max - 0.0) <= 1e-9 and abs(res.s_min + 0.125) <= 1e-9
-          and abs(res.omega_opt - 16 / 17) <= 1e-9
-          and abs(res.rho_opt - 1 / 17) <= 1e-9 and elapsed < 5.0)
-    report(1, "poisson sweep optimum", ok,
-           f"omega={res.omega_opt:.10f} rho={res.rho_opt:.10f} t={elapsed:.2f}s")
-    assert abs(res.s_max - 0.0) <= 1e-9
-    assert abs(res.s_min + 0.125) <= 1e-9
-    assert abs(res.omega_opt - 16 / 17) <= 1e-9
-    assert abs(res.rho_opt - 1 / 17) <= 1e-9
-    assert elapsed < 5.0
+    failing = [row.line() for row in rows if not row.ok]
+    in_time = seconds is None or elapsed < seconds
+    report(num, name, not failing and in_time,
+           f"{len(rows)} rows, {len(failing)} failing, t={elapsed:.2f}s")
+    assert not failing, "\n".join(failing)
+    assert in_time, f"took {elapsed:.1f} s, limit {seconds} s"
+
+
+def test_01_poisson_one_stage_optimum():
+    check(1, "poisson sweep optimum", criteria.poisson_sweep, seconds=5.0)
 
 
 def test_02_pressure_block_c_eighth_extrema():
-    res = pressure_optimum(0.125)
-    ok = (abs(res.s_max - 1 / 49) <= 1e-6 and abs(res.s_min + 23 / 98) <= 1e-6
-          and abs(res.rho_opt - 25 / 217) <= 1e-6)
-    report(2, "pressure block extrema at c=1/8", ok,
-           f"S_max={res.s_max:.9f} S_min={res.s_min:.9f} rho={res.rho_opt:.9f}")
-    assert abs(res.s_max - 1 / 49) <= 1e-6
-    assert abs(res.s_min + 23 / 98) <= 1e-6
-    assert abs(res.rho_opt - 25 / 217) <= 1e-6
+    check(2, "pressure block extrema at c=1/8", criteria.pressure_extrema_at_c_eighth)
 
 
 def test_03_omega_arbitration_at_c_eighth():
-    res = pressure_optimum(0.125)
-    omega_formula, _ = optimal_one_stage(res.s_max, res.s_min)
-    candidates = {"98/217": 98 / 217, "28/31": 28 / 31}
-    matches = [name for name, val in candidates.items()
-               if abs(res.omega_opt - val) <= 1e-6]
-    consistent = abs(res.omega_opt - omega_formula) <= 1e-12
-    ok = len(matches) == 1 and consistent and matches[0] == "28/31"
-    report(3, "omega(1/8) arbitration", ok,
-           f"sweep={res.omega_opt:.9f} supports {matches}; formula gives "
-           f"{omega_formula:.9f} (28/31={28 / 31:.9f}, 98/217={98 / 217:.9f})")
-    assert len(matches) == 1, "sweep omega must match exactly one candidate"
-    assert consistent, "sweep omega must equal the optimum formula on its own extrema"
-    assert matches == ["28/31"]
+    check(3, "omega(1/8) arbitration", criteria.omega_arbitration)
 
 
 def test_04_closed_form_matches_sweep_on_nine_c():
-    start = time.perf_counter()
-    worst = 0.0
-    for c in NINE_C:
-        res = pressure_optimum(c)
-        worst = max(worst, abs(res.rho_opt - cf.rho_opt_closed(c)),
-                    abs(res.omega_opt - cf.omega_opt_closed(c)))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 60.0
-    report(4, "closed form vs sweep on nine c values", ok,
-           f"worst diff={worst:.3e} t={elapsed:.1f}s")
-    assert worst <= 1e-6
-    assert elapsed < 60.0
+    check(4, "closed form vs sweep on nine c values", criteria.closed_form_vs_sweep,
+          seconds=60.0)
 
 
 def test_05_limits_and_omega_minimum():
-    rho_inf = cf.rho_opt_closed(1e6)
-    rho_zero = cf.rho_opt_closed(1e-6)
-    omega_inf = cf.omega_opt_closed(1e6)
-    grid = np.logspace(-3.0, 3.0, 20001)
-    omega_min = min(cf.omega_opt_closed(float(c)) for c in grid)
-    ok = (abs(rho_inf - 11 / 43) <= 1e-4 and rho_zero >= 0.99
-          and abs(omega_inf - 50 / 43) <= 1e-4
-          and abs(omega_min - 0.834733) <= 1e-3)
-    report(5, "limits and global omega minimum", ok,
-           f"rho(1e6)={rho_inf:.6f} rho(1e-6)={rho_zero:.4f} "
-           f"omega(1e6)={omega_inf:.6f} min omega={omega_min:.6f}")
-    assert abs(rho_inf - 11 / 43) <= 1e-4
-    assert rho_zero >= 0.99
-    assert abs(omega_inf - 50 / 43) <= 1e-4
-    assert abs(omega_min - 0.834733) <= 1e-3
+    check(5, "limits and global omega minimum", criteria.limits_and_omega_minimum)
 
 
 def test_06_root_c0():
-    c0 = cf.find_c0()
-    ok = abs(c0 - 0.0360548) <= 1e-5 and 1 / 28 < c0 < 1 / 27
-    report(6, "root c0 of rho_opt = 11/43", ok, f"c0={c0:.7f}")
-    assert abs(c0 - 0.0360548) <= 1e-5
-    assert 1 / 28 < c0 < 1 / 27
+    check(6, "root c0 of rho_opt = 11/43", criteria.root_c0)
 
 
 def test_07_zones():
-    upper = np.geomspace(1.0 / 27.0, 1e3, 201)[1:]
-    rhos_u = np.array([cf.rho_opt_closed(float(c)) for c in upper])
-    lower = np.geomspace(1e-3, 1.0 / 27.0, 51)[1:]
-    rhos_l = np.array([cf.rho_opt_closed(float(c)) for c in lower])
-
-    upper_hi_ok = bool((rhos_u <= 11 / 43 + 1e-6).all())
-    upper_lo_ok = bool((rhos_u >= cf.RHO_MIN - 1e-9).all())
-    lower_ok = bool(((rhos_l > 25 / 217) & (rhos_l < 1.0)).all())
-    # the tabulated bound 25/217 is undercut exactly on (1/8, C_DIP_END)
-    undercut = upper[rhos_u < 25 / 217].tolist()
-    in_dip = upper[(upper > 1 / 8) & (upper < cf.C_DIP_END)].tolist()
-    dip_ok = bool(undercut) and undercut == in_dip
-    ok = upper_hi_ok and upper_lo_ok and lower_ok and dip_ok
-
-    detail = (f"upper zone min={rhos_u.min():.9f} max={rhos_u.max():.9f}; "
-              f"lower zone ok={lower_ok}; 25/217 undercut at "
-              f"c={np.round(undercut, 5).tolist()} by up to "
-              f"{25 / 217 - rhos_u.min():.2e}, dip (1/8, {cf.C_DIP_END:.6f}) holds "
-              f"c={np.round(in_dip, 5).tolist()}")
-    report(7, "zone bounds for rho_opt(c)", ok, detail)
-    assert upper_hi_ok, "upper zone bound rho <= 11/43 + 1e-6 must hold"
-    assert lower_ok, "lower zone (25/217, 1) must hold for c <= 1/27"
-    assert upper_lo_ok, (
-        f"lower zone bound RHO_MIN - 1e-9 <= rho_opt(c) for c > 1/27 is violated: "
-        f"min {rhos_u.min():.12f} < {cf.RHO_MIN:.12f}, the minimum of rho_opt "
-        f"at c = {cf.C_RHO_MIN:.12f}")
-    assert dip_ok, (
-        f"rho_opt(c) < 25/217 must hold exactly at the sampled c in "
-        f"(1/8, C_DIP_END = {cf.C_DIP_END:.12f}), and there must be some: "
-        f"undercut at {undercut}, dip holds {in_dip} (see README, "
-        f"'Known deviations')")
+    check(7, "zone bounds for rho_opt(c)", criteria.zones)
 
 
 def test_08_oracle_equivalence():
-    start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    n_grid = 16
-    stencils = [make_operator("laplacian"),
-                make_operator("pressure_block", c=1 / 16),
-                make_operator("pressure_block", c=1 / 8),
-                make_operator("pressure_block", c=1.0)]
-    worst = 0.0
-    count = 0
-    for s in stencils:
-        for _ in range(50):
-            j1 = int(rng.integers(-n_grid // 4 + 1, n_grid // 4 + 1))
-            j2 = int(rng.integers(-n_grid // 4 + 1, n_grid // 4 + 1))
-            pair = harmonics_of(Frequency(2 * PI * j1 / n_grid, 2 * PI * j2 / n_grid))
-            diff = float(np.abs(two_color_rep(s, pair)
-                                - numerical_lfa_oracle(s, pair, n_grid)).max())
-            worst = max(worst, diff)
-            count += 1
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 10.0
-    report(8, "symbolic representation vs concrete-sweep oracle", ok,
-           f"{count} pairs, worst entry diff={worst:.2e}, t={elapsed:.1f}s")
-    assert worst <= 1e-10
-    assert elapsed < 10.0
+    check(8, "symbolic representation vs concrete-sweep oracle",
+          criteria.oracle_equivalence, seconds=10.0)
 
 
 def test_09_phase_identity():
-    rng = np.random.default_rng(77)
-    n_grid = 16
-    worst = 0.0
-    for _ in range(20):
-        j1 = int(rng.integers(-n_grid // 4 + 1, n_grid // 4 + 1))
-        j2 = int(rng.integers(-n_grid // 4 + 1, n_grid // 4 + 1))
-        base = Frequency(2 * PI * j1 / n_grid, 2 * PI * j2 / n_grid)
-        pair = harmonics_of(base)
-        for alpha, theta in ((0, pair.base), (1, pair.high)):
-            k = np.arange(16)
-            k1, k2 = np.meshgrid(k, k, indexing="ij")
-            got = np.exp(1j * (theta.theta1 * k1 + theta.theta2 * k2))
-            sign = np.where((k1 + k2) % 2 == 0, 1.0, (-1.0) ** alpha)
-            want = sign * np.exp(1j * (base.theta1 * k1 + base.theta2 * k2))
-            worst = max(worst, float(np.abs(got - want).max()))
-    ok = worst <= 1e-12
-    report(9, "color-class phase identity", ok, f"worst deviation={worst:.2e}")
-    assert worst <= 1e-12
+    check(9, "color-class phase identity", criteria.phase_identity)
 
 
 def test_10_pressure_block_dominates():
-    cfg = SweepConfig(n_samples_per_axis=65)
-    poisson = one_stage_optimum(make_operator("laplacian"), cfg)
-    cs = np.concatenate([np.geomspace(1.0 / 27.0, 1e3, 201)[1:],
-                         np.geomspace(1e-3, 1.0 / 27.0, 51)[1:]])
-    margins = []
-    for c in cs:
-        pressure = one_stage_optimum(make_operator("pressure_block", c=float(c)), cfg)
-        margins.append(pressure.rho_opt - poisson.rho_opt)
-    worst = min(margins)
-    ok = worst > 0
-    report(10, "pressure block dominates the poisson block", ok,
-           f"{len(cs)} c values, smallest margin={worst:.4f}")
-    assert worst > 0
+    check(10, "pressure block dominates the poisson block", criteria.pressure_dominates)
 
 
 def test_11_solver_mesh_independence():
     start = time.perf_counter()
-    omega = pressure_optimum(0.125).omega_opt  # sweep-arbitrated optimum
+    # the sweep-arbitrated optimum
+    omega = one_stage_optimum(make_operator("pressure_block", c=0.125)).omega_opt
     rhos = []
     for n1 in (32, 64, 128):
         prob = homogeneous_problem(n1 - 1, 0.125)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from stokesmg.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, fmt_complex,
-                          main, parse_angle, parse_theta)
+from stokesmg import criteria
+from stokesmg.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
+                          fmt_complex, main, parse_angle, parse_theta)
 
 PI = math.pi
 
@@ -21,8 +22,9 @@ class TestAngleParsing:
         assert parse_theta("pi/2, 0") == pytest.approx((PI / 2, 0.0))
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_angle("pie")
+        for text in ("pie", "pi/0", "nan", "inf", "-infpi", "pi/nan"):
+            with pytest.raises(ValueError):
+                parse_angle(text)
         with pytest.raises(ValueError):
             parse_theta("pi")
 
@@ -67,6 +69,14 @@ class TestSymbolCommand:
     def test_missing_c_is_usage_error(self, capsys):
         assert main(["symbol", "pressure_block", "--theta", "0,0"]) == EXIT_USAGE
         assert "stabilization" in capsys.readouterr().err
+
+    def test_non_finite_input_is_usage_error(self, capsys):
+        # a later flag overrides the valid one before it
+        for flag, value in (("--c", "nan"), ("--c", "inf"), ("--h", "nan"),
+                            ("--h", "inf"), ("--theta", "nan,0"), ("--theta", "pi/0,0")):
+            argv = ["symbol", "pressure_block", "--c", "1", "--theta", "0,0", flag, value]
+            assert main(argv) == EXIT_USAGE, argv
+            assert "error:" in capsys.readouterr().err
 
 
 class TestRepCommand:
@@ -155,6 +165,10 @@ class TestSolveCommand:
         assert main(["solve", "--c", "0.125", "--n", "20"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_non_finite_c_is_usage_error(self, capsys):
+        assert main(["solve", "--c", "nan", "--n", "15", "--omega", "1"]) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_bottom_grid_too_large_is_usage_error(self, capsys):
         # two-grid at n = 63 leaves a 31x31 bottom grid, beyond the exact solve
         assert main(["solve", "--c", "0.125", "--n", "63", "--levels", "2"]) == EXIT_USAGE
@@ -168,18 +182,18 @@ class TestSolveCommand:
 
 
 class TestTheoremsCommand:
-    def test_table_contents_and_exit_code(self, capsys):
-        # the tabulated zone lower bound is genuinely violated just past
-        # c = 1/8 (see notes); the table reports it and exits nonzero
-        code = main(["theorems", "--n-samples", "65"])
+    def test_table_contents_and_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "CRITERIA", (criteria.poisson_sweep, criteria.root_c0))
+        assert main(["theorems"]) == EXIT_OK
+        rows = criteria.poisson_sweep() + criteria.root_c0()
+        assert all(row.line().endswith("PASS") for row in rows)
+        assert capsys.readouterr().out == "".join(
+            row.line() + "\n" for row in rows) + "\nall rows pass\n"
+
+    def test_failing_row_exits_one(self, capsys, monkeypatch):
+        stub = criteria.Row("stub row", "1", 0.0, False, "made to fail")
+        monkeypatch.setattr(criteria, "CRITERIA", (criteria.root_c0, lambda: [stub]))
+        assert main(["theorems"]) == EXIT_VERIFY_FAIL
         out = capsys.readouterr().out
-        assert code == 1
-        lines = out.splitlines()
-        failing = [ln for ln in lines if "FAIL" in ln]
-        assert len(failing) == 2
-        assert any("zone above 1/27: rho >= 25/217" in ln for ln in failing)
-        assert any("global min of rho_opt" in ln for ln in failing)
-        arbitration = [ln for ln in lines if "arbitration" in ln][0]
-        assert "supports 28/31" in arbitration and "PASS" in arbitration
-        assert any("poisson rho_opt" in ln and "PASS" in ln for ln in lines)
-        assert any("c0 " in ln and "PASS" in ln for ln in lines)
+        assert stub.line() in out.splitlines()
+        assert "FAIL" in stub.line() and out.rstrip().endswith("1 failing row(s)")

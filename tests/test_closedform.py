@@ -40,8 +40,9 @@ class TestCriticalPoint:
             assert d1 - d2 == pytest.approx(want, abs=5e-7)
 
     def test_rejected_inputs(self):
-        with pytest.raises(ValueError):
-            cf.critical_point(0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cf.critical_point(c)
 
     def test_no_singularity_at_c_eighth(self):
         assert cf.critical_point(0.125) == 5 / 16
@@ -88,8 +89,11 @@ class TestRhoOptClosed:
             assert abs(cf.rho_opt_closed(c) - 25 / 217) <= 1e-3
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cf.rho_opt_closed(0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cf.rho_opt_closed(c)
+            with pytest.raises(ValueError):
+                cf.eigenvalue_at_origin(c)
 
 
 class TestOmegaOptClosed:
@@ -119,17 +123,6 @@ class TestOmegaOptClosed:
         assert cf.omega_opt_closed(c) == pytest.approx(res.omega_opt, abs=1e-6)
 
 
-class TestPoissonOptimum:
-    def test_exact_values(self):
-        assert cf.poisson_optimum() == (16 / 17, 1 / 17)
-
-    def test_matches_sweep(self):
-        res = one_stage_optimum(make_operator("laplacian"))
-        omega, rho = cf.poisson_optimum()
-        assert res.omega_opt == pytest.approx(omega, abs=1e-9)
-        assert res.rho_opt == pytest.approx(rho, abs=1e-9)
-
-
 class TestC0:
     def test_value_and_bracket(self):
         c0 = cf.find_c0()
@@ -139,45 +132,6 @@ class TestC0:
     def test_bracket_signs(self):
         assert cf.rho_opt_closed(1 / 28) > 11 / 43
         assert cf.rho_opt_closed(1 / 27) < 11 / 43
-
-
-class TestZones:
-    def test_above_zone(self):
-        report = cf.zone_of(1.0)
-        assert report.zone_tag == "above_1_27"
-        assert report.rho_lower == 25 / 217
-        assert report.rho_upper == 11 / 43
-        assert report.rho_lower <= cf.rho_opt_closed(1.0) <= report.rho_upper
-
-    def test_below_zone(self):
-        report = cf.zone_of(0.02)
-        assert report.zone_tag == "below_1_27"
-        assert report.rho_lower == pytest.approx(cf.rho_opt_closed(1 / 27), abs=1e-15)
-        assert report.rho_upper == 1.0
-        assert report.rho_lower <= cf.rho_opt_closed(0.02) < 1.0
-
-    def test_lower_bound_attained_at_c_eighth(self):
-        report = cf.zone_of(1 / 8)
-        assert cf.rho_opt_closed(1 / 8) == report.rho_lower
-
-    def test_dip_past_c_eighth_violates_tabulated_zone(self):
-        # the tabulated lower bound 25/217 is genuinely undercut by ~8e-5
-        # for c slightly above 1/8; zone_of reports this as an error
-        with pytest.raises(ValueError, match="violates"):
-            cf.zone_of(0.1295)
-
-    def test_dip_raises_inside_the_c_eighth_window(self):
-        # within 1e-6 of 1/8, rho_opt is within 2e-8 of 25/217, but the
-        # curve is already below it on the right of 1/8
-        with pytest.raises(ValueError, match="violates the tabulated zone"):
-            cf.zone_of(0.1250005)
-        assert cf.zone_of(0.125).zone_tag == "above_1_27"
-        assert cf.zone_of(0.1249995).zone_tag == "above_1_27"
-        assert cf.zone_of(cf.C_DIP_END + 1e-4).zone_tag == "above_1_27"
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cf.zone_of(-1.0)
 
 
 class TestCurveShape:

@@ -124,8 +124,9 @@ class TestProblemValidation:
             homogeneous_problem(10, 0.125)
 
     def test_c_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            homogeneous_problem(15, 0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                homogeneous_problem(15, c)
 
     def test_shape_mismatch(self):
         z = np.zeros((17, 17))

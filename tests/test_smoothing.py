@@ -184,8 +184,9 @@ class TestStokesSmoothing:
         assert 25 / 217 < stokes_smoothing_factor(0.01, FAST).rho_total < 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            stokes_smoothing_factor(-0.5)
+        for c in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                stokes_smoothing_factor(c)
 
 
 def test_one_stage_optimum_consistency():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokesmg.stencil import (Frequency, OPERATOR_KINDS, apply_stencil,
+from stokesmg.stencil import (Frequency, OPERATOR_KINDS, Stencil2D, apply_stencil,
                               make_operator, reduce_angle, symbol, symbol_grid)
 
 PI = math.pi
@@ -57,12 +57,16 @@ class TestMakeOperator:
             make_operator("pressure_block")
 
     def test_nonpositive_mesh(self):
-        with pytest.raises(ValueError, match="mesh size"):
-            make_operator("laplacian", h=0.0)
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mesh size"):
+                make_operator("laplacian", h=h)
+            with pytest.raises(ValueError, match="mesh size"):
+                Stencil2D({(0, 0): 1.0}, h, "point")
 
     def test_nonpositive_c(self):
-        with pytest.raises(ValueError, match="positive"):
-            make_operator("pressure_block", c=-1.0)
+        for c in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                make_operator("pressure_block", c=c)
 
 
 class TestSymbol:

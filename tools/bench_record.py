@@ -18,6 +18,13 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   the functions the cycle calls on the finest grid (full sweep, band
   sweep, assemble_residual, restrict, prolong) and of the bottom solve,
   timed by wrapping the module attributes the cycle looks them up from;
+* lfa: at c = 1/8, the median ms per call of `symbol_grid` on a 17x17
+  refine window and on the 257x257 lattice, of one `_refine` (from the
+  lattice maximum and minimum of the projected eigenvalue, as
+  `sweep_extrema` starts it) and of `one_stage_optimum` at 65 and 257
+  samples per axis;
+* criteria: seconds, rows and failing rows of each entry of
+  `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
 * commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
   theorems` and `stokesmg curves --n-points 100` over c in [1e-3, 1e3].
 
@@ -42,13 +49,16 @@ for _var in THREAD_VARS:  # before numpy is imported
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from stokesmg import closedform, mgsolver  # noqa: E402
+import numpy as np  # noqa: E402
+
+from stokesmg import closedform, harmonics, mgsolver, smoothing, stencil  # noqa: E402
 
 C = 0.125
 SOLVE_NS = (63, 127, 255, 511)
 SOLVE_CYCLES = 12
 LAYER_N = 511
 LAYER_CYCLES = 3
+LFA_REPEATS = 20
 PERFBENCH_SEED = 1
 COMMANDS = {
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
@@ -164,6 +174,57 @@ def layer_rows():
     return rows
 
 
+def _median_ms(fn, repeats=LFA_REPEATS):
+    times = []
+    for _ in range(repeats):
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return 1e3 * statistics.median(times)
+
+
+def lfa_rows():
+    op = stencil.make_operator("pressure_block", c=C)
+    window = np.linspace(-0.01, 0.01, smoothing.REFINE_POINTS)
+    ax = smoothing._axis(smoothing.SweepConfig())
+
+    def field(t1, t2):  # what sweep_extrema refines on
+        return smoothing._real_checked(harmonics.projected_eigenvalue_grid(op, t1, t2),
+                                       "projected eigenvalue")
+
+    vals = field(ax[:, None], ax[None, :])
+    starts = []
+    for sign, i in ((1.0, int(np.argmax(vals))), (-1.0, int(np.argmin(vals)))):
+        starts.append((float(ax[i // ax.size]), float(ax[i % ax.size]),
+                       float(ax[1] - ax[0]), float(vals.flat[i]), sign))
+    rows = {"c": C}
+    for name, points in (("symbol_grid_window", window), ("symbol_grid_lattice", ax)):
+        rows[name] = {"points": points.size ** 2, "ms_per_call": _median_ms(
+            lambda: stencil.symbol_grid(op, points[:, None], points[None, :]))}
+    rows["refine"] = {"ms_per_call": statistics.median(
+        _median_ms(lambda: smoothing._refine(field, *start)) for start in starts)}
+    for n in (65, 257):
+        cfg = smoothing.SweepConfig(n_samples_per_axis=n)
+        rows[f"one_stage_optimum_{n}"] = {"ms_per_call": _median_ms(
+            lambda: smoothing.one_stage_optimum(op, cfg), 5)}
+    return rows
+
+
+def criteria_rows():
+    try:
+        from stokesmg import criteria
+    except ImportError:  # a checkout from before the criteria module
+        return None
+    rows = {}
+    for criterion in criteria.CRITERIA:
+        t = time.perf_counter()
+        result = criterion()
+        rows[criterion.__name__] = {"seconds": time.perf_counter() - t,
+                                    "rows": len(result),
+                                    "failing": sum(not row.ok for row in result)}
+    return rows
+
+
 def command_rows():
     rows = {}
     for name, cmd in COMMANDS.items():
@@ -180,7 +241,8 @@ def main(argv=None):
     ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     args = ap.parse_args(argv)
     record = {"tag": args.tag, "perfbench": perfbench_rows(), "solve": solve_rows(),
-              "layers": layer_rows(), "commands": command_rows()}
+              "layers": layer_rows(), "lfa": lfa_rows(), "criteria": criteria_rows(),
+              "commands": command_rows()}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
