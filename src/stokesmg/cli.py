@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_operator_flags(p):
         p.add_argument("operator", choices=OPERATOR_KINDS)
         p.add_argument("--c", type=float, default=None,
-                       help="stabilization parameter (pressure_block only)")
+                       help="stabilization parameter, positive and finite "
+                            "(used by pressure_block only)")
         p.add_argument("--h", type=float, default=1.0, help="mesh size (default 1)")
 
     p = sub.add_parser("symbol", help="evaluate an operator's Fourier symbol")

@@ -119,8 +119,8 @@ def omega_opt_closed(c: float) -> float:
     return 2.0 / (2.0 - s_max - s_min)
 
 
-def find_c0(tol: float = 1e-8) -> float:
-    """Root of rho_opt(c) = 11/43 in (1/28, 1/27), by bisection.
+def find_c0() -> float:
+    """Root of rho_opt(c) = 11/43 in (1/28, 1/27), by bisection to width 1e-8.
 
     rho_opt is monotone decreasing on the bracket; a sign change is
     verified before bisecting and its absence raises RuntimeError, which
@@ -132,7 +132,7 @@ def find_c0(tol: float = 1e-8) -> float:
     fhi = rho_opt_closed(hi) - target
     if flo <= 0 or fhi >= 0:
         raise RuntimeError(f"root not bracketed: f(1/28)={flo:.3e}, f(1/27)={fhi:.3e}")
-    while hi - lo > tol:
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if rho_opt_closed(mid) - target > 0:
             lo = mid

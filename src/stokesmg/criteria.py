@@ -14,7 +14,7 @@ import numpy as np
 
 from . import closedform as cf
 from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
-from .smoothing import SweepConfig, one_stage_optimum, optimal_one_stage
+from .smoothing import SweepConfig, one_stage_optimum, smoothing_factor
 from .stencil import Frequency, make_operator
 
 NINE_C = (0.02, 1.0 / 27.0, 0.0360548, 1.0 / 16.0, 0.1, 0.2, 1.0, 10.0, 100.0)
@@ -82,12 +82,12 @@ def omega_arbitration():
     matches = [name for name, value in (("28/31", cf.OMEGA_AT_C_EIGHTH),
                                         ("98/217", cf.OMEGA_AT_C_EIGHTH_ALT))
                if abs(res.omega_opt - value) <= 1e-6]
-    omega_formula, _ = optimal_one_stage(res.s_max, res.s_min)
+    factor = smoothing_factor(make_operator("pressure_block", c=0.125), res.omega_opt)
     return [Row("pressure(1/8) omega_opt arbitration", "28/31 alone +- 1e-06",
                 res.omega_opt, matches == ["28/31"],
                 f"sweep supports {' and '.join(matches) or 'neither'}"),
-            _near("pressure(1/8) omega_opt vs formula", omega_formula, res.omega_opt,
-                  1e-12, "2/(2 - S_max - S_min) on the sweep's own extrema")]
+            _near("pressure(1/8) factor at omega_opt", res.rho_opt, factor.rho, 1e-9,
+                  "smoothing_factor at the sweep's omega_opt vs its rho_opt")]
 
 
 def closed_form_vs_sweep():

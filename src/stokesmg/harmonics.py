@@ -42,12 +42,6 @@ def harmonics_of(base: Frequency) -> HarmonicPair:
     return HarmonicPair(base, Frequency(base.theta1 + PI, base.theta2 + PI))
 
 
-def evaluate_mode(theta: Frequency, k: tuple[int, int]) -> complex:
-    """Value of the grid mode exp(i theta . k) at integer grid index k."""
-    k1, k2 = k
-    return complex(np.exp(1j * (theta.theta1 * k1 + theta.theta2 * k2)))
-
-
 def _check_center(s: Stencil2D):
     if s.center == 0:
         raise ValueError(f"stencil {s.name!r} has zero center coefficient")

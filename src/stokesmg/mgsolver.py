@@ -64,7 +64,6 @@ class StokesProblem:
     f3: np.ndarray
     g_u: np.ndarray
     g_v: np.ndarray
-    pressure_anchor: tuple[int, int] = (1, 1)
     # work buffers of the sweeps and residuals on this grid, by name, made
     # on first use (see _buffers); they live and die with the problem
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -80,9 +79,6 @@ class StokesProblem:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        ai, aj = self.pressure_anchor
-        if not (1 <= ai <= self.n and 1 <= aj <= self.n):
-            raise ValueError(f"pressure anchor {self.pressure_anchor} is not interior")
 
     @property
     def h(self) -> float:
@@ -135,7 +131,6 @@ class ConvergenceReport:
     initial_residual: float
     residual_history: list = field(default_factory=list)
     rho_observed: float = 0.0
-    k_tail: int = 5
     diverged: bool = False
 
     def ratios(self) -> list:
@@ -337,7 +332,7 @@ def random_state(prob: StokesProblem, seed: int = 42) -> StokesState:
     st.u[1:-1, 1:-1] = rng.standard_normal((prob.n, prob.n))
     st.v[1:-1, 1:-1] = rng.standard_normal((prob.n, prob.n))
     st.p[1:-1, 1:-1] = rng.standard_normal((prob.n, prob.n))
-    _anchor(st, prob)
+    _anchor(st)
     return st
 
 
@@ -431,9 +426,9 @@ def _copy_into(dst: StokesState, src: StokesState) -> StokesState:
     return dst
 
 
-def _anchor(st: StokesState, prob: StokesProblem):
-    ai, aj = prob.pressure_anchor
-    st.p[1:-1, 1:-1] -= st.p[ai, aj]
+def _anchor(st: StokesState):
+    """Fix the free constant of the pressure: p = 0 at interior node (1, 1)."""
+    st.p[1:-1, 1:-1] -= st.p[1, 1]
     _mirror_ghosts(st.p)
 
 
@@ -449,7 +444,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
     (1-omega) * old + omega * swept.  Boundary velocities are untouched;
-    the pressure is re-anchored at the problem's anchor node.
+    the pressure is re-anchored to 0 at node (1, 1).
 
     point_mask optionally restricts the update to a subset of interior
     nodes, an (n, n) boolean array (used for the boundary-band
@@ -519,7 +514,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
             new -= prev
             new *= omega
             new += prev
-    _anchor(out, prob)
+    _anchor(out)
     return out
 
 
@@ -620,7 +615,7 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
     d = _bottom_pinv(n, prob.c) @ _interior_vector(*assemble_residual(prob, st))
     for a, block in zip((st.u, st.v, st.p), d.reshape(3, n, n)):
         a[1:-1, 1:-1] += block
-    _anchor(st, prob)
+    _anchor(st)
     return st
 
 
@@ -653,7 +648,7 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
 
     for _ in range(spec.post_sweeps):
         _smooth_step(prob, st, spec, band)
-    _anchor(st, prob)
+    _anchor(st)
     return st
 
 
@@ -679,7 +674,7 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
                                n_cycles: int, seed: int = 42) -> ConvergenceReport:
     """Cycle on the problem from a random state and fit the residual decay.
 
-    rho_observed is the geometric mean of the last k_tail = 5 residual
+    rho_observed is the geometric mean of the last 5 residual
     reduction ratios.  The run has diverged when a residual is not finite
     or rho_observed exceeds 1; this is flagged in the report, not raised,
     and the history is still returned.  Cycling stops early at a
@@ -696,7 +691,7 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
         report.residual_history.append(r)
         if not math.isfinite(r) or r > 1e8 * r0:
             break
-    tail = report.ratios()[-report.k_tail:]
+    tail = report.ratios()[-5:]
     report.rho_observed = float(np.exp(np.mean(np.log(tail))))
     report.diverged = not math.isfinite(r) or report.rho_observed > 1.0
     return report
@@ -705,10 +700,12 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
 # ---------------------------------------------------------------------------
 # periodic smoothing measurement
 
+PERIODIC_GRID = 32
+PERIODIC_SWEEPS = 30
 
-def measure_periodic_smoothing(s: Stencil2D, omega: float, n_grid: int = 32,
-                               n_sweeps: int = 30, seed: int = 0
-                               ) -> tuple[float, list]:
+
+def measure_periodic_smoothing(s: Stencil2D, omega: float,
+                               seed: int = 0) -> tuple[float, list]:
     """Per-sweep damping of aliasing-pair error on a periodic grid.
 
     The two-color sweep leaves every mode pair {mu, mu + (pi, pi)}
@@ -729,9 +726,7 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float, n_grid: int = 32,
     re-seeds them and their slower decay takes over the measured tail
     after a few dozen sweeps.
     """
-    if n_grid % 2 != 0 or n_grid < 8:
-        raise ValueError(f"n_grid must be even and >= 8, got {n_grid}")
-    theta = 2.0 * PI * np.fft.fftfreq(n_grid)
+    theta = 2.0 * PI * np.fft.fftfreq(PERIODIC_GRID)
     t1, t2 = np.meshgrid(theta, theta, indexing="ij")
     low1 = (t1 > -PI / 2) & (t1 <= PI / 2)
     low2 = (t2 > -PI / 2) & (t2 <= PI / 2)
@@ -744,12 +739,12 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float, n_grid: int = 32,
         return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((n_grid, n_grid)) \
-        + 1j * rng.standard_normal((n_grid, n_grid))
+    shape = (PERIODIC_GRID, PERIODIC_GRID)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     e = project_to_family_high(noise)
     ratios = []
     norm = np.linalg.norm(e)
-    for _ in range(n_sweeps):
+    for _ in range(PERIODIC_SWEEPS):
         e = project_to_family_high(sweep(e))
         new = np.linalg.norm(e)
         ratios.append(float(new / norm))

@@ -9,10 +9,12 @@ are
     omega_opt = 2 / (2 - s_max - s_min)
     rho_opt   = (s_max - s_min) / (2 - s_max - s_min)
 
-Sweeps sample a uniform closed-box grid (odd sample counts put 0 and
-+-pi/2 on the lattice) and then zoom locally around each extremum, since
-the extremizers are generally off-lattice; without refinement a 257-point
-grid is only accurate to about 1e-5 in the extreme values.
+one_stage_optimum is the one extremum search: it samples a uniform
+closed-box grid (odd sample counts put 0 and +-pi/2 on the lattice) and
+then zooms locally around each extremum, since the extremizers are
+generally off-lattice; the 257-point grid alone is only accurate to
+about 1e-5 in the extreme values.  smoothing_factor, the damped factor
+at a given omega, referees it by definition.
 """
 
 import math
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import Frequency, Stencil2D, make_operator
-from .harmonics import projected_eigenvalue_grid, rep_grid
+from .stencil import Frequency, Stencil2D
+from .harmonics import projected_eigenvalue_grid
 
-PI = math.pi
 HALF_PI = 0.5 * math.pi
 
 IMAG_TOL = 1e-10
@@ -38,24 +39,15 @@ REFINE_POINTS = 17
 class SweepConfig:
     """Sampling plan for extrema searches over the low-frequency box.
 
-    refine controls the local zoom stages around each coarse extremum;
-    with it the extreme values are resolved to ~1e-12.
+    Each lattice extremum is refined by local zoom stages, which resolve
+    the extreme values to ~1e-12.
     """
 
     n_samples_per_axis: int = 257
-    refine: bool = True
 
     def __post_init__(self):
         if self.n_samples_per_axis < 2:
             raise ValueError("need at least 2 samples per axis")
-
-
-@dataclass(frozen=True)
-class SweepExtrema:
-    s_max: float
-    s_min: float
-    argmax_freq: Frequency
-    argmin_freq: Frequency
 
 
 @dataclass(frozen=True)
@@ -73,18 +65,8 @@ class OneStageResult:
 @dataclass(frozen=True)
 class SmoothingReport:
     rho: float
-    n_sweeps: int
     omega: float
     worst_freq: Frequency
-
-
-@dataclass(frozen=True)
-class StokesSmoothing:
-    """Per-block optimal smoothing factors for the transformed system."""
-
-    rho_total: float
-    rho_poisson: float
-    rho_pressure: float
 
 
 def optimal_one_stage(s_max: float, s_min: float) -> tuple[float, float]:
@@ -146,24 +128,24 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
     return best, t1, t2
 
 
-def _extremum(field, vals: np.ndarray, ax: np.ndarray, sign: float,
-              cfg: SweepConfig) -> tuple[float, float, float]:
-    """Lattice point maximizing sign*vals, refined on field if cfg.refine.
+def _extremum(field, vals: np.ndarray, ax: np.ndarray,
+              sign: float) -> tuple[float, float, float]:
+    """Lattice point maximizing sign*vals, refined on field.
 
     vals is field evaluated on the ax x ax lattice; returns (value, t1, t2).
     """
     i = int(np.argmax(sign * vals))
     best, t1, t2 = vals.flat[i], float(ax[i // len(ax)]), float(ax[i % len(ax)])
-    if cfg.refine:
-        best, t1, t2 = _refine(field, t1, t2, float(ax[1] - ax[0]), best, sign)
-    return best, t1, t2
+    return _refine(field, t1, t2, float(ax[1] - ax[0]), best, sign)
 
 
-def sweep_extrema(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> SweepExtrema:
-    """Extrema of the projected eigenvalue over the low-frequency box.
+def one_stage_optimum(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> OneStageResult:
+    """Extrema of the projected eigenvalue and the optimal damping they give.
 
-    The eigenvalue must be real up to 1e-10 for the operator family under
-    analysis; a larger imaginary part raises ValueError.
+    Each extremum over the low-frequency box is found on the cfg lattice
+    and then refined.  The eigenvalue must be real up to 1e-10 for the
+    operator family under analysis; a larger imaginary part raises
+    ValueError.
     """
     ax = _axis(cfg)
 
@@ -172,57 +154,29 @@ def sweep_extrema(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> SweepExtrem
                              "projected eigenvalue")
 
     vals = field(ax[:, None], ax[None, :])
-    s_max, tmax1, tmax2 = _extremum(field, vals, ax, +1.0, cfg)
-    s_min, tmin1, tmin2 = _extremum(field, vals, ax, -1.0, cfg)
-    return SweepExtrema(float(s_max), float(s_min),
-                        Frequency(tmax1, tmax2), Frequency(tmin1, tmin2))
+    s_max, tmax1, tmax2 = _extremum(field, vals, ax, +1.0)
+    s_min, tmin1, tmin2 = _extremum(field, vals, ax, -1.0)
+    s_max, s_min = float(s_max), float(s_min)
+    omega, rho = optimal_one_stage(s_max, s_min)
+    return OneStageResult(s_max, s_min, omega, rho,
+                          Frequency(tmax1, tmax2), Frequency(tmin1, tmin2))
 
 
-def one_stage_optimum(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> OneStageResult:
-    """Sweep the projected eigenvalue and derive the optimal damping."""
-    ext = sweep_extrema(s, cfg)
-    omega, rho = optimal_one_stage(ext.s_max, ext.s_min)
-    return OneStageResult(ext.s_max, ext.s_min, omega, rho,
-                          ext.argmax_freq, ext.argmin_freq)
-
-
-def smoothing_factor(s: Stencil2D, omega: float, n_sweeps: int = 1,
+def smoothing_factor(s: Stencil2D, omega: float,
                      cfg: SweepConfig = SweepConfig()) -> SmoothingReport:
-    """Projected n-sweep factor sup_theta rho(diag(0,1) @ S_omega^n)^(1/n).
+    """Projected one-sweep factor sup_theta rho(diag(0,1) @ S_omega).
 
     S_omega = (1 - omega) I + omega * rep is the damped representation.
     Projecting zeroes the first row, so the spectral radius is the
-    magnitude of the (1, 1) entry of S_omega^n.
+    magnitude of the (1, 1) entry of S_omega, which is (1 - omega) +
+    omega times the projected eigenvalue.
     """
-    if n_sweeps < 1:
-        raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
     if not (0.0 < omega < 2.0):
         raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
 
-    eye = np.eye(2, dtype=complex)
-
     def field(t1, t2):
-        damped = (1.0 - omega) * eye + omega * rep_grid(s, t1, t2)
-        power = damped
-        for _ in range(n_sweeps - 1):
-            power = np.einsum("...ij,...jk->...ik", power, damped)
-        return np.abs(power[..., 1, 1]) ** (1.0 / n_sweeps)
+        return np.abs((1.0 - omega) + omega * projected_eigenvalue_grid(s, t1, t2))
 
     ax = _axis(cfg)
-    best, t1, t2 = _extremum(field, field(ax[:, None], ax[None, :]), ax, +1.0, cfg)
-    return SmoothingReport(float(best), n_sweeps, omega, Frequency(t1, t2))
-
-
-def stokes_smoothing_factor(c: float, cfg: SweepConfig = SweepConfig()) -> StokesSmoothing:
-    """Optimal one-stage factors of the two diagonal blocks.
-
-    The transformed Stokes system decouples into two Poisson blocks and
-    the stabilized pressure block; the system factor is their maximum,
-    which for every c > 0 is the pressure block's.
-    """
-    if not 0 < c < math.inf:
-        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
-    poisson = one_stage_optimum(make_operator("laplacian"), cfg)
-    pressure = one_stage_optimum(make_operator("pressure_block", c=c), cfg)
-    return StokesSmoothing(max(poisson.rho_opt, pressure.rho_opt),
-                           poisson.rho_opt, pressure.rho_opt)
+    best, t1, t2 = _extremum(field, field(ax[:, None], ax[None, :]), ax, +1.0)
+    return SmoothingReport(float(best), omega, Frequency(t1, t2))

@@ -61,19 +61,14 @@ class Stencil2D:
     entries : dict
         Map from integer offset (k1, k2) to the coefficient, with the
         1/h^p mesh scaling already applied.  Must contain (0, 0).
-    h : float
-        Mesh size the coefficients were built for.
     name : str
         Identifier tag, e.g. "laplacian".
     """
 
     entries: dict
-    h: float
     name: str
 
     def __post_init__(self):
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"mesh size must be positive and finite, got {self.h}")
         if (0, 0) not in self.entries:
             raise ValueError("stencil must contain the center offset (0, 0)")
 
@@ -103,8 +98,6 @@ _UNSCALED = {
 OPERATOR_KINDS = ("laplacian", "ddx", "ddy", "biharmonic", "laplacian_2h",
                   "pressure_block")
 
-_C_DEPENDENT = ("pressure_block",)
-
 
 def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2D:
     """Build one of the built-in difference operators.
@@ -117,17 +110,17 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
     h : float
         Mesh size, > 0.
     c : float, optional
-        Stabilization parameter, required (and > 0) for c-dependent kinds.
+        Stabilization parameter, required for "pressure_block".  Any c
+        given must be positive and finite, whatever the kind.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"mesh size must be positive and finite, got {h}")
-    if kind in _C_DEPENDENT:
-        if c is None:
-            raise ValueError(f"operator {kind!r} requires the stabilization parameter c")
-        if not 0 < c < math.inf:
-            raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
-    elif kind not in _UNSCALED:
+    if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; choose from {OPERATOR_KINDS}")
+    if c is not None and not 0 < c < math.inf:
+        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
+    if kind == "pressure_block" and c is None:
+        raise ValueError(f"operator {kind!r} requires the stabilization parameter c")
 
     if kind == "pressure_block":
         entries = {}
@@ -135,7 +128,7 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
             entries[off] = c * h**2 * val / h**4
         for off, val in _UNSCALED["laplacian_2h"].items():
             entries[off] = entries.get(off, 0.0) + val / (4.0 * h**2)
-        return Stencil2D(entries, h, kind)
+        return Stencil2D(entries, kind)
 
     scale = {"laplacian": 1.0 / h**2,
              "ddx": 1.0 / (2.0 * h),
@@ -143,7 +136,7 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
              "biharmonic": 1.0 / h**4,
              "laplacian_2h": 1.0 / (4.0 * h**2)}[kind]
     entries = {off: val * scale for off, val in _UNSCALED[kind].items()}
-    return Stencil2D(entries, h, kind)
+    return Stencil2D(entries, kind)
 
 
 def symbol_grid(s: Stencil2D, t1, t2):

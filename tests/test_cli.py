@@ -77,6 +77,12 @@ class TestSymbolCommand:
             argv = ["symbol", "pressure_block", "--c", "1", "--theta", "0,0", flag, value]
             assert main(argv) == EXIT_USAGE, argv
             assert "error:" in capsys.readouterr().err
+        # operators that take no c still reject a bad one
+        for kind in ("laplacian", "ddx"):
+            for value in ("nan", "inf", "-1"):
+                argv = ["symbol", kind, "--c", value, "--theta", "0,0"]
+                assert main(argv) == EXIT_USAGE, argv
+                assert "stabilization" in capsys.readouterr().err
 
 
 class TestRepCommand:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stokesmg.stencil import Frequency, make_operator
-from stokesmg.harmonics import (evaluate_mode, harmonics_of, jacobi_symbol,
-                                numerical_lfa_oracle, periodic_two_color_sweep,
-                                projected_eigenvalue_grid, rep_grid, two_color_rep)
+from stokesmg.harmonics import (harmonics_of, jacobi_symbol, numerical_lfa_oracle,
+                                periodic_two_color_sweep, projected_eigenvalue_grid,
+                                rep_grid, two_color_rep)
 
 PI = math.pi
 
@@ -38,18 +38,6 @@ class TestHarmonicsOf:
     def test_rejects_high_base(self):
         with pytest.raises(ValueError, match="outside"):
             harmonics_of(Frequency(3 * PI / 4, 0))
-
-
-class TestEvaluateMode:
-    def test_constant_mode(self):
-        assert evaluate_mode(Frequency(0, 0), (17, -3)) == 1
-
-    def test_checkerboard(self):
-        assert evaluate_mode(Frequency(PI, PI), (1, 0)) == pytest.approx(-1, abs=1e-12)
-
-    def test_quarter_mode(self):
-        val = evaluate_mode(Frequency(PI / 2, 0), (3, 5))
-        assert val == pytest.approx(-1j, abs=1e-12)
 
 
 class TestJacobiSymbol:
@@ -124,38 +112,6 @@ class TestTwoColorRep:
         grid = rep_grid(lap, t1, t2)
         proj = projected_eigenvalue_grid(lap, t1, t2)
         assert np.abs(grid[..., 1, 1] - proj).max() < 1e-14
-
-
-def test_phase_identity_on_color_classes():
-    # mode value at a point of color class beta picks up the factor (-1)^(alpha*beta)
-    rng = np.random.default_rng(13)
-    n_grid = 16
-    for _ in range(20):
-        base = lattice_low_frequency(rng, n_grid)
-        pair = harmonics_of(base)
-        for alpha, theta in ((0, pair.base), (1, pair.high)):
-            for k1 in range(n_grid):
-                for k2 in range(n_grid):
-                    beta = (k1 + k2) % 2
-                    want = (-1.0) ** (alpha * beta) * evaluate_mode(base, (k1, k2))
-                    got = evaluate_mode(theta, (k1, k2))
-                    assert abs(got - want) <= 1e-12
-
-
-def test_oracle_matches_symbolic_rep():
-    # concrete periodic red-black sweep vs the closed-form representation
-    rng = np.random.default_rng(21)
-    n_grid = 16
-    stencils = [make_operator("laplacian"),
-                make_operator("pressure_block", c=1 / 16),
-                make_operator("pressure_block", c=1 / 8),
-                make_operator("pressure_block", c=1.0)]
-    for s in stencils:
-        for _ in range(50):
-            pair = harmonics_of(lattice_low_frequency(rng, n_grid))
-            sym = two_color_rep(s, pair)
-            measured = numerical_lfa_oracle(s, pair, n_grid)
-            assert np.abs(sym - measured).max() < 1e-10
 
 
 def test_oracle_zero_matrix_case():

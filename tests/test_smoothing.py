@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from stokesmg import closedform as cf
-from stokesmg.harmonics import harmonics_of, rep_grid, two_color_rep
+from stokesmg.harmonics import harmonics_of, projected_eigenvalue_grid, two_color_rep
 from stokesmg.smoothing import (SweepConfig, one_stage_optimum, optimal_one_stage,
-                                smoothing_factor, stokes_smoothing_factor,
-                                sweep_extrema)
+                                smoothing_factor)
 from stokesmg.stencil import Frequency, Stencil2D, make_operator
 
 PI = math.pi
@@ -60,7 +59,7 @@ class TestOptimalOneStage:
 
 class TestSweepExtrema:
     def test_poisson(self):
-        ext = sweep_extrema(make_operator("laplacian"))
+        ext = one_stage_optimum(make_operator("laplacian"))
         assert ext.s_max == pytest.approx(0.0, abs=1e-9)
         assert ext.s_min == pytest.approx(-0.125, abs=1e-9)
         # the maximum ridge is s1 + s2 in {0, 1}
@@ -70,7 +69,7 @@ class TestSweepExtrema:
         assert s1 + s2 == pytest.approx(0.5, abs=1e-4)
 
     def test_pressure_c_eighth(self):
-        ext = sweep_extrema(make_operator("pressure_block", c=1 / 8))
+        ext = one_stage_optimum(make_operator("pressure_block", c=1 / 8))
         assert ext.s_max == pytest.approx(1 / 49, abs=1e-6)
         assert ext.s_min == pytest.approx(-23 / 98, abs=1e-6)
         # the interior minimizer sits at s1 = s2 = 5/16
@@ -79,29 +78,31 @@ class TestSweepExtrema:
         assert s2 == pytest.approx(5 / 16, abs=1e-5)
 
     def test_pressure_c_one_matches_closed_form(self):
-        ext = sweep_extrema(make_operator("pressure_block", c=1.0))
+        ext = one_stage_optimum(make_operator("pressure_block", c=1.0))
         assert ext.s_min == pytest.approx(cf.eigenvalue_at_critical(1.0), abs=1e-6)
         assert ext.s_max == pytest.approx(cf.eigenvalue_at_origin(1.0), abs=1e-6)
 
     def test_refinement_makes_grids_agree(self):
         pb = make_operator("pressure_block", c=1 / 8)
-        a = sweep_extrema(pb, SweepConfig(n_samples_per_axis=129))
-        b = sweep_extrema(pb, SweepConfig(n_samples_per_axis=257))
+        a = one_stage_optimum(pb, SweepConfig(n_samples_per_axis=129))
+        b = one_stage_optimum(pb, SweepConfig(n_samples_per_axis=257))
         assert a.s_max == pytest.approx(b.s_max, abs=1e-9)
         assert a.s_min == pytest.approx(b.s_min, abs=1e-9)
 
     def test_unrefined_grid_is_only_coarsely_accurate(self):
-        # the c = 1/8 minimizer is off-lattice; without refinement the
-        # 257-point grid misses it by ~7e-6
+        # the c = 1/8 minimizer is off-lattice; the 257-point lattice alone
+        # misses it by ~7e-6, and the refine recovers it
         pb = make_operator("pressure_block", c=1 / 8)
-        raw = sweep_extrema(pb, SweepConfig(n_samples_per_axis=257, refine=False))
-        err = abs(raw.s_min + 23 / 98)
-        assert 1e-6 < err < 1e-4
+        ax = np.linspace(-PI / 2, PI / 2, 257)
+        raw = projected_eigenvalue_grid(pb, ax[:, None], ax[None, :]).real.min()
+        assert 1e-6 < abs(raw + 23 / 98) < 1e-4
+        refined = one_stage_optimum(pb, SweepConfig(n_samples_per_axis=257))
+        assert refined.s_min == pytest.approx(-23 / 98, abs=1e-9)
 
     def test_complex_spectrum_rejected(self):
-        upwind = Stencil2D({(0, 0): 1.0, (1, 0): -1.0}, 1.0, "upwind")
+        upwind = Stencil2D({(0, 0): 1.0, (1, 0): -1.0}, "upwind")
         with pytest.raises(ValueError, match="imaginary"):
-            sweep_extrema(upwind, FAST)
+            one_stage_optimum(upwind, FAST)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -132,27 +133,22 @@ class TestSmoothingFactor:
             assert here <= smoothing_factor(s, omega + 0.05, cfg=FAST).rho + 1e-12
             assert here <= smoothing_factor(s, omega - 0.05, cfg=FAST).rho + 1e-12
 
-    def test_multi_sweep_matches_direct_power(self):
-        # reference: dense loop over an unrefined coarse lattice
-        pb = make_operator("pressure_block", c=0.3)
-        omega, n_sweeps = 0.9, 3
-        ax = np.linspace(-PI / 2, PI / 2, 33)
-        worst = 0.0
-        for t1 in ax:
-            for t2 in ax:
-                damped = (1 - omega) * np.eye(2) + omega * rep_grid(pb, t1, t2)
-                worst = max(worst, abs(np.linalg.matrix_power(damped, n_sweeps)[1, 1])
-                            ** (1 / n_sweeps))
-        got = smoothing_factor(pb, omega, n_sweeps,
-                               SweepConfig(n_samples_per_axis=33, refine=False))
-        assert got.rho == pytest.approx(worst, abs=1e-12)
+    def test_matches_damped_extremes(self):
+        # |(1 - omega) + omega * s| is convex in s, so its supremum over the
+        # box is taken at one of the extremes s_max, s_min of the search
+        for c in (0.02, 0.3, 10.0):
+            pb = make_operator("pressure_block", c=c)
+            res = one_stage_optimum(pb, FAST)
+            for omega in (0.5, 0.9, res.omega_opt, 1.3, 1.8):
+                want = max(abs(1 - omega + omega * res.s_max),
+                           abs(1 - omega + omega * res.s_min))
+                assert smoothing_factor(pb, omega, FAST).rho == pytest.approx(want, abs=1e-9)
 
     def test_validation(self):
         lap = make_operator("laplacian")
-        with pytest.raises(ValueError):
-            smoothing_factor(lap, 0.9, n_sweeps=0)
-        with pytest.raises(ValueError):
-            smoothing_factor(lap, 2.5)
+        for omega in (0.0, 2.5):
+            with pytest.raises(ValueError):
+                smoothing_factor(lap, omega)
 
 
 class TestEquioscillation:
@@ -167,26 +163,25 @@ class TestEquioscillation:
 
 
 class TestStokesSmoothing:
+    # the transformed system decouples into two Poisson blocks and the
+    # pressure block; the system factor is the larger block factor
     def test_c_eighth_blocks(self):
-        res = stokes_smoothing_factor(1 / 8)
-        assert res.rho_poisson == pytest.approx(1 / 17, abs=1e-6)
-        assert res.rho_pressure == pytest.approx(25 / 217, abs=1e-6)
-        assert res.rho_total == res.rho_pressure
+        pressure = one_stage_optimum(make_operator("pressure_block", c=1 / 8)).rho_opt
+        poisson = one_stage_optimum(make_operator("laplacian")).rho_opt
+        assert poisson == pytest.approx(1 / 17, abs=1e-6)
+        assert pressure == pytest.approx(25 / 217, abs=1e-6)
+        assert pressure > poisson
 
     @pytest.mark.parametrize("c", [0.01, 1 / 27, 1 / 16, 1 / 8, 1.0, 10.0, 1000.0])
     def test_pressure_block_dominates(self, c):
-        res = stokes_smoothing_factor(c, FAST)
-        assert res.rho_pressure > res.rho_poisson
-        assert res.rho_total == res.rho_pressure
+        pressure = one_stage_optimum(make_operator("pressure_block", c=c), FAST).rho_opt
+        assert pressure > one_stage_optimum(make_operator("laplacian"), FAST).rho_opt
 
     def test_zone_membership(self):
-        assert 25 / 217 < stokes_smoothing_factor(10.0, FAST).rho_total <= 11 / 43 + 1e-9
-        assert 25 / 217 < stokes_smoothing_factor(0.01, FAST).rho_total < 1.0
-
-    def test_validation(self):
-        for c in (-0.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                stokes_smoothing_factor(c)
+        def rho(c):
+            return one_stage_optimum(make_operator("pressure_block", c=c), FAST).rho_opt
+        assert 25 / 217 < rho(10.0) <= 11 / 43 + 1e-9
+        assert 25 / 217 < rho(0.01) < 1.0
 
 
 def test_one_stage_optimum_consistency():

@@ -21,7 +21,7 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 * lfa: at c = 1/8, the median ms per call of `symbol_grid` on a 17x17
   refine window and on the 257x257 lattice, of one `_refine` (from the
   lattice maximum and minimum of the projected eigenvalue, as
-  `sweep_extrema` starts it) and of `one_stage_optimum` at 65 and 257
+  `one_stage_optimum` starts it) and of `one_stage_optimum` at 65 and 257
   samples per axis;
 * criteria: seconds, rows and failing rows of each entry of
   `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
@@ -174,9 +174,9 @@ def layer_rows():
     return rows
 
 
-def _median_ms(fn, repeats=LFA_REPEATS):
+def _median_ms(fn, repeats=None):
     times = []
-    for _ in range(repeats):
+    for _ in range(repeats or LFA_REPEATS):  # read at call time, so it can be set
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
@@ -188,7 +188,7 @@ def lfa_rows():
     window = np.linspace(-0.01, 0.01, smoothing.REFINE_POINTS)
     ax = smoothing._axis(smoothing.SweepConfig())
 
-    def field(t1, t2):  # what sweep_extrema refines on
+    def field(t1, t2):  # what one_stage_optimum refines on
         return smoothing._real_checked(harmonics.projected_eigenvalue_grid(op, t1, t2),
                                        "projected eigenvalue")
 
