@@ -48,6 +48,17 @@ OMEGA_LIMIT_LARGE_C = 50.0 / 43.0
 OMEGA_GLOBAL_MIN_REF = 0.834733
 C0_REF = 0.0360548
 
+# The closed forms are evaluated in double precision for c in (0, C_MAX]:
+# 82944 c^4 in the radicand overflows from c = 6.8e75.  At C_MAX they are
+# within 1e-15 of their c -> infinity limits.
+C_MAX = 1e75
+
+
+def _check_c(c) -> None:
+    if not 0 < c <= C_MAX:
+        raise ValueError(f"stabilization parameter must lie in (0, {C_MAX:g}] for "
+                         f"the closed forms, got {c}")
+
 
 def _radicand(c: float) -> float:
     # 82944 c^4 - 6912 c^3 + 336 c^2 + 24 c + 1, positive for all c > 0
@@ -61,6 +72,7 @@ def projected_eigenvalue_s(s1: float, s2: float, c: float) -> float:
     This rational form is the cross-check target for the symbol-based
     eigenvalue computed in ``stokesmg.harmonics``.
     """
+    _check_c(c)
     d = 1.0 + 20.0 * c
     q = s1 - s1 * s1 + s2 - s2 * s2
     t = s1 + s2
@@ -70,8 +82,7 @@ def projected_eigenvalue_s(s1: float, s2: float, c: float) -> float:
 
 def eigenvalue_at_origin(c: float) -> float:
     """Projected eigenvalue at s = (0, 0); this is s_max for every c > 0."""
-    if not 0 < c < math.inf:
-        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
+    _check_c(c)
     return ((1.0 - 12.0 * c) / (1.0 + 20.0 * c)) ** 2
 
 
@@ -83,8 +94,7 @@ def critical_point(c: float) -> float:
     cancellation, and s*(1/8) = 5/16.  The returned value lies in
     [0, 1/2] and the eigenvalue gradient vanishes there.
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
+    _check_c(c)
     num = (192.0 * c - 12.0) * c + 1.0
     return num / (math.sqrt(_radicand(c)) + (480.0 * c - 36.0) * c + 1.0)
 

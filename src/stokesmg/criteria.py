@@ -1,10 +1,12 @@
-"""The verification criteria 01-10, defined once.
+"""The verification criteria 01-13, defined once.
 
 Each criterion computes its quantities and returns them as rows.
 ``stokesmg theorems`` prints every row of ``CRITERIA`` and the
 acceptance tests assert them, so the grids, tolerances and expected
 values here are the only copy.  Criterion 07 asserts the zone the
-analysis gives, with its dip below the tabulated 25/217.
+analysis gives, with its dip below the tabulated 25/217.  Criteria
+11-13 run the solver: its convergence factor is independent of the
+mesh size but depends on the stabilization parameter c.
 """
 
 import math
@@ -14,14 +16,17 @@ import numpy as np
 
 from . import closedform as cf
 from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
+from .mgsolver import (CycleSpec, homogeneous_problem, max_levels,
+                       measure_convergence_factor, measure_periodic_smoothing)
 from .smoothing import SweepConfig, one_stage_optimum, smoothing_factor
 from .stencil import Frequency, make_operator
 
-NINE_C = (0.02, 1.0 / 27.0, 0.0360548, 1.0 / 16.0, 0.1, 0.2, 1.0, 10.0, 100.0)
+NINE_C = (0.02, 1.0 / 27.0, cf.C0_REF, 1.0 / 16.0, 0.1, 0.2, 1.0, 10.0, 100.0)
 # log-spaced c in (1/27, 1e3] and in (1e-3, 1/27]
 ZONE_UPPER = np.geomspace(1.0 / 27.0, 1e3, 201)[1:]
 ZONE_LOWER = np.geomspace(1e-3, 1.0 / 27.0, 51)[1:]
 ORACLE_GRID = 16
+SOLVER_NS = (31, 63, 127)
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,13 @@ def _near(name, expected, computed, tol, note=""):
 def _pressure(c, n_samples=257):
     return one_stage_optimum(make_operator("pressure_block", c=float(c)),
                              SweepConfig(n_samples_per_axis=n_samples))
+
+
+def _v22_factor(n, c, omega):
+    """Observed V(2,2) factor on the deepest hierarchy: 20 cycles, seed 42."""
+    spec = CycleSpec(pre_sweeps=2, post_sweeps=2, levels=max_levels(n), omega=omega)
+    return measure_convergence_factor(homogeneous_problem(n, c), spec, n_cycles=20,
+                                      seed=42).rho_observed
 
 
 def _random_pairs(rng, count):
@@ -183,6 +195,51 @@ def pressure_dominates():
                 f"{cs.size} log-spaced c in (1e-3, 1e3]")]
 
 
+def solver_mesh_independence():
+    """11: the V(2,2) factor does not grow with n, at three c.
+
+    At c = 1/8 with the sweep's omega_opt each factor is also bounded;
+    at c = 1/16 and 1 the damping is omega_opt_closed(c).
+    """
+    rows = []
+    for c, omega in ((0.125, _pressure(0.125).omega_opt),
+                     (1.0 / 16.0, cf.omega_opt_closed(1.0 / 16.0)),
+                     (1.0, cf.omega_opt_closed(1.0))):
+        rhos = [_v22_factor(n, c, omega) for n in SOLVER_NS]
+        if c == 0.125:
+            rows += [Row(f"V(2,2) rho (c={c:g}, n={n})", "< 0.35", rho, rho < 0.35)
+                     for n, rho in zip(SOLVER_NS, rhos)]
+        spread = max(rhos) - min(rhos)
+        rows.append(Row(f"V(2,2) rho spread over n (c={c:g})", "< 0.05", spread,
+                        spread < 0.05, "n = 31/63/127: "
+                        + ", ".join(f"{rho:.4f}" for rho in rhos)))
+    return rows
+
+
+def solver_c_dependence():
+    """12: at n = 63 the V(2,2) factor is worse at c = 0.005 than at c = 1/8."""
+    small, eighth = (_v22_factor(63, c, cf.omega_opt_closed(c)) for c in (0.005, 0.125))
+    return [Row("V(2,2) rho (c=0.005, n=63)", f"> rho(c=0.125) = {eighth:.6g}", small,
+                small > eighth)]
+
+
+def periodic_smoothing_bounded():
+    """13: the measured periodic smoothing rate against the predicted rho_opt.
+
+    The lower bound keeps the upper one from passing vacuously.
+    """
+    rows = []
+    for c in (1.0 / 16.0, 0.125, 1.0):
+        predicted = cf.rho_opt_closed(c)
+        measured, _ = measure_periodic_smoothing(make_operator("pressure_block", c=c),
+                                                 cf.omega_opt_closed(c))
+        rows.append(Row(f"periodic smoothing rate (c={c:g})",
+                        f"in ({0.5 * predicted:.6g}, {predicted + 0.02:.6g}]", measured,
+                        0.5 * predicted < measured <= predicted + 0.02))
+    return rows
+
+
 CRITERIA = (poisson_sweep, pressure_extrema_at_c_eighth, omega_arbitration,
             closed_form_vs_sweep, limits_and_omega_minimum, root_c0, zones,
-            oracle_equivalence, phase_identity, pressure_dominates)
+            oracle_equivalence, phase_identity, pressure_dominates,
+            solver_mesh_independence, solver_c_dependence, periodic_smoothing_bounded)

@@ -103,6 +103,11 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
     and slides along the valley instead of locking onto the first local
     lattice winner.  Window edges clipped to the frequency box count as
     interior, since extrema are genuinely attained there.
+
+    An edge round that does not improve on the best value leaves the
+    center and the width as they were, so every later round would
+    repeat it; the search stops there.  Next to an extremum the field is
+    flat to rounding and an edge point can tie the best.
     """
     pts = REFINE_POINTS
     w = width
@@ -114,7 +119,8 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
         vals = sign * field(xs[:, None], ys[None, :])
         i = int(np.argmax(vals))
         row, col = i // pts, i % pts
-        if vals.flat[i] > sign * best:
+        improved = vals.flat[i] > sign * best
+        if improved:
             best = sign * vals.flat[i]
             t1, t2 = float(xs[row]), float(ys[col])
         on_window_edge = ((row == 0 and lo1 > -HALF_PI)
@@ -125,6 +131,8 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
             w /= 2.0
             if w < 1e-10:
                 break
+        elif not improved:
+            break
     return best, t1, t2
 
 

@@ -144,6 +144,11 @@ class TestCurvesCommand:
         assert main(["curves", "--c-min", "1", "--c-max", "0.5"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_c_beyond_closed_forms_is_usage_error(self, capsys):
+        assert main(["curves", "--c-min", "1e299", "--c-max", "1e300",
+                     "--n-points", "2", "--n-samples", "17"]) == EXIT_USAGE
+        assert "closed forms" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_small_run_csv_and_summary(self, capsys, tmp_path):
@@ -174,6 +179,11 @@ class TestSolveCommand:
     def test_non_finite_c_is_usage_error(self, capsys):
         assert main(["solve", "--c", "nan", "--n", "15", "--omega", "1"]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
+
+    def test_c_beyond_closed_forms_is_usage_error(self, capsys):
+        # the default omega is the closed form's
+        assert main(["solve", "--c", "1e300", "--n", "15"]) == EXIT_USAGE
+        assert "closed forms" in capsys.readouterr().err
 
     def test_bottom_grid_too_large_is_usage_error(self, capsys):
         # two-grid at n = 63 leaves a 31x31 bottom grid, beyond the exact solve

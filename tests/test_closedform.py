@@ -75,6 +75,8 @@ class TestRhoOptClosed:
 
     def test_large_c_limit(self):
         assert cf.rho_opt_closed(1e6) == pytest.approx(11 / 43, abs=1e-4)
+        assert cf.rho_opt_closed(cf.C_MAX) == pytest.approx(11 / 43, abs=1e-9)
+        assert cf.critical_point(cf.C_MAX) == pytest.approx(0.25, abs=1e-9)
 
     def test_small_c_limit(self):
         assert cf.rho_opt_closed(1e-6) >= 0.99
@@ -95,6 +97,17 @@ class TestRhoOptClosed:
             with pytest.raises(ValueError):
                 cf.eigenvalue_at_origin(c)
 
+    @pytest.mark.parametrize("c", [1e76, 1e100, 1e200, 1e300])
+    def test_rejects_c_beyond_c_max(self, c):
+        # the radicand's c^4 overflows here, and the forms returned 0,
+        # 1.5625 or nan; the eigenvalue's squares overflow from about 1e150
+        forms = (cf.eigenvalue_at_origin, cf.critical_point, cf.eigenvalue_at_critical,
+                 cf.rho_opt_closed, cf.omega_opt_closed,
+                 lambda c: cf.projected_eigenvalue_s(0.25, 0.25, c))
+        for form in forms:
+            with pytest.raises(ValueError, match="closed forms"):
+                form(c)
+
 
 class TestOmegaOptClosed:
     def test_value_near_c_eighth(self):
@@ -107,6 +120,7 @@ class TestOmegaOptClosed:
 
     def test_large_c_limit(self):
         assert cf.omega_opt_closed(1e6) == pytest.approx(50 / 43, abs=1e-4)
+        assert cf.omega_opt_closed(cf.C_MAX) == pytest.approx(50 / 43, abs=1e-9)
 
     def test_small_c_limit(self):
         assert cf.omega_opt_closed(1e-6) == pytest.approx(1.0, abs=1e-3)

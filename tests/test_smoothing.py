@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokesmg import closedform as cf
+from stokesmg import closedform as cf, smoothing
 from stokesmg.harmonics import harmonics_of, projected_eigenvalue_grid, two_color_rep
 from stokesmg.smoothing import (SweepConfig, one_stage_optimum, optimal_one_stage,
                                 smoothing_factor)
@@ -99,6 +99,19 @@ class TestSweepExtrema:
         refined = one_stage_optimum(pb, SweepConfig(n_samples_per_axis=257))
         assert refined.s_min == pytest.approx(-23 / 98, abs=1e-9)
 
+    def test_refine_stops_at_its_fixed_point(self, monkeypatch):
+        # an edge round that does not improve would repeat itself; running
+        # such rounds on to REFINE_ROUNDS took 110 evaluations here
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return projected_eigenvalue_grid(*args)
+
+        monkeypatch.setattr(smoothing, "projected_eigenvalue_grid", counted)
+        one_stage_optimum(make_operator("pressure_block", c=0.125), FAST)
+        assert len(calls) <= 60
+
     def test_complex_spectrum_rejected(self):
         upwind = Stencil2D({(0, 0): 1.0, (1, 0): -1.0}, "upwind")
         with pytest.raises(ValueError, match="imaginary"):
@@ -165,13 +178,6 @@ class TestEquioscillation:
 class TestStokesSmoothing:
     # the transformed system decouples into two Poisson blocks and the
     # pressure block; the system factor is the larger block factor
-    def test_c_eighth_blocks(self):
-        pressure = one_stage_optimum(make_operator("pressure_block", c=1 / 8)).rho_opt
-        poisson = one_stage_optimum(make_operator("laplacian")).rho_opt
-        assert poisson == pytest.approx(1 / 17, abs=1e-6)
-        assert pressure == pytest.approx(25 / 217, abs=1e-6)
-        assert pressure > poisson
-
     @pytest.mark.parametrize("c", [0.01, 1 / 27, 1 / 16, 1 / 8, 1.0, 10.0, 1000.0])
     def test_pressure_block_dominates(self, c):
         pressure = one_stage_optimum(make_operator("pressure_block", c=c), FAST).rho_opt

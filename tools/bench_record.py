@@ -22,7 +22,8 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   refine window and on the 257x257 lattice, of one `_refine` (from the
   lattice maximum and minimum of the projected eigenvalue, as
   `one_stage_optimum` starts it) and of `one_stage_optimum` at 65 and 257
-  samples per axis;
+  samples per axis, with the field evaluations (calls of
+  `smoothing.projected_eigenvalue_grid`) one such call makes;
 * criteria: seconds, rows and failing rows of each entry of
   `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
 * commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
@@ -66,8 +67,8 @@ COMMANDS = {
     "curves": [sys.executable, "-m", "stokesmg.cli", "curves", "--c-min", "1e-3",
                "--c-max", "1e3", "--n-points", "100", "--scale", "log"],
 }
-# what a call works on, per function the cycle calls: its grid size, and
-# for a sweep also whether it is a band sweep
+# what a call works on, per function timed: its grid size, and for a
+# sweep also whether it is a band sweep; the LFA field's calls are counted
 SIZES = {
     "v_cycle": lambda a, k: a[0].n,
     "distributive_two_color_sweep": lambda a, k: (a[0].n, k.get("point_mask") is not None),
@@ -75,6 +76,7 @@ SIZES = {
     "restrict": lambda a, k: a[0].shape[0] - 2,
     "prolong": lambda a, k: 2 * a[0].shape[0] - 3,
     "_bottom_solve": lambda a, k: a[0].n,
+    "projected_eigenvalue_grid": lambda a, k: None,
 }
 
 
@@ -205,8 +207,11 @@ def lfa_rows():
         _median_ms(lambda: smoothing._refine(field, *start)) for start in starts)}
     for n in (65, 257):
         cfg = smoothing.SweepConfig(n_samples_per_axis=n)
+        with _Timed(smoothing, ["projected_eigenvalue_grid"]) as timed:
+            smoothing.one_stage_optimum(op, cfg)
         rows[f"one_stage_optimum_{n}"] = {"ms_per_call": _median_ms(
-            lambda: smoothing.one_stage_optimum(op, cfg), 5)}
+            lambda: smoothing.one_stage_optimum(op, cfg), 5),
+            "field_evals": len(timed.calls)}
     return rows
 
 
