@@ -106,15 +106,22 @@ def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
     Red points (even index sum) are relaxed first, then black points from
     the fresh red values.  The stencil is applied by periodic shifts, so
     no symbol enters: this is the concrete sweep that the symbols model.
+    Each application gathers the periodically wrapped grid once, and
+    each entry's shift g[(i + o1) % n1, (j + o2) % n2] is a slice of it.
     """
     _check_center(s)
-    k1, k2 = np.ogrid[:e.shape[0], :e.shape[1]]
+    n1, n2 = e.shape
+    k1, k2 = np.ogrid[:n1, :n2]
     red = (k1 + k2) % 2 == 0
+    # wrapped[r + i, r + j] = g[i % n1, j % n2] for i, j in -r..n + r - 1
+    r = max(abs(k) for off in s.entries for k in off)
+    wrap1, wrap2 = (np.arange(-r, n + r) % n for n in e.shape)
 
     def apply_periodic(g):
+        wrapped = g.take(wrap1, axis=0).take(wrap2, axis=1)
         out = np.zeros_like(g)
         for (o1, o2), coef in s.entries.items():
-            out += coef * np.roll(g, (-o1, -o2), axis=(0, 1))
+            out += coef * wrapped[r + o1:r + o1 + n1, r + o2:r + o2 + n2]
         return out
 
     e = np.where(red, e - apply_periodic(e) / s.center, e)

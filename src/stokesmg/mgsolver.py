@@ -414,10 +414,23 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
 
 
 def residual_norm(prob: StokesProblem, st: StokesState) -> float:
+    """Euclidean norm of the three residual blocks together.
+
+    Squares overflow once entries pass about 1e154; when the plain sum
+    is inf but every entry is finite, the norm is recomputed on the
+    residual divided by its largest magnitude.  An inf or NaN residual
+    gives a non-finite norm.
+    """
     blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     sq = _buffers(prob, "state")[0]
-    sums = [np.square(r, out=sq).sum() for r in blocks]
-    return float(np.sqrt(sums[0] + sums[1] + sums[2]))
+    with np.errstate(over="ignore"):
+        total = sum(np.square(r, out=sq).sum() for r in blocks)
+    if total == np.inf:
+        scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
+        if scale < np.inf:
+            return scale * math.sqrt(sum(np.square(np.divide(r, scale, out=sq), out=sq).sum()
+                                         for r in blocks))
+    return float(np.sqrt(total))
 
 
 def _copy_into(dst: StokesState, src: StokesState) -> StokesState:

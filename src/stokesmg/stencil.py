@@ -144,12 +144,25 @@ def symbol_grid(s: Stencil2D, t1, t2):
 
     t1, t2 may be scalars or broadcastable numpy arrays; the result is
     complex with the same shape.
+
+    The symbol factors per axis: sum_k1 exp(i k1 t1) sum_k2 coef exp(i k2 t2).
+    So each distinct offset on an axis costs one phase table exp(i k t) at
+    that axis's own shape, each stencil row is summed on the t2 tables,
+    and only one broadcast product per distinct k1 is made at the full
+    shape.  On an (m, 1) x (1, m) lattice that is O(m) exps instead of
+    one O(m^2) exp per entry.  The result agrees with the per-entry sum
+    sum_k coef exp(i k . theta) to rounding, not bit for bit.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    out = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
+    rows = {}
     for (k1, k2), coef in s.entries.items():
-        out += coef * np.exp(1j * (t1 * k1 + t2 * k2))
+        rows.setdefault(k1, []).append((k2, coef))
+    phase2 = {k2: np.exp(1j * k2 * t2) for k2 in {k2 for k1, k2 in s.entries}}
+    out = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
+    for k1, row in rows.items():
+        row_sum = sum(coef * phase2[k2] for k2, coef in row)
+        out += np.exp(1j * k1 * t1) * row_sum
     return out
 
 

@@ -172,6 +172,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "divergence" in err
 
+    def test_huge_c_converges_with_finite_history(self, capsys, tmp_path):
+        # residual entries pass 1e154, so their squares overflow
+        out_file = tmp_path / "hist.csv"
+        code = main(["solve", "--c", "1e154", "--n", "31", "--omega", "1.0",
+                     "--output", str(out_file)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out_file.read_text().split()[1:]]
+        assert len(rows) > 2
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
+        assert "divergence" not in capsys.readouterr().err
+
     def test_grid_validation(self, capsys):
         assert main(["solve", "--c", "0.125", "--n", "20"]) == EXIT_USAGE
         capsys.readouterr()

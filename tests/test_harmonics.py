@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokesmg.stencil import Frequency, make_operator
+from stokesmg.stencil import Frequency, Stencil2D, make_operator
 from stokesmg.harmonics import (harmonics_of, jacobi_symbol, numerical_lfa_oracle,
                                 periodic_two_color_sweep, projected_eigenvalue_grid,
                                 rep_grid, two_color_rep)
@@ -151,6 +151,44 @@ def test_periodic_sweep_rejects_zero_center():
         periodic_two_color_sweep(ddx, np.ones((8, 8)))
     with pytest.raises(ValueError, match="zero center"):
         numerical_lfa_oracle(ddx, harmonics_of(Frequency(PI / 4, 0)), 8)
+
+
+# Referee for periodic_two_color_sweep: the version it replaced, which
+# shifts the whole grid by np.roll once per stencil entry.
+def _reference_periodic_sweep(s, e):
+    k1, k2 = np.ogrid[:e.shape[0], :e.shape[1]]
+    red = (k1 + k2) % 2 == 0
+
+    def apply_periodic(g):
+        out = np.zeros_like(g)
+        for (o1, o2), coef in s.entries.items():
+            out += coef * np.roll(g, (-o1, -o2), axis=(0, 1))
+        return out
+
+    e = np.where(red, e - apply_periodic(e) / s.center, e)
+    return np.where(~red, e - apply_periodic(e) / s.center, e)
+
+
+class TestPeriodicSweepMatchesReferee:
+    """One wrapped gather per application gives the np.roll sweep bit for bit."""
+
+    SKEW = Stencil2D({(0, 0): 2.5, (1, 0): -0.75, (0, -1): 0.4, (-2, 1): 0.3,
+                      (1, 2): -0.2, (-1, -1): 0.05}, "skew")
+
+    @pytest.mark.parametrize("s", [make_operator("laplacian", h=0.5),
+                                   make_operator("biharmonic", h=0.5),
+                                   make_operator("pressure_block", h=0.5, c=0.3),
+                                   SKEW], ids=lambda s: s.name)
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 12)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_identical(self, s, shape, dtype):
+        rng = np.random.default_rng(shape[1])
+        e = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            e += 1j * rng.standard_normal(shape)
+        got = periodic_two_color_sweep(s, e)
+        assert got.dtype == e.dtype
+        assert np.array_equal(got, _reference_periodic_sweep(s, e))
 
 
 def test_mixed_high_pair_rep_and_oracle():

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -148,6 +149,23 @@ class TestResidual:
     def test_zero_problem_zero_state(self):
         prob = homogeneous_problem(15, 0.125)
         assert residual_norm(prob, zero_state(prob)) == 0.0
+
+    def test_norm_of_huge_finite_residual_is_finite(self):
+        # squaring entries of about 1e200 overflows; the norm must not
+        prob = homogeneous_problem(15, 0.125)
+        st = random_state(prob, seed=6)
+        big = StokesState(1e200 * st.u, 1e200 * st.v, 1e200 * st.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = residual_norm(prob, big)
+        assert norm == pytest.approx(1e200 * residual_norm(prob, st), rel=1e-12)
+
+    def test_non_finite_residual_gives_non_finite_norm(self):
+        prob = homogeneous_problem(15, 0.125)
+        for bad in (np.inf, np.nan):
+            st = random_state(prob, seed=6)
+            st.u[3, 4] = bad
+            assert not math.isfinite(residual_norm(prob, st))
 
     def test_manufactured_solution_is_discrete_solution(self):
         prob, exact = manufactured_problem(31, 0.125)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestSweepExtrema:
         monkeypatch.setattr(smoothing, "projected_eigenvalue_grid", counted)
         one_stage_optimum(make_operator("pressure_block", c=0.125), FAST)
         assert len(calls) <= 60
+
+    def test_peak_memory_of_the_lattice_search(self):
+        # the 257x257 lattice costs about 1 MB per complex array; one
+        # lattice-sized table per stencil entry (13 of them) would take
+        # 13.7 MB, where the search itself needs about 4.2 MB
+        op = make_operator("pressure_block", c=0.125)
+        tracemalloc.start()
+        try:
+            one_stage_optimum(op, SweepConfig(257))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
     def test_complex_spectrum_rejected(self):
         upwind = Stencil2D({(0, 0): 1.0, (1, 0): -1.0}, "upwind")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stokesmg.stencil import (Frequency, OPERATOR_KINDS, apply_stencil, make_operator,
-                              reduce_angle, symbol, symbol_grid)
+from stokesmg.stencil import (Frequency, OPERATOR_KINDS, Stencil2D, apply_stencil,
+                              make_operator, reduce_angle, symbol, symbol_grid)
 
 PI = math.pi
 
@@ -107,6 +107,65 @@ class TestSymbol:
         t1, t2 = rng.uniform(-PI, PI, size=(2, 40))
         want = -symbol_grid(dx, t1, t2) ** 2 - symbol_grid(dy, t1, t2) ** 2
         assert np.abs(symbol_grid(wide, t1, t2) - want).max() < 1e-12
+
+
+# Referee for symbol_grid: the per-entry sum it replaced, one exp of the
+# full broadcast shape per stencil entry.
+def _reference_symbol_grid(s, t1, t2):
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    out = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
+    for (k1, k2), coef in s.entries.items():
+        out += coef * np.exp(1j * (t1 * k1 + t2 * k2))
+    return out
+
+
+def _random_stencil(seed):
+    """A stencil on a random subset of the offsets [-2, 2]^2, center included."""
+    rng = np.random.default_rng(seed)
+    offsets = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
+    keep = rng.random(len(offsets)) < 0.6
+    entries = {off: float(rng.standard_normal()) for off, k in zip(offsets, keep)
+               if k or off == (0, 0)}
+    return Stencil2D(entries, f"random{seed}")
+
+
+class TestSymbolMatchesReferee:
+    """Per-axis phase tables give the per-entry sum to rounding."""
+
+    STENCILS = [make_operator(kind, h=0.5, c=0.3) if kind == "pressure_block"
+                else make_operator(kind, h=0.5) for kind in OPERATOR_KINDS]
+    STENCILS += [_random_stencil(seed) for seed in range(12)]
+
+    @staticmethod
+    def _check(s, t1, t2):
+        got = symbol_grid(s, t1, t2)
+        want = _reference_symbol_grid(s, t1, t2)
+        assert got.shape == want.shape and got.dtype == complex
+        bound = 1e-13 * sum(abs(coef) for coef in s.entries.values())
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    def test_scalars(self, s):
+        rng = np.random.default_rng(len(s.entries))
+        for t1, t2 in rng.uniform(-PI, PI, size=(20, 2)):
+            self._check(s, t1, t2)
+        assert symbol(s, Frequency(0.3, -1.1)) == symbol_grid(s, 0.3, -1.1)
+
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    def test_axes(self, s):
+        ax1 = np.linspace(-PI / 2, PI / 2, 33)
+        ax2 = np.random.default_rng(7).uniform(-PI, PI, 21)
+        self._check(s, ax1[:, None], ax2[None, :])
+        self._check(s, ax1[None, :], ax2[:, None])
+
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    def test_full_arrays(self, s):
+        rng = np.random.default_rng(11)
+        t1, t2 = rng.uniform(-PI, PI, size=(2, 9, 14))
+        self._check(s, t1, t2)
+        self._check(s, t1, 0.7)
+        self._check(s, t1[0], t2)
 
 
 class TestApply:

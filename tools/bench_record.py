@@ -23,7 +23,10 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   lattice maximum and minimum of the projected eigenvalue, as
   `one_stage_optimum` starts it) and of `one_stage_optimum` at 65 and 257
   samples per axis, with the field evaluations (calls of
-  `smoothing.projected_eigenvalue_grid`) one such call makes;
+  `smoothing.projected_eigenvalue_grid`) one such call makes and, at 257,
+  its tracemalloc peak in MB; and of the two referees that use no symbol:
+  `mgsolver.measure_periodic_smoothing` at `omega_opt_closed(1/8)` and
+  `harmonics.numerical_lfa_oracle` on one pair of a 32-grid;
 * criteria: seconds, rows and failing rows of each entry of
   `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
 * commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
@@ -41,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -60,6 +64,7 @@ SOLVE_CYCLES = 12
 LAYER_N = 511
 LAYER_CYCLES = 3
 LFA_REPEATS = 20
+ORACLE_GRID = 32
 PERFBENCH_SEED = 1
 COMMANDS = {
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
@@ -212,6 +217,18 @@ def lfa_rows():
         rows[f"one_stage_optimum_{n}"] = {"ms_per_call": _median_ms(
             lambda: smoothing.one_stage_optimum(op, cfg), 5),
             "field_evals": len(timed.calls)}
+    tracemalloc.start()
+    smoothing.one_stage_optimum(op, smoothing.SweepConfig(n_samples_per_axis=257))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    rows["one_stage_optimum_257"]["tracemalloc_peak_mb"] = peak / 1e6
+    omega = closedform.omega_opt_closed(C)
+    rows["periodic_smoothing"] = {"omega": omega, "ms_per_call": _median_ms(
+        lambda: mgsolver.measure_periodic_smoothing(op, omega))}
+    step = 2.0 * math.pi / ORACLE_GRID
+    pair = harmonics.harmonics_of(stencil.Frequency(step, 3 * step))
+    rows["lfa_oracle"] = {"n_grid": ORACLE_GRID, "ms_per_call": _median_ms(
+        lambda: harmonics.numerical_lfa_oracle(op, pair, ORACLE_GRID))}
     return rows
 
 
