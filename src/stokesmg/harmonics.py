@@ -10,6 +10,7 @@ partner; the ideal coarse-grid projector is then literally diag(0, 1).
 Red points are those with even index sum k1 + k2 and are relaxed first.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +58,21 @@ def jacobi_symbol(s: Stencil2D, t1, t2):
 
 
 def _pair_symbols(s: Stencil2D, t1, t2):
-    """Jacobi symbols (a0, a1) at the base frequencies and their partners."""
-    return (jacobi_symbol(s, t1, t2),
-            jacobi_symbol(s, np.asarray(t1) + PI, np.asarray(t2) + PI))
+    """Jacobi symbols (a0, a1) at the base frequencies and their partners.
+
+    One jacobi_symbol call evaluates both: each of t1, t2 is stacked with
+    itself plus pi along a new leading axis, at its own shape, so an
+    (m, 1) x (1, m) lattice becomes (2, m, 1) x (2, 1, m).
+    """
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    nd = max(t1.ndim, t2.ndim)
+
+    def with_partner(t):
+        t = t.reshape((1,) * (1 + nd - t.ndim) + t.shape)
+        return np.concatenate((t, t + PI))
+
+    a = jacobi_symbol(s, with_partner(t1), with_partner(t2))
+    return a[0, ...], a[1, ...]
 
 
 def rep_grid(s: Stencil2D, t1, t2) -> np.ndarray:
@@ -95,9 +108,33 @@ def projected_eigenvalue_grid(s: Stencil2D, t1, t2) -> np.ndarray:
 
     The projected matrix has a zero first row, so this is just the
     (1, 1) entry of the representation, computed without the others.
+    It is 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2), evaluated in
+    place on the pair's symbols, which this call owns: a lattice-sized
+    call then leaves fewer freed arrays behind in the process heap.
     """
     a0, a1 = _pair_symbols(s, t1, t2)
-    return 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2)
+    low = np.subtract(1, a0, out=a0)
+    low *= a1 - 1
+    a1 += 1
+    a1 **= 2
+    return 0.25 * (low + a1)
+
+
+# bounded: one plan per grid shape and stencil reach in use
+@functools.lru_cache(maxsize=16)
+def _sweep_plan(n1: int, n2: int, r: int) -> tuple:
+    """Red and black masks of an n1 x n2 grid and its wrap indices for reach r.
+
+    wrapped[r + i, r + j] = g[i % n1, j % n2] for i, j in -r..n + r - 1
+    when wrapped = g.take(wrap1, axis=0).take(wrap2, axis=1).  Every
+    array is read-only, since every caller shares it.
+    """
+    k1, k2 = np.ogrid[:n1, :n2]
+    red = (k1 + k2) % 2 == 0
+    plan = (red, ~red, np.arange(-r, n1 + r) % n1, np.arange(-r, n2 + r) % n2)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
 def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
@@ -111,11 +148,8 @@ def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
     """
     _check_center(s)
     n1, n2 = e.shape
-    k1, k2 = np.ogrid[:n1, :n2]
-    red = (k1 + k2) % 2 == 0
-    # wrapped[r + i, r + j] = g[i % n1, j % n2] for i, j in -r..n + r - 1
     r = max(abs(k) for off in s.entries for k in off)
-    wrap1, wrap2 = (np.arange(-r, n + r) % n for n in e.shape)
+    red, black, wrap1, wrap2 = _sweep_plan(n1, n2, r)
 
     def apply_periodic(g):
         wrapped = g.take(wrap1, axis=0).take(wrap2, axis=1)
@@ -125,7 +159,7 @@ def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
         return out
 
     e = np.where(red, e - apply_periodic(e) / s.center, e)
-    return np.where(~red, e - apply_periodic(e) / s.center, e)
+    return np.where(black, e - apply_periodic(e) / s.center, e)
 
 
 def _lattice_index(theta: float, n_grid: int) -> int:

@@ -717,6 +717,19 @@ PERIODIC_GRID = 32
 PERIODIC_SWEEPS = 30
 
 
+def _high_pair_projector(n: int) -> np.ndarray:
+    """The n x n matrix P with P @ e @ P.T = ifft2(fft2(e) * high-box mask).
+
+    The high box, the partners of the low box (-pi/2, pi/2]^2, is the
+    tensor product high(t1) & high(t2) of one per-axis mask over the
+    fftfreq frequencies, so the 2D projection splits into P = ifft(diag
+    (high) fft(I)) along each axis.  No symbol enters it.
+    """
+    theta = 2.0 * PI * np.fft.fftfreq(n)
+    high = ~((theta > -PI / 2) & (theta <= PI / 2))
+    return np.fft.ifft(high[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+
+
 def measure_periodic_smoothing(s: Stencil2D, omega: float,
                                seed: int = 0) -> tuple[float, list]:
     """Per-sweep damping of aliasing-pair error on a periodic grid.
@@ -739,14 +752,10 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
     re-seeds them and their slower decay takes over the measured tail
     after a few dozen sweeps.
     """
-    theta = 2.0 * PI * np.fft.fftfreq(PERIODIC_GRID)
-    t1, t2 = np.meshgrid(theta, theta, indexing="ij")
-    low1 = (t1 > -PI / 2) & (t1 <= PI / 2)
-    low2 = (t2 > -PI / 2) & (t2 <= PI / 2)
-    high_pair_member = ~low1 & ~low2  # partners of the low box
+    proj = _high_pair_projector(PERIODIC_GRID)
 
     def project_to_family_high(e):
-        return np.fft.ifft2(np.fft.fft2(e) * high_pair_member)
+        return proj @ e @ proj.T
 
     def sweep(e):
         return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)

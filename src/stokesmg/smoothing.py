@@ -11,10 +11,10 @@ are
 
 one_stage_optimum is the one extremum search: it samples a uniform
 closed-box grid (odd sample counts put 0 and +-pi/2 on the lattice) and
-then zooms locally around each extremum, since the extremizers are
-generally off-lattice; the 257-point grid alone is only accurate to
-about 1e-5 in the extreme values.  smoothing_factor, the damped factor
-at a given omega, referees it by definition.
+then zooms locally around both extrema in lockstep, since the
+extremizers are generally off-lattice; the 257-point grid alone is only
+accurate to about 1e-5 in the extreme values.  smoothing_factor, the
+damped factor at a given omega, referees it by definition.
 """
 
 import math
@@ -92,11 +92,27 @@ def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _refine(field, t1: float, t2: float, width: float, best: float,
-            sign: float) -> tuple[float, float, float]:
-    """Zoom around (t1, t2) maximizing sign*field; returns (value, t1, t2).
+@dataclass
+class _Search:
+    """One pattern search of _refine: best value, its point, window half-width."""
 
-    Pattern-search style: the window only shrinks when the round's best
+    value: float
+    t1: float
+    t2: float
+    w: float
+    sign: float
+
+
+def _refine(field, starts, width: float) -> list:
+    """Zoom around each start, maximizing sign*field; returns [(value, t1, t2)].
+
+    starts lists (value, t1, t2, sign) per extremum, with value the field
+    at (t1, t2).  The searches run in lockstep: each round stacks the
+    live searches' windows along a leading axis and evaluates them in one
+    field call, while each search keeps its own center, width and stop
+    rule, so it visits the windows it would visit alone.
+
+    Pattern-search style: a window only shrinks when the round's best
     point is interior to it.  A best point on the window edge means the
     extremum lies further out (the pressure eigenvalue has a nearly
     degenerate valley for large c), so the window recenters at full size
@@ -110,41 +126,56 @@ def _refine(field, t1: float, t2: float, width: float, best: float,
     flat to rounding and an edge point can tie the best.
     """
     pts = REFINE_POINTS
-    w = width
+    searches = [_Search(value, t1, t2, width, sign) for value, t1, t2, sign in starts]
+    live = searches
     for _ in range(REFINE_ROUNDS):
-        lo1, hi1 = max(t1 - w, -HALF_PI), min(t1 + w, HALF_PI)
-        lo2, hi2 = max(t2 - w, -HALF_PI), min(t2 + w, HALF_PI)
-        xs = np.linspace(lo1, hi1, pts)
-        ys = np.linspace(lo2, hi2, pts)
-        vals = sign * field(xs[:, None], ys[None, :])
-        i = int(np.argmax(vals))
-        row, col = i // pts, i % pts
-        improved = vals.flat[i] > sign * best
-        if improved:
-            best = sign * vals.flat[i]
-            t1, t2 = float(xs[row]), float(ys[col])
-        on_window_edge = ((row == 0 and lo1 > -HALF_PI)
-                          or (row == pts - 1 and hi1 < HALF_PI)
-                          or (col == 0 and lo2 > -HALF_PI)
-                          or (col == pts - 1 and hi2 < HALF_PI))
-        if not on_window_edge:
-            w /= 2.0
-            if w < 1e-10:
-                break
-        elif not improved:
+        # windows[k] = (lo1, lo2, hi1, hi2) of live search k
+        windows = np.array([(max(q.t1 - q.w, -HALF_PI), max(q.t2 - q.w, -HALF_PI),
+                             min(q.t1 + q.w, HALF_PI), min(q.t2 + q.w, HALF_PI))
+                            for q in live])
+        # axes[k] = (xs, ys) of live search k
+        axes = np.linspace(windows[:, :2], windows[:, 2:], pts).transpose(1, 2, 0)
+        stacked = field(axes[:, 0, :, None], axes[:, 1, None, :])
+        still = []
+        for q, (xs, ys), (lo1, lo2, hi1, hi2), vals in zip(live, axes, windows, stacked):
+            vals = q.sign * vals
+            i = int(np.argmax(vals))
+            row, col = i // pts, i % pts
+            improved = vals.flat[i] > q.sign * q.value
+            if improved:
+                q.value = q.sign * vals.flat[i]
+                q.t1, q.t2 = float(xs[row]), float(ys[col])
+            on_window_edge = ((row == 0 and lo1 > -HALF_PI)
+                              or (row == pts - 1 and hi1 < HALF_PI)
+                              or (col == 0 and lo2 > -HALF_PI)
+                              or (col == pts - 1 and hi2 < HALF_PI))
+            if not on_window_edge:
+                q.w /= 2.0
+                if q.w >= 1e-10:
+                    still.append(q)
+            elif improved:
+                still.append(q)
+        live = still
+        if not live:
             break
-    return best, t1, t2
+    return [(q.value, q.t1, q.t2) for q in searches]
 
 
-def _extremum(field, vals: np.ndarray, ax: np.ndarray,
-              sign: float) -> tuple[float, float, float]:
-    """Lattice point maximizing sign*vals, refined on field.
+def _extrema(field, ax: np.ndarray, signs) -> list:
+    """Maximizers of sign*field over the low box, one per sign.
 
-    vals is field evaluated on the ax x ax lattice; returns (value, t1, t2).
+    Each starts at its lattice point of the ax x ax lattice, and all are
+    refined together; returns [(value, t1, t2)] in the order of signs.
+    The lattice values are dropped before the refine starts.
     """
-    i = int(np.argmax(sign * vals))
-    best, t1, t2 = vals.flat[i], float(ax[i // len(ax)]), float(ax[i % len(ax)])
-    return _refine(field, t1, t2, float(ax[1] - ax[0]), best, sign)
+    vals = field(ax[:, None], ax[None, :])
+    n = ax.size
+    starts = []
+    for sign in signs:
+        i = int(np.argmax(sign * vals))
+        starts.append((vals.flat[i], float(ax[i // n]), float(ax[i % n]), sign))
+    del vals
+    return _refine(field, starts, float(ax[1] - ax[0]))
 
 
 def one_stage_optimum(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> OneStageResult:
@@ -155,15 +186,12 @@ def one_stage_optimum(s: Stencil2D, cfg: SweepConfig = SweepConfig()) -> OneStag
     operator family under analysis; a larger imaginary part raises
     ValueError.
     """
-    ax = _axis(cfg)
-
     def field(t1, t2):
         return _real_checked(projected_eigenvalue_grid(s, t1, t2),
                              "projected eigenvalue")
 
-    vals = field(ax[:, None], ax[None, :])
-    s_max, tmax1, tmax2 = _extremum(field, vals, ax, +1.0)
-    s_min, tmin1, tmin2 = _extremum(field, vals, ax, -1.0)
+    (s_max, tmax1, tmax2), (s_min, tmin1, tmin2) = _extrema(field, _axis(cfg),
+                                                            (+1.0, -1.0))
     s_max, s_min = float(s_max), float(s_min)
     omega, rho = optimal_one_stage(s_max, s_min)
     return OneStageResult(s_max, s_min, omega, rho,
@@ -185,6 +213,5 @@ def smoothing_factor(s: Stencil2D, omega: float,
     def field(t1, t2):
         return np.abs((1.0 - omega) + omega * projected_eigenvalue_grid(s, t1, t2))
 
-    ax = _axis(cfg)
-    best, t1, t2 = _extremum(field, field(ax[:, None], ax[None, :]), ax, +1.0)
+    [(best, t1, t2)] = _extrema(field, _axis(cfg), (+1.0,))
     return SmoothingReport(float(best), omega, Frequency(t1, t2))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stokesmg.stencil import Frequency, Stencil2D, make_operator
-from stokesmg.harmonics import (harmonics_of, jacobi_symbol, numerical_lfa_oracle,
-                                periodic_two_color_sweep, projected_eigenvalue_grid,
-                                rep_grid, two_color_rep)
+from stokesmg.harmonics import (_sweep_plan, harmonics_of, jacobi_symbol,
+                                numerical_lfa_oracle, periodic_two_color_sweep,
+                                projected_eigenvalue_grid, rep_grid, two_color_rep)
 
 PI = math.pi
 
@@ -179,7 +179,8 @@ class TestPeriodicSweepMatchesReferee:
                                    make_operator("biharmonic", h=0.5),
                                    make_operator("pressure_block", h=0.5, c=0.3),
                                    SKEW], ids=lambda s: s.name)
-    @pytest.mark.parametrize("shape", [(8, 8), (16, 12)])
+    # 32 x 32 is the grid of measure_periodic_smoothing and of the oracle
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (32, 32)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_bit_identical(self, s, shape, dtype):
         rng = np.random.default_rng(shape[1])
@@ -189,6 +190,41 @@ class TestPeriodicSweepMatchesReferee:
         got = periodic_two_color_sweep(s, e)
         assert got.dtype == e.dtype
         assert np.array_equal(got, _reference_periodic_sweep(s, e))
+
+    def test_plan_is_cached_and_read_only(self):
+        plan = _sweep_plan(32, 32, 2)
+        assert all(a is b for a, b in zip(_sweep_plan(32, 32, 2), plan))
+        for a in plan:
+            assert not a.flags.writeable
+        red, black, wrap1, wrap2 = _sweep_plan(16, 12, 1)
+        assert red.shape == black.shape == (16, 12) and np.array_equal(black, ~red)
+        assert wrap1.tolist() == [15, *range(16), 0]
+        assert wrap2.tolist() == [11, *range(12), 0]
+
+
+class TestPairSymbolsMatchReferee:
+    """Both pair members from one symbol call give the two-call values bit for bit."""
+
+    @staticmethod
+    def _reference_pair(s, t1, t2):
+        return (jacobi_symbol(s, t1, t2),
+                jacobi_symbol(s, np.asarray(t1) + PI, np.asarray(t2) + PI))
+
+    @pytest.mark.parametrize("shapes", [((), ()), ((17, 1), (1, 17)), ((9,), (5, 9)),
+                                        ((2, 17, 1), (2, 1, 17))], ids=str)
+    def test_bit_identical(self, shapes):
+        pb = make_operator("pressure_block", c=0.3)
+        rng = np.random.default_rng(7)
+        t1, t2 = (rng.uniform(-PI / 2, PI / 2, shape) for shape in shapes)
+        a0, a1 = self._reference_pair(pb, t1, t2)
+        want = 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2)
+        got = projected_eigenvalue_grid(pb, t1, t2)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        rep = rep_grid(pb, t1, t2)
+        assert rep.shape == np.shape(want) + (2, 2)
+        assert np.array_equal(rep[..., 1, 1], want)
+        assert np.array_equal(rep[..., 0, 0], 0.25 * ((a0 + 1) ** 2 + (1 - a1) * (a0 - 1)))
 
 
 def test_mixed_high_pair_rep_and_oracle():

@@ -672,3 +672,54 @@ class TestPeriodicSmoothing:
             e = np.fft.ifft2(np.fft.fft2(sweep(e)) * high)
             ratio = np.linalg.norm(e) / before
         assert ratio == pytest.approx(predicted, abs=1e-8)
+
+
+# Referee for the projection of measure_periodic_smoothing: the FFT mask
+# over the high box that its two matrix products replaced.
+
+def _fft_project_to_family_high(e):
+    theta = 2 * PI * np.fft.fftfreq(e.shape[0])
+    t1, t2 = np.meshgrid(theta, theta, indexing="ij")
+    low1 = (t1 > -PI / 2) & (t1 <= PI / 2)
+    low2 = (t2 > -PI / 2) & (t2 <= PI / 2)
+    return np.fft.ifft2(np.fft.fft2(e) * (~low1 & ~low2))
+
+
+def _fft_measure_periodic_smoothing(s, omega, seed=0):
+    def sweep(e):
+        return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
+
+    rng = np.random.default_rng(seed)
+    shape = (mgsolver.PERIODIC_GRID, mgsolver.PERIODIC_GRID)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e = _fft_project_to_family_high(noise)
+    ratios = []
+    norm = np.linalg.norm(e)
+    for _ in range(mgsolver.PERIODIC_SWEEPS):
+        e = _fft_project_to_family_high(sweep(e))
+        new = np.linalg.norm(e)
+        ratios.append(float(new / norm))
+        if new < 1e-200:
+            break
+        e /= new
+        norm = 1.0
+    return float(np.exp(np.mean(np.log(ratios[-5:])))), ratios
+
+
+class TestSeparableProjector:
+    def test_matches_fft_mask(self):
+        proj = mgsolver._high_pair_projector(mgsolver.PERIODIC_GRID)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            e = rng.standard_normal(proj.shape) + 1j * rng.standard_normal(proj.shape)
+            assert np.abs(proj @ e @ proj.T - _fft_project_to_family_high(e)).max() < 1e-13
+
+    @pytest.mark.parametrize("c", [0.003, 1 / 16, 1 / 8, 1.0, 100.0])
+    def test_measurement_matches_fft_projection(self, c):
+        pb = make_operator("pressure_block", c=c)
+        omega = cf.omega_opt_closed(c)
+        rho, ratios = mgsolver.measure_periodic_smoothing(pb, omega, seed=5)
+        want_rho, want_ratios = _fft_measure_periodic_smoothing(pb, omega, seed=5)
+        assert abs(rho - want_rho) <= 1e-12
+        assert len(ratios) == len(want_ratios)
+        assert np.abs(np.subtract(ratios, want_ratios)).max() <= 1e-12

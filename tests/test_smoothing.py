@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stokesmg import closedform as cf, smoothing
-from stokesmg.harmonics import harmonics_of, projected_eigenvalue_grid, two_color_rep
+from stokesmg.harmonics import (harmonics_of, jacobi_symbol, projected_eigenvalue_grid,
+                                two_color_rep)
 from stokesmg.smoothing import (SweepConfig, one_stage_optimum, optimal_one_stage,
                                 smoothing_factor)
 from stokesmg.stencil import Frequency, Stencil2D, make_operator
@@ -102,7 +103,9 @@ class TestSweepExtrema:
 
     def test_refine_stops_at_its_fixed_point(self, monkeypatch):
         # an edge round that does not improve would repeat itself; running
-        # such rounds on to REFINE_ROUNDS took 110 evaluations here
+        # such rounds on to REFINE_ROUNDS took 110 evaluations here.  The
+        # two extrema refine in lockstep, in 30 evaluations here, where one
+        # search after the other took 53
         calls = []
 
         def counted(*args):
@@ -111,7 +114,7 @@ class TestSweepExtrema:
 
         monkeypatch.setattr(smoothing, "projected_eigenvalue_grid", counted)
         one_stage_optimum(make_operator("pressure_block", c=0.125), FAST)
-        assert len(calls) <= 60
+        assert len(calls) <= 32
 
     def test_peak_memory_of_the_lattice_search(self):
         # the 257x257 lattice costs about 1 MB per complex array; one
@@ -128,12 +131,107 @@ class TestSweepExtrema:
 
     def test_complex_spectrum_rejected(self):
         upwind = Stencil2D({(0, 0): 1.0, (1, 0): -1.0}, "upwind")
-        with pytest.raises(ValueError, match="imaginary"):
-            one_stage_optimum(upwind, FAST)
+        for cfg in (FAST, SweepConfig(257)):
+            with pytest.raises(ValueError, match="imaginary"):
+                one_stage_optimum(upwind, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(n_samples_per_axis=1)
+
+
+# Referee for the extremum searches: the sequential refine they replaced,
+# one pattern search per extremum, on a field whose pair members come
+# from one jacobi_symbol call each.
+
+def _reference_field(s, t1, t2):
+    a0 = jacobi_symbol(s, t1, t2)
+    a1 = jacobi_symbol(s, np.asarray(t1) + PI, np.asarray(t2) + PI)
+    return 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2)
+
+
+def _reference_refine(field, t1, t2, width, best, sign):
+    pts = smoothing.REFINE_POINTS
+    w = width
+    for _ in range(smoothing.REFINE_ROUNDS):
+        lo1, hi1 = max(t1 - w, -PI / 2), min(t1 + w, PI / 2)
+        lo2, hi2 = max(t2 - w, -PI / 2), min(t2 + w, PI / 2)
+        xs = np.linspace(lo1, hi1, pts)
+        ys = np.linspace(lo2, hi2, pts)
+        vals = sign * field(xs[:, None], ys[None, :])
+        i = int(np.argmax(vals))
+        row, col = i // pts, i % pts
+        improved = vals.flat[i] > sign * best
+        if improved:
+            best = sign * vals.flat[i]
+            t1, t2 = float(xs[row]), float(ys[col])
+        on_window_edge = ((row == 0 and lo1 > -PI / 2)
+                          or (row == pts - 1 and hi1 < PI / 2)
+                          or (col == 0 and lo2 > -PI / 2)
+                          or (col == pts - 1 and hi2 < PI / 2))
+        if not on_window_edge:
+            w /= 2.0
+            if w < 1e-10:
+                break
+        elif not improved:
+            break
+    return best, t1, t2
+
+
+def _reference_extremum(field, vals, ax, sign):
+    i = int(np.argmax(sign * vals))
+    best, t1, t2 = vals.flat[i], float(ax[i // len(ax)]), float(ax[i % len(ax)])
+    return _reference_refine(field, t1, t2, float(ax[1] - ax[0]), best, sign)
+
+
+def _reference_one_stage_optimum(s, cfg):
+    ax = np.linspace(-PI / 2, PI / 2, cfg.n_samples_per_axis)
+
+    def field(t1, t2):
+        return smoothing._real_checked(_reference_field(s, t1, t2), "projected eigenvalue")
+
+    vals = field(ax[:, None], ax[None, :])
+    s_max, tmax1, tmax2 = _reference_extremum(field, vals, ax, +1.0)
+    s_min, tmin1, tmin2 = _reference_extremum(field, vals, ax, -1.0)
+    s_max, s_min = float(s_max), float(s_min)
+    omega, rho = optimal_one_stage(s_max, s_min)
+    return smoothing.OneStageResult(s_max, s_min, omega, rho, Frequency(tmax1, tmax2),
+                                    Frequency(tmin1, tmin2))
+
+
+def _reference_smoothing_factor(s, omega, cfg):
+    ax = np.linspace(-PI / 2, PI / 2, cfg.n_samples_per_axis)
+
+    def field(t1, t2):
+        return np.abs((1.0 - omega) + omega * _reference_field(s, t1, t2))
+
+    best, t1, t2 = _reference_extremum(field, field(ax[:, None], ax[None, :]), ax, +1.0)
+    return float(best), Frequency(t1, t2)
+
+
+class TestSearchesMatchSequentialReferee:
+    """The lockstep refine visits the windows of the sequential one, bit for bit."""
+
+    OPERATORS = ([make_operator("pressure_block", c=c) for c in np.logspace(-3, 3, 13)]
+                 + [make_operator(kind) for kind in ("laplacian", "biharmonic",
+                                                     "laplacian_2h")])
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_bit_identical(self, n):
+        cfg = SweepConfig(n)
+        for s in self.OPERATORS:
+            try:
+                want = _reference_one_stage_optimum(s, cfg)
+            except ValueError as err:  # extremes outside (-1, 1)
+                with pytest.raises(ValueError) as got:
+                    one_stage_optimum(s, cfg)
+                assert str(got.value) == str(err)
+                omega = 0.8
+            else:
+                assert one_stage_optimum(s, cfg) == want, s
+                omega = want.omega_opt
+            got = smoothing_factor(s, omega, cfg)
+            assert (got.rho, got.worst_freq) == _reference_smoothing_factor(s, omega, cfg), s
 
 
 class TestSmoothingFactor:

@@ -19,12 +19,13 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   sweep, assemble_residual, restrict, prolong) and of the bottom solve,
   timed by wrapping the module attributes the cycle looks them up from;
 * lfa: at c = 1/8, the median ms per call of `symbol_grid` on a 17x17
-  refine window and on the 257x257 lattice, of one `_refine` (from the
-  lattice maximum and minimum of the projected eigenvalue, as
-  `one_stage_optimum` starts it) and of `one_stage_optimum` at 65 and 257
-  samples per axis, with the field evaluations (calls of
-  `smoothing.projected_eigenvalue_grid`) one such call makes and, at 257,
-  its tracemalloc peak in MB; and of the two referees that use no symbol:
+  refine window and on the 257x257 lattice, of the one `_refine` that
+  `one_stage_optimum` runs (both the lattice maximum and the lattice
+  minimum of the projected eigenvalue, refined in lockstep) and of
+  `one_stage_optimum` at 65 and 257 samples per axis, with the field
+  evaluations (calls of `smoothing.projected_eigenvalue_grid`) one such
+  call makes and, at 257, its tracemalloc peak in MB; and of the two
+  referees that use no symbol:
   `mgsolver.measure_periodic_smoothing` at `omega_opt_closed(1/8)` and
   `harmonics.numerical_lfa_oracle` on one pair of a 32-grid;
 * criteria: seconds, rows and failing rows of each entry of
@@ -201,15 +202,15 @@ def lfa_rows():
 
     vals = field(ax[:, None], ax[None, :])
     starts = []
-    for sign, i in ((1.0, int(np.argmax(vals))), (-1.0, int(np.argmin(vals)))):
-        starts.append((float(ax[i // ax.size]), float(ax[i % ax.size]),
-                       float(ax[1] - ax[0]), float(vals.flat[i]), sign))
+    for sign in (1.0, -1.0):
+        i = int(np.argmax(sign * vals))
+        starts.append((vals.flat[i], float(ax[i // ax.size]), float(ax[i % ax.size]), sign))
     rows = {"c": C}
     for name, points in (("symbol_grid_window", window), ("symbol_grid_lattice", ax)):
         rows[name] = {"points": points.size ** 2, "ms_per_call": _median_ms(
             lambda: stencil.symbol_grid(op, points[:, None], points[None, :]))}
-    rows["refine"] = {"ms_per_call": statistics.median(
-        _median_ms(lambda: smoothing._refine(field, *start)) for start in starts)}
+    rows["refine"] = {"ms_per_call": _median_ms(
+        lambda: smoothing._refine(field, starts, float(ax[1] - ax[0])))}
     for n in (65, 257):
         cfg = smoothing.SweepConfig(n_samples_per_axis=n)
         with _Timed(smoothing, ["projected_eigenvalue_grid"]) as timed:
