@@ -147,7 +147,8 @@ def cmd_curves(args) -> int:
 
 def cmd_solve(args) -> int:
     omega = args.omega if args.omega is not None else cf.omega_opt_closed(args.c)
-    levels = args.levels if args.levels is not None else max_levels(args.n)
+    deepest = max_levels(args.n)  # checks n before any grid is allocated
+    levels = args.levels if args.levels is not None else deepest
     prob = homogeneous_problem(args.n, args.c)
     spec = CycleSpec(pre_sweeps=args.pre, post_sweeps=args.post, levels=levels,
                      omega=omega)

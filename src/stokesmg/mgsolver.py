@@ -26,6 +26,16 @@ two-grid cycles stay near the interior prediction.
 The bottom grid of every cycle is solved exactly, by one correction
 with the cached pseudo-inverse of its system matrix; it may be at most
 BOTTOM_MAX_N x BOTTOM_MAX_N.
+
+A StokesProblem is frozen, so n and c cannot be rebound under what was
+built from them; its arrays stay writable.  It owns the work buffers of
+the sweeps and residuals on it and, once cycled on, the coarse level
+below it: the coarse problem, whose right-hand sides every cycle
+overwrites with the restricted residual, and the coarse correction
+state, which every cycle zeroes.  So the first cycle on a problem builds
+its hierarchy, later cycles reuse it, and it dies with the problem.
+Every coarse level's work buffers are views of the leading entries of
+the finest level's, so one set of 7 serves the whole hierarchy.
 """
 
 import functools
@@ -44,7 +54,7 @@ PI = math.pi
 # data types
 
 
-@dataclass
+@dataclass(frozen=True)
 class StokesProblem:
     """Discrete problem: grid size, stabilization, right-hand sides, boundary.
 
@@ -52,9 +62,11 @@ class StokesProblem:
     two so standard coarsening reaches the 3x3 coarsest grid.  f3 is the
     right-hand side of the stabilized continuity equation (zero for the
     plain flow problem, nonzero for coarse-level correction equations and
-    manufactured solutions).  The problem owns the work buffers of the
-    sweeps and residuals evaluated on it, so two threads must not sweep
-    or take residuals on one problem at the same time.
+    manufactured solutions).  The fields cannot be rebound, but the
+    arrays can be written.  The problem owns the work buffers of the
+    sweeps and residuals evaluated on it and the coarse levels its cycles
+    use, so two threads must not sweep, take residuals or cycle on one
+    problem at the same time.
     """
 
     n: int
@@ -64,16 +76,16 @@ class StokesProblem:
     f3: np.ndarray
     g_u: np.ndarray
     g_v: np.ndarray
-    # work buffers of the sweeps and residuals on this grid, by name, made
-    # on first use (see _buffers); they live and die with the problem
+    # work buffers of the sweeps and residuals on this grid, by name (see
+    # _buffers), and the coarse level below it (see _coarse_level), made
+    # on first use; they live and die with the problem
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
             raise ValueError(f"stabilization parameter must be positive and finite, "
                              f"got {self.c}")
-        if self.n < 3 or (self.n + 1) & self.n != 0:
-            raise ValueError(f"n + 1 must be a power of two with n >= 3, got n = {self.n}")
+        _check_grid(self.n)
         shape = (self.n + 2, self.n + 2)
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
             arr = getattr(self, name)
@@ -154,12 +166,19 @@ def _mirror_ghosts(p: np.ndarray):
 # colors); state, the old state a damped in-place sweep blends with, which
 # assemble_residual also uses for its mirrored p and a temporary between
 # sweeps; blocks, the residual blocks of the cycle and residual_norm,
-# which also hold a sweep's four half-grid temporaries.
+# which also hold a sweep's four half-grid temporaries.  What a call
+# leaves in them is read, if at all, before the next sweep or residual on
+# any level, and only w3 must start zeroed, so coarse levels can share
+# them (see _coarse_level).
 _SCRATCH = {"w3": 1, "state": 3, "blocks": 3}
 
 
 def _buffers(prob: StokesProblem, name: str) -> tuple:
-    """The work buffers of prob under name, made zeroed on first use."""
+    """The work buffers of prob under name, made zeroed on first use.
+
+    A coarse level gets views of the finer level's buffers instead, when
+    _coarse_level builds it.
+    """
     bufs = prob._scratch.get(name)
     if bufs is None:
         bufs = prob._scratch[name] = tuple(_zeros(prob.n) for _ in range(_SCRATCH[name]))
@@ -300,8 +319,15 @@ def _band_mask(n: int) -> np.ndarray:
     return band
 
 
+def _check_grid(n: int):
+    """Raise unless n interior nodes per axis coarsen to the 3x3 grid."""
+    if n < 3 or (n + 1) & n != 0:
+        raise ValueError(f"n + 1 must be a power of two with n >= 3, got n = {n}")
+
+
 def max_levels(n: int) -> int:
     """Deepest usable hierarchy for n interior nodes (coarsest grid 3x3)."""
+    _check_grid(n)
     return int(math.log2(n + 1)) - 1
 
 
@@ -433,10 +459,9 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     return float(np.sqrt(total))
 
 
-def _copy_into(dst: StokesState, src: StokesState) -> StokesState:
-    for a, b in ((dst.u, src.u), (dst.v, src.v), (dst.p, src.p)):
+def _copy_into(dst: tuple, src: tuple):
+    for a, b in zip(dst, src):
         np.copyto(a, b)
-    return dst
 
 
 def _anchor(st: StokesState):
@@ -484,11 +509,12 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     if not given:
         out = st.copy()
     u, v, p = _flat_out((out.u, out.v, out.p), n)  # raises before anything is written
-    old = st
+    old = (st.u, st.v, st.p)
     if given and omega != 1.0:
-        old = _copy_into(StokesState(*_buffers(prob, "state")), st)
+        old = _buffers(prob, "state")
+        _copy_into(old, (st.u, st.v, st.p))
     if given and out is not st:
-        _copy_into(out, st)
+        _copy_into((out.u, out.v, out.p), (st.u, st.v, st.p))
     w3 = _buffers(prob, "w3")[0].reshape(-1)
     half = (n + 2) ** 2 // 2  # at least the nodes of a color
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
@@ -523,7 +549,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
         raise
     if omega != 1.0:
-        for new, prev in ((out.u, old.u), (out.v, old.v), (out.p, old.p)):
+        for new, prev in zip((out.u, out.v, out.p), old):
             new -= prev
             new *= omega
             new += prev
@@ -625,7 +651,8 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
     so a non-finite residual passes through to the divergence check.
     """
     n = prob.n
-    d = _bottom_pinv(n, prob.c) @ _interior_vector(*assemble_residual(prob, st))
+    r = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
+    d = _bottom_pinv(n, prob.c) @ _interior_vector(*r)
     for a, block in zip((st.u, st.v, st.p), d.reshape(3, n, n)):
         a[1:-1, 1:-1] += block
     _anchor(st)
@@ -634,6 +661,27 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
 
 # ---------------------------------------------------------------------------
 # cycles
+
+
+def _coarse_level(prob: StokesProblem) -> tuple[StokesProblem, StokesState]:
+    """The coarse problem and correction state below prob, built on first use.
+
+    Both are kept in prob's _scratch.  The coarse problem's work buffers
+    are C-contiguous views of the leading (nc+2)^2 entries of prob's:
+    levels run one at a time and keep nothing in them across the
+    coarse-grid call, and every sweep leaves w3 zero, so the finest
+    problem's buffers serve the whole hierarchy.
+    """
+    level = prob._scratch.get("coarse")
+    if level is None:
+        nc = (prob.n + 1) // 2 - 1
+        coarse = homogeneous_problem(nc, prob.c)
+        m = (nc + 2) ** 2
+        for name in _SCRATCH:
+            coarse._scratch[name] = tuple(b.reshape(-1)[:m].reshape(nc + 2, nc + 2)
+                                          for b in _buffers(prob, name))
+        level = prob._scratch["coarse"] = (coarse, zero_state(coarse))
+    return level
 
 
 def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
@@ -648,10 +696,12 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
         _smooth_step(prob, st, spec, band)
 
     r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
-    nc = (prob.n + 1) // 2 - 1
-    coarse_prob = StokesProblem(nc, prob.c, restrict(r1), restrict(r2), restrict(r3),
-                                _zeros(nc), _zeros(nc))
-    coarse = _cycle(coarse_prob, zero_state(coarse_prob), spec, depth - 1)
+    coarse_prob, coarse = _coarse_level(prob)
+    for f, r in ((coarse_prob.f1, r1), (coarse_prob.f2, r2), (coarse_prob.f3, r3)):
+        np.copyto(f, restrict(r))
+    for a in (coarse.u, coarse.v, coarse.p):
+        a.fill(0.0)  # the zero state: the coarse boundary data is zero
+    _cycle(coarse_prob, coarse, spec, depth - 1)
 
     st.u[1:-1, 1:-1] += prolong(coarse.u)[1:-1, 1:-1]
     st.v[1:-1, 1:-1] += prolong(coarse.v)[1:-1, 1:-1]

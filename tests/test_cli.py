@@ -185,8 +185,11 @@ class TestSolveCommand:
         assert "divergence" not in capsys.readouterr().err
 
     def test_grid_validation(self, capsys):
-        assert main(["solve", "--c", "0.125", "--n", "20"]) == EXIT_USAGE
-        capsys.readouterr()
+        # -1 once reached log2(0) and printed "math domain error", and -5
+        # with --levels numpy's "negative dimensions are not allowed"
+        for flags in (["--n", "20"], ["--n", "-1"], ["--n", "-5", "--levels", "2"]):
+            assert main(["solve", "--c", "0.125", *flags]) == EXIT_USAGE
+            assert "n + 1 must be a power of two" in capsys.readouterr().err
 
     def test_non_finite_c_is_usage_error(self, capsys):
         assert main(["solve", "--c", "nan", "--n", "15", "--omega", "1"]) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import warnings
@@ -120,8 +121,13 @@ def scrambled_problem(n, c, seed):
 
 class TestProblemValidation:
     def test_grid_size_must_be_power_of_two_minus_one(self):
-        with pytest.raises(ValueError, match="power of two"):
-            homogeneous_problem(10, 0.125)
+        for n in (10, -1):
+            with pytest.raises(ValueError, match="power of two") as raised:
+                homogeneous_problem(n, 0.125)
+            with pytest.raises(ValueError) as again:
+                max_levels(n)
+            assert str(again.value) == str(raised.value)
+        assert (max_levels(3), max_levels(511)) == (1, 8)
 
     def test_c_positive(self):
         for c in (0.0, math.nan, math.inf):
@@ -368,6 +374,27 @@ def _ref_cycle(prob, st, spec, depth):
     return st
 
 
+def _reachable_arrays(obj) -> list:
+    """Every array reachable from obj through dicts, tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = tuple(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    elif not isinstance(obj, tuple):
+        return []
+    return [a for item in obj for a in _reachable_arrays(item)]
+
+
+def _levels(prob) -> list:
+    """The problems of prob's cycle hierarchy, finest first."""
+    levels = [prob]
+    while "coarse" in levels[-1]._scratch:
+        levels.append(levels[-1]._scratch["coarse"][0])
+    return levels
+
+
 class TestInPlaceCycle:
     """The in-place cycle on problem-owned buffers against the copying referee."""
 
@@ -464,11 +491,72 @@ class TestInPlaceCycle:
     def test_scratch_dies_with_its_problem(self):
         prob = homogeneous_problem(15, 0.125)
         v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
-        buffers = [weakref.ref(b) for bufs in prob._scratch.values() for b in bufs]
-        assert len(buffers) == 7
+        assert [level.n for level in _levels(prob)] == [15, 7, 3]
+        # 7 buffers on the finest level; on each coarse one 7 buffer views,
+        # 5 problem arrays and 3 correction-state arrays
+        arrays = [weakref.ref(a) for a in _reachable_arrays(prob._scratch)]
+        assert len(arrays) == 7 + 2 * (7 + 5 + 3)
         del prob
         gc.collect()
-        assert all(ref() is None for ref in buffers)
+        assert all(ref() is None for ref in arrays)
+
+    def test_hierarchy_is_built_by_the_first_cycle_only(self, monkeypatch):
+        prob, st = scrambled_problem(63, 0.125, seed=10)
+        spec = CycleSpec(levels=max_levels(63), omega=OMEGA_8)
+        st = v_cycle(prob, st, spec)
+        made = {"problems": 0, "states": 0, "zeros": 0}
+
+        def counting(kind, fn):
+            def counted(*args, **kwargs):
+                made[kind] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(StokesProblem, "__post_init__",
+                            counting("problems", StokesProblem.__post_init__))
+        monkeypatch.setattr(StokesState, "__init__", counting("states", StokesState.__init__))
+        monkeypatch.setattr(mgsolver, "_zeros", counting("zeros", mgsolver._zeros))
+        for _ in range(2):
+            st = v_cycle(prob, st, spec)
+        # one state per cycle: the copy of its input that v_cycle returns
+        assert made == {"problems": 0, "states": 2, "zeros": 0}
+
+    def test_hierarchy_is_kept_and_shares_the_finest_buffers(self):
+        prob, st = scrambled_problem(31, 0.125, seed=11)
+        spec = CycleSpec(levels=max_levels(31), omega=OMEGA_8)
+        kept = []
+        for _ in range(3):
+            st = v_cycle(prob, st, spec)
+            kept.append(_reachable_arrays(prob._scratch))
+        assert [id(a) for a in kept[1]] == [id(a) for a in kept[2]]
+        levels = _levels(prob)
+        assert [level.n for level in levels] == [31, 15, 7, 3]
+        for level in levels[1:]:
+            for name in mgsolver._SCRATCH:
+                for mine, finest in zip(level._scratch[name], prob._scratch[name]):
+                    assert mine.shape == (level.n + 2, level.n + 2)
+                    assert mine.flags.c_contiguous and np.shares_memory(mine, finest)
+        buffers = [b for level in levels for name in mgsolver._SCRATCH
+                   for b in level._scratch[name]]
+        owners = {id(b if b.base is None else b.base) for b in buffers}
+        assert len(owners) == 7
+
+    def test_nan_cycle_leaves_a_clean_hierarchy(self):
+        prob, st = scrambled_problem(31, 0.125, seed=12)
+        fresh, _ = scrambled_problem(31, 0.125, seed=12)
+        spec = CycleSpec(levels=max_levels(31), omega=OMEGA_8)
+        f = prob.f1[9, 4]
+        prob.f1[9, 4] = np.nan
+        assert np.isnan(v_cycle(prob, st, spec).p).all()
+        prob.f1[9, 4] = f
+        assert states_equal(v_cycle(prob, st, spec), v_cycle(fresh, st, spec))
+
+    def test_problem_is_frozen(self):
+        prob = homogeneous_problem(7, 0.125)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.c = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.n = 15
 
 
 class TestTransfers:

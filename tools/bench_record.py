@@ -14,6 +14,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   cycled SOLVE_CYCLES times after one warm-up cycle: median ms per cycle,
   ns per unknown (3 n^2) per cycle, rho_observed as the command reports
   it, and seconds of cycling per decimal digit of residual reduction;
+  and first_cycle_ms, the median over FRESH_PROBLEMS new problems of
+  their first cycle, which builds the problem's work buffers and coarse
+  levels (the process-wide caches are warmed on another problem first);
 * layers: at n = 511, the median ms per call and the calls per cycle of
   the functions the cycle calls on the finest grid (full sweep, band
   sweep, assemble_residual, restrict, prolong) and of the bottom solve,
@@ -62,6 +65,7 @@ from stokesmg import closedform, harmonics, mgsolver, smoothing, stencil  # noqa
 C = 0.125
 SOLVE_NS = (63, 127, 255, 511)
 SOLVE_CYCLES = 12
+FRESH_PROBLEMS = 5
 LAYER_N = 511
 LAYER_CYCLES = 3
 LFA_REPEATS = 20
@@ -142,8 +146,14 @@ class _Timed:
 def solve_rows():
     rows = []
     for n in SOLVE_NS:
-        prob, spec = mgsolver.homogeneous_problem(n, C), _spec(n)
-        mgsolver.v_cycle(prob, mgsolver.random_state(prob), spec)  # caches, buffers
+        spec = _spec(n)
+        first_s = []
+        for _ in range(1 + FRESH_PROBLEMS):  # the first one warms the caches
+            prob = mgsolver.homogeneous_problem(n, C)
+            st = mgsolver.random_state(prob)
+            t = time.perf_counter()
+            mgsolver.v_cycle(prob, st, spec)
+            first_s.append(time.perf_counter() - t)
         with _Timed(mgsolver, ["v_cycle"]) as timed:
             report = mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)
         cycle_s = [t for _, _, t in timed.calls]
@@ -151,6 +161,7 @@ def solve_rows():
         rows.append({
             "n": n, "c": C, "levels": spec.levels, "cycles": len(cycle_s),
             "ms_per_cycle": 1e3 * statistics.median(cycle_s),
+            "first_cycle_ms": 1e3 * statistics.median(first_s[1:]),
             "ns_per_unknown_cycle": 1e9 * statistics.median(cycle_s) / (3 * n * n),
             "rho_observed": report.rho_observed,
             "s_per_digit": sum(cycle_s) / digits,
