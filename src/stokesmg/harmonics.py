@@ -120,46 +120,53 @@ def projected_eigenvalue_grid(s: Stencil2D, t1, t2) -> np.ndarray:
     return 0.25 * (low + a1)
 
 
-# bounded: one plan per grid shape and stencil reach in use
+# bounded: one plan per grid shape and stencil layout in use
 @functools.lru_cache(maxsize=16)
-def _sweep_plan(n1: int, n2: int, r: int) -> tuple:
-    """Red and black masks of an n1 x n2 grid and its wrap indices for reach r.
+def _color_plan(n1: int, n2: int, offsets: tuple) -> tuple:
+    """Each color's nodes on an n1 x n2 periodic grid and their neighbours.
 
-    wrapped[r + i, r + j] = g[i % n1, j % n2] for i, j in -r..n + r - 1
-    when wrapped = g.take(wrap1, axis=0).take(wrap2, axis=1).  Every
-    array is read-only, since every caller shares it.
+    Returns ((red_nodes, red_nbrs), (black_nodes, black_nbrs)).  nodes
+    holds the color's flat indices; nbrs[m, q] is the flat index of
+    g[(i + o1) % n1, (j + o2) % n2] for offsets[m] = (o1, o2) and node q
+    at (i, j).  Every array is read-only, since every caller shares it.
     """
-    k1, k2 = np.ogrid[:n1, :n2]
-    red = (k1 + k2) % 2 == 0
-    plan = (red, ~red, np.arange(-r, n1 + r) % n1, np.arange(-r, n2 + r) % n2)
-    for a in plan:
-        a.setflags(write=False)
-    return plan
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    o1, o2 = np.array(offsets).T[:, :, None]
+    plan = []
+    for color in (0, 1):
+        nodes = np.flatnonzero((i + j) % 2 == color)
+        nbrs = (i[nodes] + o1) % n1 * n2 + (j[nodes] + o2) % n2
+        nodes.setflags(write=False)
+        nbrs.setflags(write=False)
+        plan.append((nodes, nbrs))
+    return tuple(plan)
 
 
 def periodic_two_color_sweep(s: Stencil2D, e: np.ndarray) -> np.ndarray:
     """One undamped red-black Jacobi sweep of e on a periodic grid.
 
     Red points (even index sum) are relaxed first, then black points from
-    the fresh red values.  The stencil is applied by periodic shifts, so
-    no symbol enters: this is the concrete sweep that the symbols model.
-    Each application gathers the periodically wrapped grid once, and
-    each entry's shift g[(i + o1) % n1, (j + o2) % n2] is a slice of it.
+    the fresh red values.  The stencil is applied by periodic neighbour
+    indices, so no symbol enters: this is the concrete sweep that the
+    symbols model.  Each half-sweep evaluates the stencil at its color's
+    nodes only: one gather of every entry's neighbours, one multiply by
+    the coefficients, a sum over the entries in entry order, a divide by
+    the center, and a subtract into those nodes of a copy of e.  The
+    result is a new array of e's floating (or complex) type; an integer
+    grid gives float64.
     """
     _check_center(s)
-    n1, n2 = e.shape
-    r = max(abs(k) for off in s.entries for k in off)
-    red, black, wrap1, wrap2 = _sweep_plan(n1, n2, r)
-
-    def apply_periodic(g):
-        wrapped = g.take(wrap1, axis=0).take(wrap2, axis=1)
-        out = np.zeros_like(g)
-        for (o1, o2), coef in s.entries.items():
-            out += coef * wrapped[r + o1:r + o1 + n1, r + o2:r + o2 + n2]
-        return out
-
-    e = np.where(red, e - apply_periodic(e) / s.center, e)
-    return np.where(black, e - apply_periodic(e) / s.center, e)
+    out = np.array(e, dtype=np.result_type(e, 1.0), order="C")
+    flat = out.reshape(-1)
+    coefs = s.plan.coefs
+    for nodes, nbrs in _color_plan(*out.shape, s.plan.offsets):
+        terms = flat.take(nbrs)
+        # in the grid's own precision, as a Python float coefficient gives
+        np.multiply(terms, coefs, out=terms, dtype=terms.dtype)
+        update = np.add.reduce(terms, axis=0)
+        update /= s.center
+        flat[nodes] -= update
+    return out
 
 
 def _lattice_index(theta: float, n_grid: int) -> int:

@@ -8,7 +8,10 @@ workhorse of the smoothing analysis.
 """
 
 import math
-from dataclasses import dataclass
+import types
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,25 +55,70 @@ class Frequency:
         return (math.sin(0.5 * self.theta1) ** 2, math.sin(0.5 * self.theta2) ** 2)
 
 
+class StencilPlan(NamedTuple):
+    """What symbol_grid and the periodic sweep read of a stencil, built once.
+
+    Every array is read-only.  Rows are the distinct k1 in order of first
+    appearance among the entries; each row lists its entries in entry order.
+    """
+
+    offsets: tuple        # the entries' offsets, in entry order
+    coefs: np.ndarray     # (entries, 1) coefficients, in entry order
+    ik1: np.ndarray       # 1j * k1 for each row
+    ik2: np.ndarray       # 1j * k2 for each distinct k2
+    cols: np.ndarray      # (rows, L): index into ik2 of each entry of a row
+    row_coefs: np.ndarray  # (rows, L): its coefficient, rows padded with 0
+
+
+def _plan_of(entries) -> StencilPlan:
+    rows = {}
+    for (k1, k2), coef in entries.items():
+        rows.setdefault(k1, []).append((k2, coef))
+    k2s = sorted({k2 for k1, k2 in entries})
+    width = max(len(row) for row in rows.values())
+    cols = np.zeros((len(rows), width), dtype=np.intp)
+    row_coefs = np.zeros((len(rows), width))
+    for r, row in enumerate(rows.values()):
+        for m, (k2, coef) in enumerate(row):
+            cols[r, m], row_coefs[r, m] = k2s.index(k2), coef
+    plan = StencilPlan(tuple(entries), np.array(list(entries.values()), dtype=float)[:, None],
+                       1j * np.array(list(rows)), 1j * np.array(k2s), cols, row_coefs)
+    for a in plan[1:]:
+        a.setflags(write=False)
+    return plan
+
+
 @dataclass(frozen=True)
 class Stencil2D:
     """A compact difference stencil with fully scaled coefficients.
 
     Attributes
     ----------
-    entries : dict
+    entries : Mapping
         Map from integer offset (k1, k2) to the coefficient, with the
-        1/h^p mesh scaling already applied.  Must contain (0, 0).
+        1/h^p mesh scaling already applied.  Must contain (0, 0).  It is
+        kept as a read-only copy of the mapping given, so the plan built
+        from it cannot go stale.
     name : str
         Identifier tag, e.g. "laplacian".
+    plan : StencilPlan
+        What symbol_grid and the periodic sweep read of the entries,
+        built on construction.
     """
 
-    entries: dict
+    entries: Mapping
     name: str
+    plan: StencilPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (0, 0) not in self.entries:
+        entries = types.MappingProxyType(dict(self.entries))
+        if (0, 0) not in entries:
             raise ValueError("stencil must contain the center offset (0, 0)")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "plan", _plan_of(entries))
+
+    def __reduce__(self):  # a mapping proxy does not pickle; rebuild from a dict
+        return Stencil2D, (dict(self.entries), self.name)
 
     @property
     def center(self) -> float:
@@ -146,23 +194,31 @@ def symbol_grid(s: Stencil2D, t1, t2):
     complex with the same shape.
 
     The symbol factors per axis: sum_k1 exp(i k1 t1) sum_k2 coef exp(i k2 t2).
-    So each distinct offset on an axis costs one phase table exp(i k t) at
-    that axis's own shape, each stencil row is summed on the t2 tables,
-    and only one broadcast product per distinct k1 is made at the full
-    shape.  On an (m, 1) x (1, m) lattice that is O(m) exps instead of
-    one O(m^2) exp per entry.  The result agrees with the per-entry sum
+    The stencil's plan, built once, lists its rows (distinct k1) and, per
+    row, the entries' k2 indices and coefficients padded to a common
+    width L.  One exp gives every phase exp(i k2 t2) on a leading offset
+    axis, at t2's own shape; one gather and one multiply give every
+    entry's term, and L - 1 adds give every row sum, each in entry order.
+    Then, row by row in row order, the row's phase exp(i k1 t1) at t1's
+    own shape times its row sum is added to a zeroed output at the full
+    shape; only one row's phase is held at a time, which keeps the peak
+    memory of a lattice call at the output and one product.  On an
+    (m, 1) x (1, m) lattice that is O(m) exps instead of one O(m^2) exp
+    per entry.  The result agrees with the per-entry sum
     sum_k coef exp(i k . theta) to rounding, not bit for bit.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    rows = {}
-    for (k1, k2), coef in s.entries.items():
-        rows.setdefault(k1, []).append((k2, coef))
-    phase2 = {k2: np.exp(1j * k2 * t2) for k2 in {k2 for k1, k2 in s.entries}}
+    plan = s.plan
+    terms = np.exp(np.multiply.outer(plan.ik2, t2))[plan.cols]
+    terms *= plan.row_coefs.reshape(plan.row_coefs.shape + (1,) * t2.ndim)
+    row_sums = terms[:, 0].copy()
+    for m in range(1, terms.shape[1]):
+        row_sums += terms[:, m]
+    del terms  # free the padded table before the full-shape products
     out = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
-    for k1, row in rows.items():
-        row_sum = sum(coef * phase2[k2] for k2, coef in row)
-        out += np.exp(1j * k1 * t1) * row_sum
+    for ik1, row_sum in zip(plan.ik1, row_sums):
+        out += np.exp(ik1 * t1) * row_sum
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stokesmg.stencil import Frequency, Stencil2D, make_operator
-from stokesmg.harmonics import (_sweep_plan, harmonics_of, jacobi_symbol,
+from stokesmg.harmonics import (_color_plan, harmonics_of, jacobi_symbol,
                                 numerical_lfa_oracle, periodic_two_color_sweep,
                                 projected_eigenvalue_grid, rep_grid, two_color_rep)
 
@@ -192,14 +192,36 @@ class TestPeriodicSweepMatchesReferee:
         assert np.array_equal(got, _reference_periodic_sweep(s, e))
 
     def test_plan_is_cached_and_read_only(self):
-        plan = _sweep_plan(32, 32, 2)
-        assert all(a is b for a, b in zip(_sweep_plan(32, 32, 2), plan))
-        for a in plan:
-            assert not a.flags.writeable
-        red, black, wrap1, wrap2 = _sweep_plan(16, 12, 1)
-        assert red.shape == black.shape == (16, 12) and np.array_equal(black, ~red)
-        assert wrap1.tolist() == [15, *range(16), 0]
-        assert wrap2.tolist() == [11, *range(12), 0]
+        offsets = self.SKEW.plan.offsets
+        plan = _color_plan(32, 32, offsets)
+        assert _color_plan(32, 32, offsets) is plan
+        for nodes, nbrs in plan:
+            assert not nodes.flags.writeable and not nbrs.flags.writeable
+
+    # reach 1 (the Laplacian) and reach 2 (SKEW)
+    @pytest.mark.parametrize("s", [make_operator("laplacian"), SKEW], ids=lambda s: s.name)
+    def test_neighbours_are_the_roll_offsets(self, s):
+        n1, n2 = 16, 12
+        index = np.arange(n1 * n2).reshape(n1, n2)
+        (red, red_nbrs), (black, black_nbrs) = _color_plan(n1, n2, s.plan.offsets)
+        k1, k2 = np.divmod(index, n2)
+        assert np.array_equal(red, index[(k1 + k2) % 2 == 0])
+        assert np.array_equal(black, index[(k1 + k2) % 2 == 1])
+        for m, (o1, o2) in enumerate(s.entries):
+            shifted = np.roll(index, (-o1, -o2), axis=(0, 1)).reshape(-1)
+            assert np.array_equal(red_nbrs[m], shifted[red])
+            assert np.array_equal(black_nbrs[m], shifted[black])
+
+    def test_dtypes(self):
+        s = make_operator("pressure_block", h=0.5, c=0.3)
+        e = np.arange(64).reshape(8, 8) % 5
+        got = periodic_two_color_sweep(s, e)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _reference_periodic_sweep(s, e.astype(float)))
+        for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+            got = periodic_two_color_sweep(s, e.astype(dtype))
+            assert got.dtype == dtype
+            assert np.array_equal(got, _reference_periodic_sweep(s, e.astype(dtype)))
 
 
 class TestPairSymbolsMatchReferee:

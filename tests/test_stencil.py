@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -166,6 +167,89 @@ class TestSymbolMatchesReferee:
         self._check(s, t1, t2)
         self._check(s, t1, 0.7)
         self._check(s, t1[0], t2)
+
+
+# Referee for symbol_grid's bits: the row-grouped sum it replaced, which
+# regroups the entries by k1 and builds the k2 phase tables on every call.
+def _row_grouped_symbol_grid(s, t1, t2):
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    rows = {}
+    for (k1, k2), coef in s.entries.items():
+        rows.setdefault(k1, []).append((k2, coef))
+    phase2 = {k2: np.exp(1j * k2 * t2) for k2 in {k2 for k1, k2 in s.entries}}
+    out = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
+    for k1, row in rows.items():
+        row_sum = sum(coef * phase2[k2] for k2, coef in row)
+        out += np.exp(1j * k1 * t1) * row_sum
+    return out
+
+
+class TestSymbolBitIdentical:
+    """The construction-time plan gives the row-grouped sum bit for bit."""
+
+    SKEW = Stencil2D({(0, 0): 2.5, (1, 0): -0.75, (0, -1): 0.4, (-2, 1): 0.3,
+                      (1, 2): -0.2, (-1, -1): 0.05}, "skew")
+    STENCILS = TestSymbolMatchesReferee.STENCILS + [SKEW]
+
+    @staticmethod
+    def _check(s, t1, t2):
+        got = symbol_grid(s, t1, t2)
+        want = _row_grouped_symbol_grid(s, t1, t2)
+        assert np.shape(got) == np.shape(want) and got.dtype == complex
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    def test_scalars_and_axes(self, s):
+        rng = np.random.default_rng(len(s.entries))
+        for t1, t2 in rng.uniform(-PI, PI, size=(10, 2)):
+            self._check(s, t1, t2)
+        self._check(s, PI, PI)
+        ax1 = np.linspace(-PI / 2, PI / 2, 33)
+        ax2 = rng.uniform(-PI, PI, 21)
+        self._check(s, ax1[:, None], ax2[None, :])
+        self._check(s, ax1[None, :], ax2[:, None])
+        self._check(s, ax1, 0.7)
+
+    # the lockstep refine's stacked windows: pair x live searches x 17 x 17
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stacked_windows(self, s, k):
+        rng = np.random.default_rng(k)
+        t1 = rng.uniform(-PI, PI, (2, k, 17, 1))
+        t2 = rng.uniform(-PI, PI, (2, k, 1, 17))
+        self._check(s, t1, t2)
+
+    # the 257-point lattice with each base frequency's aliasing partner
+    @pytest.mark.parametrize("s", STENCILS, ids=lambda s: s.name)
+    def test_pair_lattice(self, s):
+        ax = np.linspace(-PI / 2, PI / 2, 257)
+        self._check(s, np.stack((ax, ax + PI))[:, :, None],
+                    np.stack((ax, ax + PI))[:, None, :])
+
+
+class TestEntriesReadOnly:
+    def test_item_assignment_raises(self):
+        lap = make_operator("laplacian")
+        with pytest.raises(TypeError):
+            lap.entries[(0, 0)] = 5.0
+        with pytest.raises(TypeError):
+            del lap.entries[(1, 0)]
+
+    def test_mapping_reads_still_work(self):
+        given = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0}
+        s = Stencil2D(given, "row")
+        given[(0, 1)] = -1.0  # a later change to the dict given does not reach s
+        assert len(s.entries) == 3 and list(s.entries) == [(0, 0), (1, 0), (-1, 0)]
+        assert s.entries[(1, 0)] == -1.0 and s.entries.get((0, 1)) is None
+        assert s.entries == {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0}
+        assert s == Stencil2D(dict(s.entries), "row")
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_plan_is_read_only(self):
+        plan = make_operator("pressure_block", c=0.3).plan
+        for a in (plan.coefs, plan.ik1, plan.ik2, plan.cols, plan.row_coefs):
+            assert not a.flags.writeable
 
 
 class TestApply:

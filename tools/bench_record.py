@@ -30,7 +30,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   call makes and, at 257, its tracemalloc peak in MB; and of the two
   referees that use no symbol:
   `mgsolver.measure_periodic_smoothing` at `omega_opt_closed(1/8)` and
-  `harmonics.numerical_lfa_oracle` on one pair of a 32-grid;
+  `harmonics.numerical_lfa_oracle` on one pair of a 32-grid, and of the
+  `harmonics.periodic_two_color_sweep` both of them call, on a 32x32
+  complex grid;
 * criteria: seconds, rows and failing rows of each entry of
   `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
 * commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
@@ -237,6 +239,11 @@ def lfa_rows():
     omega = closedform.omega_opt_closed(C)
     rows["periodic_smoothing"] = {"omega": omega, "ms_per_call": _median_ms(
         lambda: mgsolver.measure_periodic_smoothing(op, omega))}
+    rng = np.random.default_rng(PERFBENCH_SEED)
+    grid = rng.standard_normal((ORACLE_GRID, ORACLE_GRID)) + 1j * rng.standard_normal(
+        (ORACLE_GRID, ORACLE_GRID))
+    rows["periodic_sweep"] = {"n_grid": ORACLE_GRID, "ms_per_call": _median_ms(
+        lambda: harmonics.periodic_two_color_sweep(op, grid), 200)}
     step = 2.0 * math.pi / ORACLE_GRID
     pair = harmonics.harmonics_of(stencil.Frequency(step, 3 * step))
     rows["lfa_oracle"] = {"n_grid": ORACLE_GRID, "ms_per_call": _median_ms(
