@@ -87,13 +87,14 @@ def cmd_rep(args) -> int:
     s = _operator_from_args(args)
     pair = harmonics_of(Frequency(*parse_theta(args.base)))
     rep = two_color_rep(s, pair)
+    # the oracle runs first, so a grid it rejects leaves nothing printed
+    measured = numerical_lfa_oracle(s, pair, args.oracle_grid) if args.oracle_grid else None
     print(f"pair: theta0 = ({pair.base.theta1:.15g}, {pair.base.theta2:.15g})  "
           f"theta1 = ({pair.high.theta1:.15g}, {pair.high.theta2:.15g})")
     for i in range(2):
         for j in range(2):
             print(f"rep[{i}][{j}] = {fmt_complex(rep[i, j])}")
-    if args.oracle_grid:
-        measured = numerical_lfa_oracle(s, pair, args.oracle_grid)
+    if measured is not None:
         diff = float(np.abs(rep - measured).max())
         print(f"oracle[{args.oracle_grid}x{args.oracle_grid}] max entry diff = {diff:.3e}")
     return EXIT_OK
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad values, or an --output not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

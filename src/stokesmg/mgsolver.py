@@ -557,13 +557,11 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     return out
 
 
-def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec,
-                 band: np.ndarray | None):
+def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
     """One smoothing step of st, in place."""
     distributive_two_color_sweep(prob, st, spec.omega, out=st)
-    if band is not None:
-        for _ in range(spec.boundary_relax):
-            distributive_two_color_sweep(prob, st, 1.0, point_mask=band, out=st)
+    for _ in range(spec.boundary_relax):
+        distributive_two_color_sweep(prob, st, 1.0, point_mask=_band_mask(prob.n), out=st)
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +688,8 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     if depth == 1:
         return _bottom_solve(prob, st)
 
-    band = _band_mask(prob.n) if spec.boundary_relax > 0 else None
-
     for _ in range(spec.pre_sweeps):
-        _smooth_step(prob, st, spec, band)
+        _smooth_step(prob, st, spec)
 
     r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     coarse_prob, coarse = _coarse_level(prob)
@@ -710,7 +706,7 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     _mirror_ghosts(st.p)
 
     for _ in range(spec.post_sweeps):
-        _smooth_step(prob, st, spec, band)
+        _smooth_step(prob, st, spec)
     _anchor(st)
     return st
 

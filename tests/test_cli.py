@@ -99,6 +99,15 @@ class TestRepCommand:
         assert main(["rep", "laplacian", "--base", "pi,0"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", ["-4", "10"])
+    def test_bad_oracle_grid_prints_nothing(self, capsys, grid):
+        # -4 is no grid at all, and pi/4 is not on the 10-grid
+        assert main(["rep", "pressure_block", "--c", "0.125", "--base", "pi/4,pi/4",
+                     "--oracle-grid", grid]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestSweepCommand:
     def test_poisson_output(self, capsys):
@@ -148,6 +157,13 @@ class TestCurvesCommand:
         assert main(["curves", "--c-min", "1e299", "--c-max", "1e300",
                      "--n-points", "2", "--n-samples", "17"]) == EXIT_USAGE
         assert "closed forms" in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        assert main(["curves", "--c-min", "0.1", "--c-max", "1", "--n-points", "2",
+                     "--n-samples", "17", "--output", str(out_file)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out_file.parent.exists()
 
 
 class TestSolveCommand:
@@ -204,6 +220,13 @@ class TestSolveCommand:
         # two-grid at n = 63 leaves a 31x31 bottom grid, beyond the exact solve
         assert main(["solve", "--c", "0.125", "--n", "63", "--levels", "2"]) == EXIT_USAGE
         assert "31x31" in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        assert main(["solve", "--c", "0.125", "--n", "15", "--cycles", "2",
+                     "--output", str(out_file)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out_file.parent.exists()
 
     def test_seed_determinism(self, capsys):
         main(["solve", "--c", "0.125", "--n", "15", "--cycles", "10", "--seed", "9"])

@@ -6,40 +6,22 @@ Run from anywhere, on a checkout whose stokesmg it measures:
 
 It writes BENCH_<tag>.json at the root of the checkout, holding:
 
-* perfbench: for each workload of BENCHMARK.json, the env line and the
-  final JSON line of `perfbench/run.py --seed 1 --seconds <run_seconds>`,
-  run as a subprocess;
-* solve: the problem of `stokesmg solve --c 0.125 --n <n>` (deepest
-  hierarchy, V(2,2), closed-form omega, seed 42) at n = 63/127/255/511,
-  cycled SOLVE_CYCLES times after one warm-up cycle: median ms per cycle,
-  ns per unknown (3 n^2) per cycle, rho_observed as the command reports
-  it, and seconds of cycling per decimal digit of residual reduction;
-  and first_cycle_ms, the median over FRESH_PROBLEMS new problems of
-  their first cycle, which builds the problem's work buffers and coarse
-  levels (the process-wide caches are warmed on another problem first);
-* layers: at n = 511, the median ms per call and the calls per cycle of
-  the functions the cycle calls on the finest grid (full sweep, band
-  sweep, assemble_residual, restrict, prolong) and of the bottom solve,
-  timed by wrapping the module attributes the cycle looks them up from;
-* lfa: at c = 1/8, the median ms per call of `symbol_grid` on a 17x17
-  refine window and on the 257x257 lattice, of the one `_refine` that
-  `one_stage_optimum` runs (both the lattice maximum and the lattice
-  minimum of the projected eigenvalue, refined in lockstep) and of
-  `one_stage_optimum` at 65 and 257 samples per axis, with the field
-  evaluations (calls of `smoothing.projected_eigenvalue_grid`) one such
-  call makes and, at 257, its tracemalloc peak in MB; and of the two
-  referees that use no symbol:
-  `mgsolver.measure_periodic_smoothing` at `omega_opt_closed(1/8)` and
-  `harmonics.numerical_lfa_oracle` on one pair of a 32-grid, and of the
-  `harmonics.periodic_two_color_sweep` both of them call, on a 32x32
-  complex grid;
-* criteria: seconds, rows and failing rows of each entry of
-  `stokesmg.criteria.CRITERIA` (null on a checkout without that module);
-* commands: wall seconds and exit codes of the tier-1 suite, `stokesmg
-  theorems` and `stokesmg curves --n-points 100` over c in [1e-3, 1e3].
+* perfbench: the env line and the final JSON line of `perfbench/run.py`
+  for each workload of BENCHMARK.json;
+* solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
+  first cycle), ns per unknown and cycle, rho_observed and s per digit;
+* layers: at n = 511, ms per call and calls per cycle of the finest
+  grid's full sweep, band sweep, residual, restrict and prolong, and of
+  the bottom solve;
+* lfa: at c = 1/8, ms per call of symbol_grid, of the field on the
+  257x257 lattice and of the refine inside one_stage_optimum, of
+  one_stage_optimum (with its field evaluations) and of the referees;
+* criteria and commands: seconds and outcome of each criterion, the
+  tier-1 suite, `stokesmg theorems` and `stokesmg curves`.
 
-All of it runs single-threaded (OMP/OpenBLAS/MKL threads set to 1), one
-measurement at a time.
+Library calls are timed by wrapping them with the benchmark's tracer
+(perfbench/spans.py), each described as perfbench/layers.py describes it.
+All of it runs single-threaded, one measurement at a time.
 """
 
 import argparse
@@ -64,6 +46,11 @@ import numpy as np  # noqa: E402
 
 from stokesmg import closedform, harmonics, mgsolver, smoothing, stencil  # noqa: E402
 
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+sys.path.insert(0, str(ROOT / "perfbench"))
+import layers  # noqa: E402
+import spans  # noqa: E402
+
 C = 0.125
 SOLVE_NS = (63, 127, 255, 511)
 SOLVE_CYCLES = 12
@@ -79,17 +66,8 @@ COMMANDS = {
     "curves": [sys.executable, "-m", "stokesmg.cli", "curves", "--c-min", "1e-3",
                "--c-max", "1e3", "--n-points", "100", "--scale", "log"],
 }
-# what a call works on, per function timed: its grid size, and for a
-# sweep also whether it is a band sweep; the LFA field's calls are counted
-SIZES = {
-    "v_cycle": lambda a, k: a[0].n,
-    "distributive_two_color_sweep": lambda a, k: (a[0].n, k.get("point_mask") is not None),
-    "assemble_residual": lambda a, k: a[0].n,
-    "restrict": lambda a, k: a[0].shape[0] - 2,
-    "prolong": lambda a, k: 2 * a[0].shape[0] - 3,
-    "_bottom_solve": lambda a, k: a[0].n,
-    "projected_eigenvalue_grid": lambda a, k: None,
-}
+# how the benchmark describes a call of each name it wraps
+DESCRIBE = {(module, attr): describe for module, attr, _, describe in layers.WRAPS}
 
 
 def _env():
@@ -118,31 +96,21 @@ def perfbench_rows():
     return rows
 
 
-class _Timed:
-    """Replaces module attributes by wrappers that time each call."""
+def _traced(module, attrs, run):
+    """run() with module.<attr> traced for each attr; returns its result and spans.
 
-    def __init__(self, module, names):
-        self.module, self.names, self.calls = module, names, []
+    Each span is named by its attr and holds the benchmark's description
+    of the call, if the benchmark wraps that name.
+    """
+    with spans.Tracer() as tracer:
+        for attr in attrs:
+            tracer.wrap(module, attr, attr, DESCRIBE.get((module, attr)))
+        result = run()
+    return result, tracer.spans
 
-    def __enter__(self):
-        self.saved = {name: getattr(self.module, name) for name in self.names}
-        for name, fn in self.saved.items():
-            setattr(self.module, name, self._wrap(name, fn))
-        return self
 
-    def _wrap(self, name, fn):
-        def timed(*args, **kwargs):
-            size = SIZES[name](args, kwargs)
-            t = time.perf_counter()
-            result = fn(*args, **kwargs)
-            self.calls.append((name, size, time.perf_counter() - t))
-            return result
-        return timed
-
-    def __exit__(self, *exc):
-        for name, fn in self.saved.items():
-            setattr(self.module, name, fn)
-        return False
+def _median_span_ms(traced):
+    return 1e3 * statistics.median(span[2] - span[1] for span in traced)
 
 
 def solve_rows():
@@ -156,9 +124,9 @@ def solve_rows():
             t = time.perf_counter()
             mgsolver.v_cycle(prob, st, spec)
             first_s.append(time.perf_counter() - t)
-        with _Timed(mgsolver, ["v_cycle"]) as timed:
-            report = mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)
-        cycle_s = [t for _, _, t in timed.calls]
+        report, cycles = _traced(mgsolver, ["v_cycle"], lambda: (
+            mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)))
+        cycle_s = [span[2] - span[1] for span in cycles]
         digits = math.log10(report.initial_residual / report.residual_history[-1])
         rows.append({
             "n": n, "c": C, "levels": spec.levels, "cycles": len(cycle_s),
@@ -174,24 +142,31 @@ def solve_rows():
 def layer_rows():
     prob, spec = mgsolver.homogeneous_problem(LAYER_N, C), _spec(LAYER_N)
     bottom_n = (LAYER_N + 1) // 2 ** (spec.levels - 1) - 1
-    # layer: (function, what its calls work on)
-    layers = {
-        "sweep_full": ("distributive_two_color_sweep", (LAYER_N, False)),
-        "sweep_band": ("distributive_two_color_sweep", (LAYER_N, True)),
-        "assemble_residual": ("assemble_residual", LAYER_N),
-        "restrict": ("restrict", LAYER_N),
-        "prolong": ("prolong", LAYER_N),
-        "bottom_solve": ("_bottom_solve", bottom_n),
+    # layer: (function, whether a call's description is the layer's); the
+    # benchmark describes a prolong by the coarse grid's n
+    finest = {
+        "sweep_full": ("distributive_two_color_sweep",
+                       lambda d: d == {"n": LAYER_N, "band": None}),
+        "sweep_band": ("distributive_two_color_sweep",
+                       lambda d: d["n"] == LAYER_N and d["band"] is not None),
+        "assemble_residual": ("assemble_residual", lambda d: d["n"] == LAYER_N),
+        "restrict": ("restrict", lambda d: d["n"] == LAYER_N),
+        "prolong": ("prolong", lambda d: 2 * d["n"] + 1 == LAYER_N),
+        "bottom_solve": ("_bottom_solve", lambda d: True),
     }
     st = mgsolver.v_cycle(prob, mgsolver.random_state(prob), spec)
-    with _Timed(mgsolver, sorted({fn for fn, _ in layers.values()})) as timed:
+
+    def cycles():
+        state = st
         for _ in range(LAYER_CYCLES):
-            st = mgsolver.v_cycle(prob, st, spec)
+            state = mgsolver.v_cycle(prob, state, spec)
+
+    _, calls = _traced(mgsolver, sorted({fn for fn, _ in finest.values()}), cycles)
     rows = {"n": LAYER_N, "bottom_n": bottom_n}
-    for layer, (fn, size) in layers.items():
-        times = [t for name, s, t in timed.calls if (name, s) == (fn, size)]
-        rows[layer] = {"calls_per_cycle": len(times) / LAYER_CYCLES,
-                       "ms_per_call": 1e3 * statistics.median(times)}
+    for layer, (fn, is_layer) in finest.items():
+        mine = [span for span in calls if span[0] == fn and is_layer(span[5])]
+        rows[layer] = {"calls_per_cycle": len(mine) / LAYER_CYCLES,
+                       "ms_per_call": _median_span_ms(mine)}
     return rows
 
 
@@ -206,31 +181,32 @@ def _median_ms(fn, repeats=None):
 
 def lfa_rows():
     op = stencil.make_operator("pressure_block", c=C)
+    cfg = smoothing.SweepConfig()
     window = np.linspace(-0.01, 0.01, smoothing.REFINE_POINTS)
-    ax = smoothing._axis(smoothing.SweepConfig())
-
-    def field(t1, t2):  # what one_stage_optimum refines on
-        return smoothing._real_checked(harmonics.projected_eigenvalue_grid(op, t1, t2),
-                                       "projected eigenvalue")
-
-    vals = field(ax[:, None], ax[None, :])
-    starts = []
-    for sign in (1.0, -1.0):
-        i = int(np.argmax(sign * vals))
-        starts.append((vals.flat[i], float(ax[i // ax.size]), float(ax[i % ax.size]), sign))
+    lattice = np.linspace(-smoothing.HALF_PI, smoothing.HALF_PI, cfg.n_samples_per_axis)
     rows = {"c": C}
-    for name, points in (("symbol_grid_window", window), ("symbol_grid_lattice", ax)):
+    for name, points in (("symbol_grid_window", window), ("symbol_grid_lattice", lattice)):
         rows[name] = {"points": points.size ** 2, "ms_per_call": _median_ms(
             lambda: stencil.symbol_grid(op, points[:, None], points[None, :]))}
-    rows["refine"] = {"ms_per_call": _median_ms(
-        lambda: smoothing._refine(field, starts, float(ax[1] - ax[0])))}
-    for n in (65, 257):
-        cfg = smoothing.SweepConfig(n_samples_per_axis=n)
-        with _Timed(smoothing, ["projected_eigenvalue_grid"]) as timed:
+
+    def optima():
+        for _ in range(LFA_REPEATS):
             smoothing.one_stage_optimum(op, cfg)
+
+    # the field on the lattice and the refine of both extrema, each in the
+    # optimum's own calls, with only the timed function wrapped
+    _, fields = _traced(smoothing, ["projected_eigenvalue_grid"], optima)
+    rows["lattice"] = {"points": lattice.size ** 2, "ms_per_call": _median_span_ms(
+        span for span in fields if span[5]["points"] == lattice.size ** 2)}
+    _, refines = _traced(smoothing, ["_refine"], optima)
+    rows["refine"] = {"ms_per_call": _median_span_ms(refines)}
+    for n in (65, 257):
+        cfg_n = smoothing.SweepConfig(n_samples_per_axis=n)
+        _, fields = _traced(smoothing, ["projected_eigenvalue_grid"],
+                            lambda: smoothing.one_stage_optimum(op, cfg_n))
         rows[f"one_stage_optimum_{n}"] = {"ms_per_call": _median_ms(
-            lambda: smoothing.one_stage_optimum(op, cfg), 5),
-            "field_evals": len(timed.calls)}
+            lambda: smoothing.one_stage_optimum(op, cfg_n), 5),
+            "field_evals": len(fields)}
     tracemalloc.start()
     smoothing.one_stage_optimum(op, smoothing.SweepConfig(n_samples_per_axis=257))
     peak = tracemalloc.get_traced_memory()[1]
