@@ -59,8 +59,17 @@ def fmt_complex(z: complex) -> str:
     return f"{re:.15g} + {im:.15g}i"
 
 
-def _operator_from_args(args) -> "object":
-    return make_operator(args.operator, h=args.h, c=args.c)
+def _finite(what: str, compute, *args):
+    """compute(*args), unless an entry of it is not finite: a usage error.
+
+    Finite coefficients can still overflow in a sum, so numpy's warnings
+    are off while it runs; the check reports the overflow instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute(*args)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} is not finite at these --c and --h (overflow)")
+    return value
 
 
 def _write_lines(lines, output):
@@ -77,16 +86,16 @@ def _write_lines(lines, output):
 
 
 def cmd_symbol(args) -> int:
-    s = _operator_from_args(args)
-    value = symbol(s, Frequency(*parse_theta(args.theta)))
+    s = make_operator(args.operator, h=args.h, c=args.c)
+    value = _finite("the symbol", symbol, s, Frequency(*parse_theta(args.theta)))
     print(fmt_complex(value))
     return EXIT_OK
 
 
 def cmd_rep(args) -> int:
-    s = _operator_from_args(args)
+    s = make_operator(args.operator, h=args.h, c=args.c)
     pair = harmonics_of(Frequency(*parse_theta(args.base)))
-    rep = two_color_rep(s, pair)
+    rep = _finite("the representation", two_color_rep, s, pair)
     # the oracle runs first, so a grid it rejects leaves nothing printed
     measured = numerical_lfa_oracle(s, pair, args.oracle_grid) if args.oracle_grid else None
     print(f"pair: theta0 = ({pair.base.theta1:.15g}, {pair.base.theta2:.15g})  "
@@ -101,8 +110,9 @@ def cmd_rep(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s = _operator_from_args(args)
-    res = one_stage_optimum(s, SweepConfig(n_samples_per_axis=args.n_samples))
+    s = make_operator(args.operator, h=args.h, c=args.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the field check reports it
+        res = one_stage_optimum(s, SweepConfig(n_samples_per_axis=args.n_samples))
     print(f"s_max     = {res.s_max:.15g}  at theta = "
           f"({res.argmax_freq.theta1:.9g}, {res.argmax_freq.theta2:.9g})  "
           f"s-coords = ({res.argmax_freq.s_coordinates()[0]:.9g}, "

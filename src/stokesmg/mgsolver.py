@@ -16,6 +16,8 @@ of the transformed system (two Poisson blocks and the stabilized
 pressure block with center (20c+1)/h^2), then mapped back through the
 distribution operator (I, -dx; I, -dy; -lap).
 
+The sweep and the cycles update the state they are given, in place.
+
 The distribution degenerates near the Dirichlet boundary (ghost
 corrections are zero-extended), which leaves a band of poorly smoothed
 pressure error; V-cycles therefore apply a few extra band-restricted
@@ -163,7 +165,7 @@ def _mirror_ghosts(p: np.ndarray):
 
 # A problem's work buffers, (n+2) x (n+2) each, by name and count:
 # w3, the sweep's ghost buffer for the pressure correction (zero between
-# colors); state, the old state a damped in-place sweep blends with, which
+# colors); state, the old state a damped sweep blends with, which
 # assemble_residual also uses for its mirrored p and a temporary between
 # sweeps; blocks, the residual blocks of the cycle and residual_norm,
 # which also hold a sweep's four half-grid temporaries.  What a call
@@ -192,10 +194,11 @@ def _flat(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _flat_out(arrays, n: int) -> list:
-    """Flat views of the arrays an out= argument names, which must be C-contiguous."""
+def _flat_views(arrays, n: int) -> list:
+    """Flat views of arrays to be written in place, which must be C-contiguous."""
     if not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError("out= needs C-contiguous arrays, so that flat views write through")
+        raise ValueError("arrays written in place must be C-contiguous, "
+                         "so that flat views write through")
     return [_flat(a, n) for a in arrays]
 
 
@@ -428,7 +431,7 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     if out is None:
         out = (_zeros(n), _zeros(n), _zeros(n))
     at = _interior(n)
-    blocks = [r[at[0]] for r in _flat_out(out, n)]
+    blocks = [r[at[0]] for r in _flat_views(out, n)]
     p, t = _buffers(prob, "state")[:2]
     np.copyto(p, st.p)
     _mirror_ghosts(p)
@@ -442,26 +445,23 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
 def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     """Euclidean norm of the three residual blocks together.
 
-    Squares overflow once entries pass about 1e154; when the plain sum
-    is inf but every entry is finite, the norm is recomputed on the
-    residual divided by its largest magnitude.  An inf or NaN residual
-    gives a non-finite norm.
+    Squares overflow once entries pass about 1e154 and underflow, to 0
+    or to inexact subnormals, below about 1e-154.  When the plain sum is
+    inf, or below 1e-280 where those underflows could count, the norm is
+    recomputed on the residual divided by its largest magnitude, so a
+    finite nonzero residual has a finite nonzero norm.  An inf or NaN
+    residual gives a non-finite norm.
     """
     blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     sq = _buffers(prob, "state")[0]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         total = sum(np.square(r, out=sq).sum() for r in blocks)
-    if total == np.inf:
-        scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
-        if scale < np.inf:
-            return scale * math.sqrt(sum(np.square(np.divide(r, scale, out=sq), out=sq).sum()
-                                         for r in blocks))
+        if total == np.inf or total < 1e-280:
+            scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
+            if 0.0 < scale < np.inf:
+                return scale * math.sqrt(sum(np.square(np.divide(r, scale, out=sq), out=sq).sum()
+                                             for r in blocks))
     return float(np.sqrt(total))
-
-
-def _copy_into(dst: tuple, src: tuple):
-    for a, b in zip(dst, src):
-        np.copyto(a, b)
 
 
 def _anchor(st: StokesState):
@@ -471,9 +471,9 @@ def _anchor(st: StokesState):
 
 
 def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
-                                 omega: float, point_mask: np.ndarray | None = None,
-                                 *, out: StokesState | None = None) -> StokesState:
-    """One damped two-color distributive Jacobi sweep of st.
+                                 omega: float, point_mask: np.ndarray | None = None
+                                 ) -> StokesState:
+    """One damped two-color distributive Jacobi sweep of st, in place; returns st.
 
     Red interior nodes (even index sum) are treated first, then black,
     each from a fresh residual.  Ghost corrections are divided by the
@@ -481,8 +481,9 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     (20c+1)/h^2 for the pressure block), zero-extended outside the
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
-    (1-omega) * old + omega * swept.  Boundary velocities are untouched;
-    the pressure is re-anchored to 0 at node (1, 1).
+    (1-omega) * old + omega * swept, with the old state kept in the
+    problem's state buffers.  Boundary velocities are untouched; the
+    pressure is re-anchored to 0 at node (1, 1).
 
     point_mask optionally restricts the update to a subset of interior
     nodes, an (n, n) boolean array (used for the boundary-band
@@ -492,9 +493,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     masked one through cached flat index arrays, so a band sweep costs
     O(band) stencil work.  Temporaries live in buffers the problem owns.
 
-    The result goes to a new state by default.  out, like numpy's, names
-    the state to write it into and is returned; out=st sweeps st in place.
-    Its arrays must be C-contiguous.
+    st's arrays must be C-contiguous; a caller that needs st again passes
+    a copy.
     """
     n, h = prob.n, prob.h
     d_vel = 4.0 / h**2
@@ -505,21 +505,16 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
-    given = out is not None
-    if not given:
-        out = st.copy()
-    u, v, p = _flat_out((out.u, out.v, out.p), n)  # raises before anything is written
-    old = (st.u, st.v, st.p)
-    if given and omega != 1.0:
+    u, v, p = _flat_views((st.u, st.v, st.p), n)  # raises before anything is written
+    if omega != 1.0:
         old = _buffers(prob, "state")
-        _copy_into(old, (st.u, st.v, st.p))
-    if given and out is not st:
-        _copy_into((out.u, out.v, out.p), (st.u, st.v, st.p))
+        for a, b in zip(old, (st.u, st.v, st.p)):
+            np.copyto(a, b)
     w3 = _buffers(prob, "w3")[0].reshape(-1)
     half = (n + 2) ** 2 // 2  # at least the nodes of a color
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
            for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
-    _mirror_ghosts(out.p)
+    _mirror_ghosts(st.p)
     try:
         for nodes, ring, near, near_ring in plan:
             # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
@@ -543,25 +538,25 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
             _ddy(w3, h, near, dv)[near_ring] = 0.0
             v[near[0]] -= dv
             p[near[0]] += _neg_lap(w3, h, near, dp)
-            _mirror_ghosts(out.p)  # also overwrites the junk on p's ring
+            _mirror_ghosts(st.p)  # also overwrites the junk on p's ring
             w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
         raise
     if omega != 1.0:
-        for new, prev in zip((out.u, out.v, out.p), old):
+        for new, prev in zip((st.u, st.v, st.p), old):
             new -= prev
             new *= omega
             new += prev
-    _anchor(out)
-    return out
+    _anchor(st)
+    return st
 
 
 def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
     """One smoothing step of st, in place."""
-    distributive_two_color_sweep(prob, st, spec.omega, out=st)
+    distributive_two_color_sweep(prob, st, spec.omega)
     for _ in range(spec.boundary_relax):
-        distributive_two_color_sweep(prob, st, 1.0, point_mask=_band_mask(prob.n), out=st)
+        distributive_two_color_sweep(prob, st, 1.0, point_mask=_band_mask(prob.n))
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +707,11 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
 
 
 def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesState:
-    """One V-cycle over spec.levels levels (two-grid for levels = 2); returns a new state.
+    """One V-cycle over spec.levels levels (two-grid for levels = 2) on st, in place.
 
-    The bottom grid is solved exactly and may be at most
-    BOTTOM_MAX_N x BOTTOM_MAX_N.  The cycle copies st once and smooths
-    the copy in place.
+    Returns st.  The bottom grid is solved exactly and may be at most
+    BOTTOM_MAX_N x BOTTOM_MAX_N.  st's arrays must be C-contiguous; a
+    caller that needs st again passes a copy.
     """
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
@@ -726,7 +721,8 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
         raise ValueError(f"{spec.levels} levels leave a {nb}x{nb} bottom grid at "
                          f"n = {prob.n}; the exact bottom solve takes at most "
                          f"{BOTTOM_MAX_N}x{BOTTOM_MAX_N}, so use more levels")
-    return _cycle(prob, st.copy(), spec, spec.levels)
+    _flat_views((st.u, st.v, st.p), prob.n)  # raises before anything is written
+    return _cycle(prob, st, spec, spec.levels)
 
 
 def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
@@ -737,7 +733,11 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
     reduction ratios.  The run has diverged when a residual is not finite
     or rho_observed exceeds 1; this is flagged in the report, not raised,
     and the history is still returned.  Cycling stops early at a
-    non-finite residual or at growth past 1e8 of the start.
+    non-finite residual, at growth past 1e8 of the start, or at a drop
+    below 1e-250 of it: further on the state nears the subnormal range,
+    where the cycle loses digits and the ratios drift to 1.  A residual
+    of exactly 0 also stops there, and the fit takes the ratios before
+    it (rho_observed is 0 when there are none).
     """
     if n_cycles < 10:
         raise ValueError(f"need n_cycles >= 10 for a stable tail, got {n_cycles}")
@@ -745,13 +745,12 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
     r0 = residual_norm(prob, st)
     report = ConvergenceReport(initial_residual=r0)
     for _ in range(n_cycles):
-        st = v_cycle(prob, st, spec)
-        r = residual_norm(prob, st)
+        r = residual_norm(prob, v_cycle(prob, st, spec))
         report.residual_history.append(r)
-        if not math.isfinite(r) or r > 1e8 * r0:
+        if not math.isfinite(r) or r > 1e8 * r0 or r < 1e-250 * r0:
             break
-    tail = report.ratios()[-5:]
-    report.rho_observed = float(np.exp(np.mean(np.log(tail))))
+    tail = report.ratios()[:-1 if r == 0.0 else None][-5:]
+    report.rho_observed = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
     report.diverged = not math.isfinite(r) or report.rho_observed > 1.0
     return report
 

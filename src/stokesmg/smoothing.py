@@ -75,7 +75,7 @@ def optimal_one_stage(s_max: float, s_min: float) -> tuple[float, float]:
     Requires -1 < s_min <= s_max < 1; returns (omega_opt, rho_opt).
     """
     if not (-1.0 < s_min <= s_max < 1.0):
-        raise ValueError(f"need -1 < s_min <= s_max < 1, got ({s_max}, {s_min})")
+        raise ValueError(f"need -1 < s_min <= s_max < 1, got ({s_min}, {s_max})")
     denom = 2.0 - s_max - s_min
     return 2.0 / denom, (s_max - s_min) / denom
 
@@ -86,8 +86,9 @@ def _axis(cfg: SweepConfig) -> np.ndarray:
 
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     worst = float(np.abs(values.imag).max())
-    if worst > IMAG_TOL:
-        raise ValueError(f"{what} has non-negligible imaginary part {worst:.3e}; "
+    if not worst <= IMAG_TOL:  # NaN too
+        size = "non-negligible" if worst < math.inf else "non-finite"
+        raise ValueError(f"{what} has {size} imaginary part {worst:.3e}; "
                          "the operator is outside the real-spectrum family")
     return values.real
 

@@ -96,7 +96,8 @@ class Stencil2D:
     ----------
     entries : Mapping
         Map from integer offset (k1, k2) to the coefficient, with the
-        1/h^p mesh scaling already applied.  Must contain (0, 0).  It is
+        1/h^p mesh scaling already applied.  Must contain (0, 0), and
+        every coefficient must be finite (a scaling can overflow).  It is
         kept as a read-only copy of the mapping given, so the plan built
         from it cannot go stale.
     name : str
@@ -114,6 +115,10 @@ class Stencil2D:
         entries = types.MappingProxyType(dict(self.entries))
         if (0, 0) not in entries:
             raise ValueError("stencil must contain the center offset (0, 0)")
+        for off, coef in entries.items():
+            if not math.isfinite(coef):
+                raise ValueError(f"stencil coefficient at offset {off} is {coef}, "
+                                 "not finite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "plan", _plan_of(entries))
 
@@ -169,22 +174,28 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
         raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     if kind == "pressure_block" and c is None:
         raise ValueError(f"operator {kind!r} requires the stabilization parameter c")
+    try:
+        entries = _scaled_entries(kind, h, c)
+    except ArithmeticError:  # h**p underflowed to 0 or overflowed
+        raise ValueError(f"mesh size {h} is out of range: the 1/h^p scaling of "
+                         f"{kind!r} leaves the floating-point range") from None
+    return Stencil2D(entries, kind)
 
+
+def _scaled_entries(kind: str, h: float, c: float | None) -> dict:
     if kind == "pressure_block":
         entries = {}
         for off, val in _UNSCALED["biharmonic"].items():
             entries[off] = c * h**2 * val / h**4
         for off, val in _UNSCALED["laplacian_2h"].items():
             entries[off] = entries.get(off, 0.0) + val / (4.0 * h**2)
-        return Stencil2D(entries, kind)
+        return entries
 
-    scale = {"laplacian": 1.0 / h**2,
-             "ddx": 1.0 / (2.0 * h),
-             "ddy": 1.0 / (2.0 * h),
-             "biharmonic": 1.0 / h**4,
-             "laplacian_2h": 1.0 / (4.0 * h**2)}[kind]
-    entries = {off: val * scale for off, val in _UNSCALED[kind].items()}
-    return Stencil2D(entries, kind)
+    # the scale is 1/(m h^p), computed for this kind only
+    m, p = {"laplacian": (1.0, 2), "ddx": (2.0, 1), "ddy": (2.0, 1),
+            "biharmonic": (1.0, 4), "laplacian_2h": (4.0, 2)}[kind]
+    scale = 1.0 / (m * h**p)
+    return {off: val * scale for off, val in _UNSCALED[kind].items()}
 
 
 def symbol_grid(s: Stencil2D, t1, t2):

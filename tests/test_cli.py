@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -83,6 +84,28 @@ class TestSymbolCommand:
                 argv = ["symbol", kind, "--c", value, "--theta", "0,0"]
                 assert main(argv) == EXIT_USAGE, argv
                 assert "stabilization" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        # the symbol overflows although every coefficient is finite
+        ["symbol", "pressure_block", "--c", "5e306", "--theta", "pi,pi"],
+        # 20c overflows: the stencil has an inf coefficient
+        ["symbol", "pressure_block", "--c", "1e308", "--theta", "pi,pi"],
+        ["symbol", "laplacian", "--h", "1e-200", "--theta", "pi,pi"],
+        ["rep", "pressure_block", "--c", "5e306", "--base", "0.3,0.2"],
+        ["rep", "pressure_block", "--c", "1e308", "--base", "0.3,0.2"],
+        ["rep", "laplacian", "--h", "1e-200", "--base", "0.3,0.2"],
+        ["sweep", "pressure_block", "--c", "5e306", "--n-samples", "17"],
+        ["sweep", "pressure_block", "--c", "1e308", "--n-samples", "17"],
+        ["sweep", "laplacian", "--h", "1e-200", "--n-samples", "17"],
+    ])
+    def test_non_finite_result_is_usage_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestRepCommand:
@@ -227,6 +250,17 @@ class TestSolveCommand:
                      "--output", str(out_file)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
         assert not out_file.parent.exists()
+
+    def test_long_run_keeps_its_factor(self, capsys):
+        # at n = 7 the residual falls to about 1e-221 in 200 cycles; its
+        # squares underflow, and the norm and the factor must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--c", "0.125", "--n", "7", "--cycles", "200"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("200,")
+        assert lines[-1].startswith("rho_observed=0.07686")
 
     def test_seed_determinism(self, capsys):
         main(["solve", "--c", "0.125", "--n", "15", "--cycles", "10", "--seed", "9"])

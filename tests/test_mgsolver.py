@@ -166,6 +166,16 @@ class TestResidual:
             norm = residual_norm(prob, big)
         assert norm == pytest.approx(1e200 * residual_norm(prob, st), rel=1e-12)
 
+    def test_norm_of_tiny_residual_is_not_zero(self):
+        # squaring entries of about 1e-200 underflows; the norm must not
+        prob = homogeneous_problem(15, 0.125)
+        st = random_state(prob, seed=6)
+        tiny = StokesState(1e-200 * st.u, 1e-200 * st.v, 1e-200 * st.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = residual_norm(prob, tiny)
+        assert norm == pytest.approx(1e-200 * residual_norm(prob, st), rel=1e-12)
+
     def test_non_finite_residual_gives_non_finite_norm(self):
         prob = homogeneous_problem(15, 0.125)
         for bad in (np.inf, np.nan):
@@ -259,13 +269,13 @@ class TestDistributionIdentity:
 class TestSweep:
     def test_exact_solution_is_fixed_point(self):
         prob, exact = manufactured_problem(31, 0.125)
-        after = distributive_two_color_sweep(prob, exact, OMEGA_8)
+        after = distributive_two_color_sweep(prob, exact.copy(), OMEGA_8)
         assert state_diff(after, exact) <= 1e-12
 
     def test_zero_damping_is_identity(self):
         prob = homogeneous_problem(15, 0.125)
         st = random_state(prob, seed=1)
-        after = distributive_two_color_sweep(prob, st, 0.0)
+        after = distributive_two_color_sweep(prob, st.copy(), 0.0)
         assert state_diff(after, st) == 0.0
 
     def test_boundary_values_preserved(self):
@@ -301,14 +311,14 @@ class TestSweepMatchesReferee:
         prob, st = scrambled_problem(n, c, seed=n)
         for mask in (None, mgsolver._band_mask(n)):
             for omega in (0.0, OMEGA_8, 1.0):
-                mine = distributive_two_color_sweep(prob, st, omega, point_mask=mask)
+                mine = distributive_two_color_sweep(prob, st.copy(), omega, point_mask=mask)
                 ref = _reference_sweep(prob, st, omega, point_mask=mask)
                 assert states_equal(mine, ref), (mask is not None, omega)
 
     def test_arbitrary_mask(self):
         prob, st = scrambled_problem(15, 0.125, seed=1)
         mask = np.random.default_rng(2).random((15, 15)) < 0.2
-        mine = distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask)
+        mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8, point_mask=mask)
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -317,7 +327,7 @@ class TestSweepMatchesReferee:
         st.u[2, 2] = np.nan  # inside the band
         prob.f1[5, 5] = np.nan
         mask = mgsolver._band_mask(15) if masked else None
-        mine = distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask)
+        mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8, point_mask=mask)
         ref = _reference_sweep(prob, st, OMEGA_8, point_mask=mask)
         assert np.isnan(mine.p).any()
         assert states_equal(mine, ref, equal_nan=True)
@@ -396,7 +406,7 @@ def _levels(prob) -> list:
 
 
 class TestInPlaceCycle:
-    """The in-place cycle on problem-owned buffers against the copying referee."""
+    """The in-place sweep and cycle on problem-owned buffers against the copying referees."""
 
     @pytest.mark.parametrize("n", [7, 15, 31, 63])
     @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
@@ -405,36 +415,26 @@ class TestInPlaceCycle:
         prob, st = scrambled_problem(n, c, seed=n)
         spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c),
                          boundary_relax=relax)
-        mine, ref = st, st
+        mine, ref = st.copy(), st
         for _ in range(2):
-            mine = v_cycle(prob, mine, spec)
+            assert v_cycle(prob, mine, spec) is mine
             ref = _ref_cycle(prob, ref, spec, spec.levels)
             assert states_equal(mine, ref)
 
     def test_inputs_untouched(self):
         prob, st = scrambled_problem(15, 0.125, seed=4)
         before = st.copy()
-        spec = CycleSpec(levels=3, omega=OMEGA_8)
-        assert v_cycle(prob, st, spec) is not st
-        assert states_equal(st, before)
-        for mask in (None, mgsolver._band_mask(15)):
-            assert distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask) is not st
-            assert states_equal(st, before)
         assemble_residual(prob, st)
         residual_norm(prob, st)
         assert states_equal(st, before)
 
-    @pytest.mark.parametrize("omega", [OMEGA_8, 1.0])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_out_writes_the_default_result(self, omega, masked):
-        prob, st = scrambled_problem(15, 0.125, seed=5)
-        mask = mgsolver._band_mask(15) if masked else None
-        want = distributive_two_color_sweep(prob, st, omega, point_mask=mask)
-        other = zero_state(prob)
-        got = distributive_two_color_sweep(prob, st, omega, point_mask=mask, out=other)
-        assert got is other and states_equal(other, want)
-        assert distributive_two_color_sweep(prob, st, omega, point_mask=mask, out=st) is st
-        assert states_equal(st, want)
+    def test_sweep_and_cycle_return_the_state_they_are_given(self):
+        prob, st = scrambled_problem(15, 0.125, seed=4)
+        arrays = (st.u, st.v, st.p)
+        for mask in (None, mgsolver._band_mask(15)):
+            assert distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask) is st
+        assert v_cycle(prob, st, CycleSpec(levels=3, omega=OMEGA_8)) is st
+        assert all(a is b for a, b in zip((st.u, st.v, st.p), arrays))
 
     def test_residual_out_returns_out(self):
         prob, st = scrambled_problem(15, 0.3, seed=6)
@@ -451,10 +451,10 @@ class TestInPlaceCycle:
         f = prob.f3[5, 2]
         prob.f3[5, 2] = np.nan  # a node of the band; w3 takes the NaN
         dirty = st.copy()
-        distributive_two_color_sweep(prob, dirty, OMEGA_8, point_mask=mask, out=dirty)
+        distributive_two_color_sweep(prob, dirty, OMEGA_8, point_mask=mask)
         assert np.isnan(dirty.p).any()
         prob.f3[5, 2] = f
-        mine = distributive_two_color_sweep(prob, clean, OMEGA_8, point_mask=mask, out=clean)
+        mine = distributive_two_color_sweep(prob, clean, OMEGA_8, point_mask=mask)
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
         assert not mgsolver._buffers(prob, "w3")[0].any()
 
@@ -469,24 +469,28 @@ class TestInPlaceCycle:
                 w[:, ::2] = a
             other = StokesState(*(w[:, ::2] for w in wide))
         assert not other.u.flags.c_contiguous
-        for mask in (None, mgsolver._band_mask(15)):
-            assert states_equal(distributive_two_color_sweep(prob, other, OMEGA_8, mask),
-                                distributive_two_color_sweep(prob, st, OMEGA_8, mask))
         for mine, ref in zip(assemble_residual(prob, other), assemble_residual(prob, st)):
             assert np.array_equal(mine, ref)
-        spec = CycleSpec(levels=3, omega=OMEGA_8)
-        assert states_equal(v_cycle(prob, other, spec), v_cycle(prob, st, spec))
         assert residual_norm(prob, other) == residual_norm(prob, st)
+        # the sweep and the cycle write through flat views, so they refuse
+        # the layout before writing anything; with no pre-sweep the cycle's
+        # first write would be the prolonged correction
+        before = other.copy()
+        for mask in (None, mgsolver._band_mask(15)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                distributive_two_color_sweep(prob, other, OMEGA_8, mask)
+        for pre in (2, 0):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                v_cycle(prob, other, CycleSpec(pre_sweeps=pre, levels=3, omega=OMEGA_8))
+        assert states_equal(other, before)
 
     def test_out_must_be_c_contiguous(self):
         prob, st = scrambled_problem(15, 0.125, seed=9)
         fortran = StokesState(*(np.asfortranarray(a) for a in (st.u, st.v, st.p)))
         before = fortran.copy()
         with pytest.raises(ValueError, match="C-contiguous"):
-            distributive_two_color_sweep(prob, fortran, OMEGA_8, out=fortran)
-        assert states_equal(fortran, before)
-        with pytest.raises(ValueError, match="C-contiguous"):
             assemble_residual(prob, st, out=(fortran.u, fortran.v, fortran.p))
+        assert states_equal(fortran, before)
 
     def test_scratch_dies_with_its_problem(self):
         prob = homogeneous_problem(15, 0.125)
@@ -518,8 +522,7 @@ class TestInPlaceCycle:
         monkeypatch.setattr(mgsolver, "_zeros", counting("zeros", mgsolver._zeros))
         for _ in range(2):
             st = v_cycle(prob, st, spec)
-        # one state per cycle: the copy of its input that v_cycle returns
-        assert made == {"problems": 0, "states": 2, "zeros": 0}
+        assert made == {"problems": 0, "states": 0, "zeros": 0}
 
     def test_hierarchy_is_kept_and_shares_the_finest_buffers(self):
         prob, st = scrambled_problem(31, 0.125, seed=11)
@@ -547,9 +550,9 @@ class TestInPlaceCycle:
         spec = CycleSpec(levels=max_levels(31), omega=OMEGA_8)
         f = prob.f1[9, 4]
         prob.f1[9, 4] = np.nan
-        assert np.isnan(v_cycle(prob, st, spec).p).all()
+        assert np.isnan(v_cycle(prob, st.copy(), spec).p).all()
         prob.f1[9, 4] = f
-        assert states_equal(v_cycle(prob, st, spec), v_cycle(fresh, st, spec))
+        assert states_equal(v_cycle(prob, st.copy(), spec), v_cycle(fresh, st.copy(), spec))
 
     def test_problem_is_frozen(self):
         prob = homogeneous_problem(7, 0.125)
@@ -618,7 +621,7 @@ class TestVCycle:
     def test_exact_solution_is_fixed_point(self):
         prob, exact = manufactured_problem(31, 0.125)
         spec = CycleSpec(levels=max_levels(31), omega=OMEGA_8)
-        after = v_cycle(prob, exact, spec)
+        after = v_cycle(prob, exact.copy(), spec)
         assert state_diff(after, exact) <= 1e-12
 
     def test_manufactured_solve_converges_fast(self):
@@ -725,6 +728,48 @@ class TestConvergenceMeasurement:
         assert max(report.ratios()[-5:]) < 1.5
         assert report.rho_observed > 1.1
         assert report.diverged
+
+    def test_long_run_stops_before_the_subnormal_range(self):
+        # at n = 7 the factor is about 0.0769; past a drop of about 1e-318
+        # the state is subnormal and the ratios drift to 1, so the run
+        # stops at a drop of 1e-250 (cycle 224) with the factor intact
+        prob = homogeneous_problem(7, 0.125)
+        spec = CycleSpec(levels=max_levels(7), omega=OMEGA_8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = measure_convergence_factor(prob, spec, 200)
+            long = measure_convergence_factor(prob, spec, 400)
+        assert len(full.residual_history) == 200
+        assert 200 < len(long.residual_history) < 400
+        assert long.residual_history[-1] < 1e-250 * long.initial_residual
+        assert all(r > 0 for r in long.residual_history)
+        for report in (full, long):
+            assert report.rho_observed == pytest.approx(0.0768697, rel=1e-5)
+            assert not report.diverged
+
+    def test_zero_residual_ends_the_run(self, monkeypatch):
+        # an exactly solved state stops the run; the fit takes the ratios
+        # before the zero, with no division by it and no log of it
+        prob = homogeneous_problem(7, 0.125)
+        spec = CycleSpec(levels=max_levels(7), omega=OMEGA_8)
+        cycles = []
+
+        def cycle_then_solve(prob, st, spec):
+            cycles.append(None)
+            if len(cycles) < 15:
+                return v_cycle(prob, st, spec)
+            st.u[:], st.v[:], st.p[:] = 0.0, 0.0, 0.0
+            return st
+
+        monkeypatch.setattr(mgsolver, "v_cycle", cycle_then_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = measure_convergence_factor(prob, spec, 100)
+        assert len(report.residual_history) == 15
+        assert report.residual_history[-1] == 0.0
+        assert all(r > 0 for r in report.residual_history[:-1])
+        assert report.rho_observed == pytest.approx(0.0768697, rel=1e-5)
+        assert not report.diverged
 
     def test_nan_residual_flagged(self):
         prob = homogeneous_problem(15, 0.125)

@@ -53,7 +53,8 @@ class TestOptimalOneStage:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             optimal_one_stage(-0.5, 0.5)  # s_min > s_max
-        with pytest.raises(ValueError):
+        # the message lists the values in the order its condition names them
+        with pytest.raises(ValueError, match=r"s_min <= s_max < 1, got \(0\.0, 1\.0\)"):
             optimal_one_stage(1.0, 0.0)
         with pytest.raises(ValueError):
             optimal_one_stage(0.0, -1.0)
@@ -134,6 +135,17 @@ class TestSweepExtrema:
         for cfg in (FAST, SweepConfig(257)):
             with pytest.raises(ValueError, match="imaginary"):
                 one_stage_optimum(upwind, cfg)
+
+    def test_nan_imaginary_part_reported_as_non_finite(self):
+        # NaN compares false with the tolerance, so a plain "> IMAG_TOL"
+        # test would pass it through as a real value
+        values = np.array([0.5 + 0j, complex(0.25, math.nan)])
+        with pytest.raises(ValueError, match="non-finite imaginary part nan"):
+            smoothing._real_checked(values, "field")
+        # finite coefficients whose symbol sums overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite imaginary part"):
+                one_stage_optimum(make_operator("pressure_block", c=5e306), FAST)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,25 @@ class TestMakeOperator:
                 with pytest.raises(ValueError, match="positive"):
                     make_operator(kind, c=c)
 
+    def test_non_finite_coefficient_names_its_offset(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"offset \(1, -1\) is .*not finite"):
+                Stencil2D({(0, 0): 1.0, (1, -1): bad}, "bad")
+        # 20c overflows although c is finite
+        with pytest.raises(ValueError, match=r"offset \(0, 0\) is inf"):
+            make_operator("pressure_block", c=1e308)
+        with pytest.raises(ValueError, match=r"offset \(0, 0\) is inf"):
+            make_operator("biharmonic", h=1e-80)
+
+    def test_scaling_out_of_range(self):
+        # h**2 underflows to 0 or overflows: an error, not an arithmetic exception
+        for kind, h in (("laplacian", 1e-200), ("pressure_block", 1e-200),
+                        ("laplacian", 1e200), ("biharmonic", 1e100)):
+            with pytest.raises(ValueError, match="mesh size .* out of range"):
+                make_operator(kind, h=h, c=1.0)
+        # each kind scales by its own power of h only
+        assert make_operator("ddx", h=1e-200).entries[(1, 0)] == 5e199
+
 
 class TestSymbol:
     def test_laplacian_kernel_mode(self):

@@ -44,7 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from stokesmg import closedform, harmonics, mgsolver, smoothing, stencil  # noqa: E402
+from stokesmg import closedform, criteria, harmonics, mgsolver, smoothing, stencil  # noqa: E402
 
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -228,10 +228,6 @@ def lfa_rows():
 
 
 def criteria_rows():
-    try:
-        from stokesmg import criteria
-    except ImportError:  # a checkout from before the criteria module
-        return None
     rows = {}
     for criterion in criteria.CRITERIA:
         t = time.perf_counter()
