@@ -16,7 +16,11 @@ of the transformed system (two Poisson blocks and the stabilized
 pressure block with center (20c+1)/h^2), then mapped back through the
 distribution operator (I, -dx; I, -dy; -lap).
 
-The sweep and the cycles update the state they are given, in place.
+The sweep and the cycles update the state they are given, in place.  A
+full sweep works on a red-black packed copy of the state: the red nodes
+first, then the black ones, so that each color, and each of its four
+neighbour runs, is one contiguous slice; the state keeps its old values
+until the sweep blends and unpacks the copy into it in one step.
 
 The distribution degenerates near the Dirichlet boundary (ghost
 corrections are zero-extended), which leaves a band of poorly smoothed
@@ -64,11 +68,12 @@ class StokesProblem:
     two so standard coarsening reaches the 3x3 coarsest grid.  f3 is the
     right-hand side of the stabilized continuity equation (zero for the
     plain flow problem, nonzero for coarse-level correction equations and
-    manufactured solutions).  The fields cannot be rebound, but the
-    arrays can be written.  The problem owns the work buffers of the
-    sweeps and residuals evaluated on it and the coarse levels its cycles
-    use, so two threads must not sweep, take residuals or cycle on one
-    problem at the same time.
+    manufactured solutions).  c must be positive, and small enough that
+    the pressure block's diagonal (20c+1)/h^2 is finite.  The fields
+    cannot be rebound, but the arrays can be written.  The problem owns
+    the work buffers of the sweeps and residuals evaluated on it and the
+    coarse levels its cycles use, so two threads must not sweep, take
+    residuals or cycle on one problem at the same time.
     """
 
     n: int
@@ -88,6 +93,9 @@ class StokesProblem:
             raise ValueError(f"stabilization parameter must be positive and finite, "
                              f"got {self.c}")
         _check_grid(self.n)
+        if not math.isfinite((20.0 * self.c + 1.0) * (self.n + 1) ** 2):
+            raise ValueError(f"stabilization parameter {self.c} overflows the pressure "
+                             f"diagonal (20c+1)/h^2 at n = {self.n}")
         shape = (self.n + 2, self.n + 2)
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
             arr = getattr(self, name)
@@ -165,9 +173,10 @@ def _mirror_ghosts(p: np.ndarray):
 
 # A problem's work buffers, (n+2) x (n+2) each, by name and count:
 # w3, the sweep's ghost buffer for the pressure correction (zero between
-# colors); state, the old state a damped sweep blends with, which
-# assemble_residual also uses for its mirrored p and a temporary between
-# sweeps; blocks, the residual blocks of the cycle and residual_norm,
+# colors); state, the packed copy of the state a full sweep works on, or
+# the old state a damped band sweep blends with, which assemble_residual
+# also uses for its mirrored p and a temporary between sweeps; blocks,
+# the residual blocks of the cycle and residual_norm,
 # which also hold a sweep's four half-grid temporaries.  What a call
 # leaves in them is read, if at all, before the next sweep or residual on
 # any level, and only w3 must start zeroed, so coarse levels can share
@@ -214,6 +223,12 @@ def _flat_views(arrays, n: int) -> list:
 # stride-2 run, and the interior is one stride-1 run.  A run also passes
 # the ring columns j = 0 and j = n+1 of rows 1..n; its values there are
 # junk, computed from wrapped neighbours, and never reach u, v or w3.
+#
+# The red-black packed layout of the grid keeps the even k (red) at k/2
+# and the odd k (black) after them, at R + (k-1)/2 with R = ((n+2)^2+1)/2.
+# Nodes of one parity follow each other there as in the flat grid, so a
+# stride-2 run of the flat grid, and each of its four neighbour runs, is
+# one contiguous slice of the packed layout.
 
 
 def _selector(k, stride: int) -> tuple:
@@ -230,22 +245,26 @@ def _count(k) -> int:
     return len(range(k.start, k.stop, k.step)) if isinstance(k, slice) else len(k)
 
 
+# h, 2h and h^2 are powers of two (see _check_grid), so multiplying by
+# their reciprocals, which are exact, gives the bits of dividing by them.
+
+
 def _neg_lap(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
     c, xp, xm, yp, ym = at
     np.multiply(a[c], 4.0, out=out)
     for s in (xp, xm, yp, ym):
         np.subtract(out, a[s], out=out)
-    return np.divide(out, h**2, out=out)
+    return np.multiply(out, 1.0 / h**2, out=out)
 
 
 def _ddx(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
     np.subtract(a[at[1]], a[at[2]], out=out)
-    return np.divide(out, 2.0 * h, out=out)
+    return np.multiply(out, 0.5 / h, out=out)
 
 
 def _ddy(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
     np.subtract(a[at[3]], a[at[4]], out=out)
-    return np.divide(out, 2.0 * h, out=out)
+    return np.multiply(out, 0.5 / h, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,36 +273,84 @@ def _interior(n: int) -> tuple:
     return _selector(slice(n + 3, n * (n + 3) + 1, 1), n + 2)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _ring_positions(n: int, k) -> np.ndarray:
     """Read-only positions, within the nodes k, of those on a ring column."""
     col = np.arange((n + 2) ** 2)[k] % (n + 2)
-    pos = np.flatnonzero((col == 0) | (col == n + 1))
-    pos.setflags(write=False)
-    return pos
+    return _read_only(np.flatnonzero((col == 0) | (col == n + 1)))
 
 
-# The sweep plans below list, per color (red first), the selector of the
-# nodes the color updates and that of the other-color interior nodes next
-# to them, each with the positions of its ring-column junk.  A node's four
-# neighbours always have the other color.
+def _packed_index(n: int, k):
+    """Position in the red-black packed layout of flat index k (an int or an array)."""
+    return k // 2 + k % 2 * (((n + 2) ** 2 + 1) // 2)
+
+
+def _packed_selector(n: int, k: slice) -> tuple:
+    """Selector, in the packed layout, of the nodes of a stride-2 run k of the flat grid."""
+    m = _count(k)
+    starts = (_packed_index(n, k.start + d) for d in (0, n + 2, -n - 2, 1, -1))
+    return tuple(slice(s, s + m, 1) for s in starts)
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice_plan(n: int) -> tuple:
-    """Sweep plan over the whole interior: one stride-2 run per color.
+def _ghosts(n: int) -> tuple:
+    """Read-only flat indices of the pressure ghosts and of the nodes they mirror.
 
-    Red nodes (even index sum) have even flat index, black ones odd.
+    Each ghost mirrors its nearest interior node, corners the diagonal
+    one, so one gather p[ghost] = p[source] is _mirror_ghosts.
     """
-    stop = n * (n + 3) + 1
+    edge = np.arange(n + 2)
+    i = np.concatenate([np.full(n + 2, 0), np.full(n + 2, n + 1), edge[1:-1], edge[1:-1]])
+    j = np.concatenate([edge, edge, np.full(n, 0), np.full(n, n + 1)])
+    source = np.clip(i, 1, n) * (n + 2) + np.clip(j, 1, n)
+    return _read_only(i * (n + 2) + j), _read_only(source)
+
+
+@dataclass(frozen=True)
+class _SweepPlan:
+    """Where a sweep works, in which layout, and how it mirrors the pressure.
+
+    pack holds the (packed, flat) slice pairs that copy the grid into the
+    layout the selectors index, red then black; it is empty when they
+    index the flat grid itself.  ghosts is (ghost, source), the pressure
+    mirror's gather in that layout.  colors lists per color, red first,
+    the flat index of the nodes the color updates (which reads the
+    right-hand sides), their selector and that of the other-color
+    interior nodes next to them, each selector with the positions of its
+    ring-column junk.  A node's four neighbours always have the other
+    color.
+    """
+
+    pack: tuple
+    ghosts: tuple
+    colors: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_plan(n: int) -> _SweepPlan:
+    """Sweep plan over the whole interior, in the red-black packed layout.
+
+    Red nodes (even index sum) have even flat index, black ones odd, so
+    each color's interior nodes are one stride-2 run of the flat grid and
+    one contiguous slice of the packed layout.
+    """
+    stop, half = n * (n + 3) + 1, ((n + 2) ** 2 + 1) // 2
     red, black = slice(n + 3, stop, 2), slice(n + 4, stop, 2)
-    return tuple((_selector(own, n + 2), _ring_positions(n, own),
-                  _selector(other, n + 2), _ring_positions(n, other))
-                 for own, other in ((red, black), (black, red)))
+    pack = ((slice(0, half), slice(0, None, 2)), (slice(half, None), slice(1, None, 2)))
+    ghosts = tuple(_read_only(_packed_index(n, k)) for k in _ghosts(n))
+    colors = tuple((own, _packed_selector(n, own), _ring_positions(n, own),
+                    _packed_selector(n, other), _ring_positions(n, other))
+                   for own, other in ((red, black), (black, red)))
+    return _SweepPlan(pack, ghosts, colors)
 
 
 # bounded: one band per grid size in use, plus whatever masks callers pass
 @functools.lru_cache(maxsize=32)
-def _masked_plan(n: int, packed_mask: bytes) -> tuple:
+def _masked_plan(n: int, packed_mask: bytes) -> _SweepPlan:
     """Sweep plan over the nodes of an (n, n) point mask, by flat index arrays.
 
     The mask comes bit-packed (np.packbits) so that it can key the cache.
@@ -292,9 +359,8 @@ def _masked_plan(n: int, packed_mask: bytes) -> tuple:
     mask = np.unpackbits(np.frombuffer(packed_mask, dtype=np.uint8), count=n * n)
     i, j = np.nonzero(mask.reshape(n, n))
     k = (i + 1) * (n + 2) + (j + 1)
-    none = np.empty(0, dtype=np.intp)
-    none.setflags(write=False)
-    plan = []
+    none = _read_only(np.empty(0, dtype=np.intp))
+    colors = []
     for parity in (0, 1):
         own = k[k % 2 == parity]
         near = np.zeros((n + 2, n + 2), dtype=bool)
@@ -303,8 +369,8 @@ def _masked_plan(n: int, packed_mask: bytes) -> tuple:
         sels = (_selector(own, n + 2), _selector(np.flatnonzero(near), n + 2))
         for idx in (a for sel in sels for a in sel):
             idx.setflags(write=False)
-        plan.append((sels[0], none, sels[1], none))
-    return tuple(plan)
+        colors.append((own, sels[0], none, sels[1], none))
+    return _SweepPlan((), _ghosts(n), tuple(colors))
 
 
 # width in nodes of the boundary band that CycleSpec.boundary_relax sweeps
@@ -396,15 +462,16 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
 
 
 def _residual_at(prob: StokesProblem, u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                 at: tuple, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
+                 at: tuple, rhs, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
                  t: np.ndarray):
     """Residual rhs - L x at the nodes of selector at, into r1, r2, r3.
 
-    u, v, p are flat, and p's ghosts must be mirrored; t is scratch of
-    the same length as the outputs.
+    u, v, p are flat or packed, at indexes them, and p's ghosts must be
+    mirrored; rhs is the flat index of the same nodes, into the
+    right-hand sides.  t is scratch of the same length as the outputs.
     """
-    h, k = prob.h, at[0]
-    f1, f2, f3 = (_flat(f, prob.n)[k] for f in (prob.f1, prob.f2, prob.f3))
+    h = prob.h
+    f1, f2, f3 = (_flat(f, prob.n)[rhs] for f in (prob.f1, prob.f2, prob.f3))
     _neg_lap(u, h, at, r1)
     r1 += _ddx(p, h, at, t)
     np.subtract(f1, r1, out=r1)
@@ -435,8 +502,8 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     p, t = _buffers(prob, "state")[:2]
     np.copyto(p, st.p)
     _mirror_ghosts(p)
-    _residual_at(prob, _flat(st.u, n), _flat(st.v, n), p.reshape(-1), at, *blocks,
-                 t.reshape(-1)[:len(blocks[0])])
+    _residual_at(prob, _flat(st.u, n), _flat(st.v, n), p.reshape(-1), at, at[0],
+                 *blocks, t.reshape(-1)[:len(blocks[0])])
     for r in out:  # also clears the junk the run left on the ring columns
         r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
     return out
@@ -470,6 +537,13 @@ def _anchor(st: StokesState):
     _mirror_ghosts(st.p)
 
 
+def _blend(new: np.ndarray, old: np.ndarray, omega: float, out: np.ndarray):
+    """out = old + omega (new - old), overwriting new on the way."""
+    new -= old
+    new *= omega
+    np.add(new, old, out=out)
+
+
 def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
                                  omega: float, point_mask: np.ndarray | None = None
                                  ) -> StokesState:
@@ -481,73 +555,92 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     (20c+1)/h^2 for the pressure block), zero-extended outside the
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
-    (1-omega) * old + omega * swept, with the old state kept in the
-    problem's state buffers.  Boundary velocities are untouched; the
-    pressure is re-anchored to 0 at node (1, 1).
+    (1-omega) * old + omega * swept.  Boundary velocities are untouched;
+    the pressure is re-anchored to 0 at node (1, 1).
 
     point_mask optionally restricts the update to a subset of interior
     nodes, an (n, n) boolean array (used for the boundary-band
     relaxation).  Each color evaluates its residual only at the nodes it
-    updates, and distributes only onto them and their neighbours: a full
-    sweep works through one stride-2 run of the flat grid per color, a
-    masked one through cached flat index arrays, so a band sweep costs
-    O(band) stencil work.  Temporaries live in buffers the problem owns.
+    updates, and distributes only onto them and their neighbours.  A full
+    sweep copies the state into the problem's state buffers in the
+    red-black packed layout, where each color and its neighbours are
+    contiguous slices, and st keeps the old state until the end, when the
+    copy is blended with it and unpacked into it in one step.  A masked
+    sweep works on st itself through cached flat index arrays, so a band
+    sweep costs O(band), and keeps the old state for a damped blend in
+    the state buffers.  Temporaries live in buffers the problem owns.
 
     st's arrays must be C-contiguous; a caller that needs st again passes
     a copy.
     """
     n, h = prob.n, prob.h
-    d_vel = 4.0 / h**2
+    d_vel = 4.0 / h**2  # a power of two, so multiplying by 1/d_vel divides exactly
     d_pre = (20.0 * prob.c + 1.0) / h**2
     if point_mask is None:
-        plan = _lattice_plan(n)
+        plan = _packed_plan(n)
     elif point_mask.shape != (n, n):
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
-    u, v, p = _flat_views((st.u, st.v, st.p), n)  # raises before anything is written
-    if omega != 1.0:
-        old = _buffers(prob, "state")
-        for a, b in zip(old, (st.u, st.v, st.p)):
-            np.copyto(a, b)
+    fields = _flat_views((st.u, st.v, st.p), n)  # raises before anything is written
+    spare = [b.reshape(-1) for b in _buffers(prob, "state")]
+    if plan.pack:
+        for a, b in zip(spare, fields):
+            for packed, flat in plan.pack:
+                a[packed] = b[flat]
+        u, v, p = spare
+    else:
+        if omega != 1.0:
+            for a, b in zip(spare, fields):
+                np.copyto(a, b)
+        u, v, p = fields
     w3 = _buffers(prob, "w3")[0].reshape(-1)
     half = (n + 2) ** 2 // 2  # at least the nodes of a color
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
            for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
-    _mirror_ghosts(st.p)
+    ghost, source = plan.ghosts
+    p[ghost] = p[source]
     try:
-        for nodes, ring, near, near_ring in plan:
+        for rhs, nodes, ring, near, near_ring in plan.colors:
             # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
             # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
-            # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both.  No
-            # two nodes of a color are neighbours, so the color's residual is
-            # the same before and after its own velocity updates.
-            m = _count(nodes[0])
+            # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both,
+            # which is 4 w3 / h^2 = d_vel w3 on the color's nodes.  No two
+            # nodes of a color are neighbours, so the color's residual is the
+            # same before and after its own velocity updates.
+            m = _count(rhs)
             r1, r2, r3, t = (b[:m] for b in tmp)
-            _residual_at(prob, u, v, p, nodes, r1, r2, r3, t)
-            for r, d in ((r1, d_vel), (r2, d_vel), (r3, d_pre)):
-                r /= d
+            _residual_at(prob, u, v, p, nodes, rhs, r1, r2, r3, t)
+            r1 *= 1.0 / d_vel
+            r2 *= 1.0 / d_vel
+            r3 /= d_pre
+            for r in (r1, r2, r3):
                 r[ring] = 0.0
             u[nodes[0]] += r1
             v[nodes[0]] += r2
             w3[nodes[0]] = r3
-            p[nodes[0]] += _neg_lap(w3, h, nodes, t)
+            p[nodes[0]] += np.multiply(r3, d_vel, out=t)
             du, dv, dp = (b[:_count(near[0])] for b in tmp[:3])
             _ddx(w3, h, near, du)[near_ring] = 0.0
             u[near[0]] -= du
             _ddy(w3, h, near, dv)[near_ring] = 0.0
             v[near[0]] -= dv
             p[near[0]] += _neg_lap(w3, h, near, dp)
-            _mirror_ghosts(st.p)  # also overwrites the junk on p's ring
+            p[ghost] = p[source]  # also overwrites the junk on p's ring
             w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
         raise
-    if omega != 1.0:
-        for new, prev in zip((st.u, st.v, st.p), old):
-            new -= prev
-            new *= omega
-            new += prev
+    if plan.pack:  # blend with the old state and unpack in one step
+        for new, old in zip(spare, fields):
+            for packed, flat in plan.pack:
+                if omega != 1.0:
+                    _blend(new[packed], old[flat], omega, out=old[flat])
+                else:
+                    old[flat] = new[packed]
+    elif omega != 1.0:
+        for new, old in zip(fields, spare):
+            _blend(new, old, omega, out=new)
     _anchor(st)
     return st
 
@@ -563,6 +656,16 @@ def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
 # transfers
 
 
+def _restrict_into(fine: np.ndarray, coarse: np.ndarray):
+    """Write the full-weighting restriction of fine into coarse's interior."""
+    coarse[1:-1, 1:-1] = (
+        4.0 * fine[2:-2:2, 2:-2:2]
+        + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
+                 + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
+        + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
+        + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
+
+
 def restrict(fine: np.ndarray) -> np.ndarray:
     """Full-weighting restriction to the coarse grid; ring stays zero."""
     n = fine.shape[0] - 2
@@ -570,13 +673,19 @@ def restrict(fine: np.ndarray) -> np.ndarray:
     if nc < 1 or n % 2 == 0 or fine.shape[0] != fine.shape[1]:
         raise ValueError(f"grid of shape {fine.shape} cannot be coarsened")
     coarse = np.zeros((nc + 2, nc + 2))
-    coarse[1:-1, 1:-1] = (
-        4.0 * fine[2:-2:2, 2:-2:2]
-        + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
-                 + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
-        + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
-        + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
+    _restrict_into(fine, coarse)
     return coarse
+
+
+def _add_prolonged(coarse: np.ndarray, fine: np.ndarray):
+    """Add the bilinear interpolation of coarse to fine's interior."""
+    ev = slice(2, -2, 2)
+    od = slice(1, -1, 2)
+    fine[ev, ev] += coarse[1:-1, 1:-1]
+    fine[od, ev] += 0.5 * (coarse[:-1, 1:-1] + coarse[1:, 1:-1])
+    fine[ev, od] += 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
+    fine[od, od] += 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
+                            + coarse[:-1, 1:] + coarse[1:, 1:])
 
 
 def prolong(coarse: np.ndarray) -> np.ndarray:
@@ -588,15 +697,8 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
     The returned fine ring is zero.
     """
     nc = coarse.shape[0] - 2
-    n = 2 * nc + 1
-    fine = np.zeros((n + 2, n + 2))
-    ev = slice(2, -2, 2)
-    od = slice(1, None, 2)
-    fine[ev, ev] = coarse[1:-1, 1:-1]
-    fine[od, ev] = 0.5 * (coarse[:-1, 1:-1] + coarse[1:, 1:-1])
-    fine[ev, od] = 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
-    fine[od, od] = 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
-                           + coarse[:-1, 1:] + coarse[1:, 1:])
+    fine = np.zeros((2 * nc + 3, 2 * nc + 3))
+    _add_prolonged(coarse, fine)
     return fine
 
 
@@ -688,16 +790,16 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
 
     r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     coarse_prob, coarse = _coarse_level(prob)
-    for f, r in ((coarse_prob.f1, r1), (coarse_prob.f2, r2), (coarse_prob.f3, r3)):
-        np.copyto(f, restrict(r))
+    for r, f in ((r1, coarse_prob.f1), (r2, coarse_prob.f2), (r3, coarse_prob.f3)):
+        _restrict_into(r, f)  # the coarse rings stay zero
     for a in (coarse.u, coarse.v, coarse.p):
         a.fill(0.0)  # the zero state: the coarse boundary data is zero
     _cycle(coarse_prob, coarse, spec, depth - 1)
 
-    st.u[1:-1, 1:-1] += prolong(coarse.u)[1:-1, 1:-1]
-    st.v[1:-1, 1:-1] += prolong(coarse.v)[1:-1, 1:-1]
+    _add_prolonged(coarse.u, st.u)
+    _add_prolonged(coarse.v, st.v)
     _mirror_ghosts(coarse.p)
-    st.p[1:-1, 1:-1] += prolong(coarse.p)[1:-1, 1:-1]
+    _add_prolonged(coarse.p, st.p)
     _mirror_ghosts(st.p)
 
     for _ in range(spec.post_sweeps):

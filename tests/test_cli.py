@@ -176,6 +176,16 @@ class TestCurvesCommand:
         assert main(["curves", "--c-min", "1", "--c-max", "0.5"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_c_overflowing_the_pressure_diagonal_is_usage_error(self, capsys):
+        # once reported as a divergence, after overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--c", "1e308", "--omega", "1", "--n", "7",
+                         "--cycles", "10"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows the pressure diagonal" in captured.err
+
     def test_c_beyond_closed_forms_is_usage_error(self, capsys):
         assert main(["curves", "--c-min", "1e299", "--c-max", "1e300",
                      "--n-points", "2", "--n-samples", "17"]) == EXIT_USAGE

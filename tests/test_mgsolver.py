@@ -99,8 +99,20 @@ def _reference_sweep(prob, st, omega, point_mask=None):
     return out
 
 
+def arrays_equal(x, y, equal_nan=False):
+    """The same bytes; with equal_nan, NaN at the same places and the same bytes elsewhere."""
+    if x.shape != y.shape:
+        return False
+    if equal_nan:
+        nan = np.isnan(x)
+        if not np.array_equal(nan, np.isnan(y)):
+            return False
+        x, y = x[~nan], y[~nan]
+    return x.tobytes() == y.tobytes()
+
+
 def states_equal(a, b, equal_nan=False):
-    return all(np.array_equal(x, y, equal_nan=equal_nan)
+    return all(arrays_equal(x, y, equal_nan)
                for x, y in ((a.u, b.u), (a.v, b.v), (a.p, b.p)))
 
 
@@ -133,6 +145,13 @@ class TestProblemValidation:
         for c in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive"):
                 homogeneous_problem(15, c)
+
+    def test_c_overflowing_the_pressure_diagonal(self):
+        # the sweep divides by (20c + 1)/h^2, and 1/h^2 = 64 at n = 7
+        for c in (1e308, 2e305):
+            with pytest.raises(ValueError, match="overflows"):
+                homogeneous_problem(7, c)
+        assert homogeneous_problem(7, 1e305).c == 1e305
 
     def test_shape_mismatch(self):
         z = np.zeros((17, 17))
@@ -305,7 +324,7 @@ class TestSweep:
 class TestSweepMatchesReferee:
     """The sub-lattice and band sweeps give the masked formulation's states bit for bit."""
 
-    @pytest.mark.parametrize("n", [3, 7, 15, 31, 127])
+    @pytest.mark.parametrize("n", [3, 7, 15, 31, 127, 255])
     @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
     def test_bit_identical(self, n, c):
         prob, st = scrambled_problem(n, c, seed=n)
@@ -342,18 +361,81 @@ class TestSweepMatchesReferee:
         band = mgsolver._band_mask(31)
         assert band is mgsolver._band_mask(31) and not band.flags.writeable
         masked = mgsolver._masked_plan(31, np.packbits(band).tobytes())
-        for nodes, ring, near, near_ring in masked + mgsolver._lattice_plan(31):
-            arrays = [a for a in nodes + near if isinstance(a, np.ndarray)]
-            for idx in arrays + [ring, near_ring]:
+        packed = mgsolver._packed_plan(31)
+        assert masked.pack == () and packed.pack
+        for plan in (masked, packed):
+            arrays = list(plan.ghosts)
+            for rhs, nodes, ring, near, near_ring in plan.colors:
+                arrays += [a for a in (rhs,) + nodes + near if isinstance(a, np.ndarray)]
+                arrays += [ring, near_ring]
+            for idx in arrays:
                 assert not idx.flags.writeable
-        for nodes, ring, near, near_ring in mgsolver._lattice_plan(31):
+        for rhs, nodes, ring, near, near_ring in packed.colors:
             # ring-column junk: each color's run passes columns 0 and 32 of
             # the rows of its parity, 30 nodes once the run's ends are cut
             assert len(ring) == len(near_ring) == 30
 
+    @pytest.mark.parametrize("n", [3, 7, 15, 31, 63, 127, 255, 511])
+    def test_packed_plan(self, n):
+        plan = mgsolver._packed_plan(n)
+        size, half = (n + 2) ** 2, ((n + 2) ** 2 + 1) // 2
+        flat = np.random.default_rng(n).standard_normal(size)
+        packed = np.empty(size)
+        for to, frm in plan.pack:
+            packed[to] = flat[frm]
+        back = np.empty(size)
+        for to, frm in plan.pack:
+            back[frm] = packed[to]
+        assert arrays_equal(back, flat)
+        # the ghost gather in the packed layout is _mirror_ghosts
+        ghost, source = plan.ghosts
+        packed[ghost] = packed[source]
+        mirrored = flat.reshape(n + 2, n + 2).copy()
+        mgsolver._mirror_ghosts(mirrored)
+        for to, frm in plan.pack:
+            assert arrays_equal(packed[to], mirrored.reshape(-1)[frm])
+        # each selector slice lies inside the block of its nodes' color, and
+        # names the same nodes as the flat run shifted by its offset: a
+        # slice that started below its block would read the other color
+        for (rhs, nodes, _, near, _), other in zip(plan.colors, plan.colors[::-1]):
+            for run, sel in ((rhs, nodes), (other[0], near)):
+                for s, d in zip(sel, (0, n + 2, -n - 2, 1, -1)):
+                    red = (run.start + d) % 2 == 0
+                    lo, hi = (0, half) if red else (half, size)
+                    assert lo <= s.start and s.stop <= hi and s.step == 1, (run, d)
+                    shifted = np.arange(run.start + d, run.stop + d, 2)
+                    assert arrays_equal(packed[s], mirrored.reshape(-1)[shifted])
+
+
+def _ref_restrict(fine):
+    n = fine.shape[0] - 2
+    nc = (n + 1) // 2 - 1
+    coarse = np.zeros((nc + 2, nc + 2))
+    coarse[1:-1, 1:-1] = (
+        4.0 * fine[2:-2:2, 2:-2:2]
+        + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
+                 + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
+        + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
+        + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
+    return coarse
+
+
+def _ref_prolong(coarse):
+    nc = coarse.shape[0] - 2
+    n = 2 * nc + 1
+    fine = np.zeros((n + 2, n + 2))
+    ev = slice(2, -2, 2)
+    od = slice(1, None, 2)
+    fine[ev, ev] = coarse[1:-1, 1:-1]
+    fine[od, ev] = 0.5 * (coarse[:-1, 1:-1] + coarse[1:, 1:-1])
+    fine[ev, od] = 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
+    fine[od, od] = 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
+                           + coarse[:-1, 1:] + coarse[1:, 1:])
+    return fine
+
 
 def _ref_cycle(prob, st, spec, depth):
-    """The V-cycle from the referee sweep and residual, copying at every step."""
+    """The V-cycle from the referee sweep, residual and transfers, copying at every step."""
     if depth == 1:
         return mgsolver._bottom_solve(prob, st.copy())
     band = mgsolver._band_mask(prob.n) if spec.boundary_relax > 0 else None
@@ -368,15 +450,15 @@ def _ref_cycle(prob, st, spec, depth):
         st = smooth(st)
     r1, r2, r3 = _ref_assemble_residual(prob, st)
     nc = (prob.n + 1) // 2 - 1
-    coarse_prob = StokesProblem(nc, prob.c, restrict(r1), restrict(r2), restrict(r3),
-                                _ref_zeros(nc), _ref_zeros(nc))
+    coarse_prob = StokesProblem(nc, prob.c, _ref_restrict(r1), _ref_restrict(r2),
+                                _ref_restrict(r3), _ref_zeros(nc), _ref_zeros(nc))
     coarse = _ref_cycle(coarse_prob, zero_state(coarse_prob), spec, depth - 1)
     coarse_p = coarse.p.copy()
     _ref_mirror_ghosts(coarse_p)
     st = st.copy()
-    st.u[1:-1, 1:-1] += prolong(coarse.u)[1:-1, 1:-1]
-    st.v[1:-1, 1:-1] += prolong(coarse.v)[1:-1, 1:-1]
-    st.p[1:-1, 1:-1] += prolong(coarse_p)[1:-1, 1:-1]
+    st.u[1:-1, 1:-1] += _ref_prolong(coarse.u)[1:-1, 1:-1]
+    st.v[1:-1, 1:-1] += _ref_prolong(coarse.v)[1:-1, 1:-1]
+    st.p[1:-1, 1:-1] += _ref_prolong(coarse_p)[1:-1, 1:-1]
     _ref_mirror_ghosts(st.p)
     for _ in range(spec.post_sweeps):
         st = smooth(st)
@@ -508,7 +590,7 @@ class TestInPlaceCycle:
         prob, st = scrambled_problem(63, 0.125, seed=10)
         spec = CycleSpec(levels=max_levels(63), omega=OMEGA_8)
         st = v_cycle(prob, st, spec)
-        made = {"problems": 0, "states": 0, "zeros": 0}
+        made = {"problems": 0, "states": 0, "zeros": 0, "np.zeros": 0}
 
         def counting(kind, fn):
             def counted(*args, **kwargs):
@@ -520,9 +602,11 @@ class TestInPlaceCycle:
                             counting("problems", StokesProblem.__post_init__))
         monkeypatch.setattr(StokesState, "__init__", counting("states", StokesState.__init__))
         monkeypatch.setattr(mgsolver, "_zeros", counting("zeros", mgsolver._zeros))
+        # the transfers write into the levels' arrays
+        monkeypatch.setattr(mgsolver.np, "zeros", counting("np.zeros", np.zeros))
         for _ in range(2):
             st = v_cycle(prob, st, spec)
-        assert made == {"problems": 0, "states": 0, "zeros": 0}
+        assert made == {"problems": 0, "states": 0, "zeros": 0, "np.zeros": 0}
 
     def test_hierarchy_is_kept_and_shares_the_finest_buffers(self):
         prob, st = scrambled_problem(31, 0.125, seed=11)
@@ -601,6 +685,14 @@ class TestTransfers:
         lhs = float((prolong(xc) * yf).sum())
         rhs = 4.0 * float((xc * restrict(yf)).sum())
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 15, 127])
+    def test_bit_identical_to_referees(self, n):
+        rng = np.random.default_rng(n)
+        fine = rng.standard_normal((n + 2, n + 2))
+        coarse = rng.standard_normal(((n + 1) // 2 + 1,) * 2)
+        assert arrays_equal(restrict(fine), _ref_restrict(fine))
+        assert arrays_equal(prolong(coarse), _ref_prolong(coarse))
 
     def test_incompatible_restrict(self):
         with pytest.raises(ValueError):
