@@ -22,6 +22,11 @@ first, then the black ones, so that each color, and each of its four
 neighbour runs, is one contiguous slice; the state keeps its old values
 until the sweep blends and unpacks the copy into it in one step.
 
+The grid transfers write into arrays they are given too: restrict
+overwrites a coarse grid's interior with the full-weighting restriction
+of the fine grid above it, and prolong adds the bilinear interpolation
+of a coarse grid into the fine grid's interior.  The cycles call both.
+
 The distribution degenerates near the Dirichlet boundary (ghost
 corrections are zero-extended), which leaves a band of poorly smoothed
 pressure error; V-cycles therefore apply a few extra band-restricted
@@ -101,6 +106,8 @@ class StokesProblem:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if arr.dtype != np.float64:
+                raise ValueError(f"{name} has dtype {arr.dtype}, expected float64")
 
     @property
     def h(self) -> float:
@@ -136,7 +143,7 @@ class CycleSpec:
     boundary_relax: int = 2
 
     def __post_init__(self):
-        if self.pre_sweeps < 0 or self.post_sweeps < 0:
+        if min(self.pre_sweeps, self.post_sweeps, self.boundary_relax) < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.pre_sweeps + self.post_sweeps < 1:
             raise ValueError("need at least one pre- or post-sweep")
@@ -162,13 +169,6 @@ class ConvergenceReport:
 
 # ---------------------------------------------------------------------------
 # grid helpers
-
-
-def _mirror_ghosts(p: np.ndarray):
-    p[0, :] = p[1, :]
-    p[-1, :] = p[-2, :]
-    p[:, 0] = p[:, 1]
-    p[:, -1] = p[:, -2]
 
 
 # A problem's work buffers, (n+2) x (n+2) each, by name and count:
@@ -301,13 +301,21 @@ def _ghosts(n: int) -> tuple:
     """Read-only flat indices of the pressure ghosts and of the nodes they mirror.
 
     Each ghost mirrors its nearest interior node, corners the diagonal
-    one, so one gather p[ghost] = p[source] is _mirror_ghosts.
+    one, so one gather p[ghost] = p[source] mirrors them all.
     """
     edge = np.arange(n + 2)
     i = np.concatenate([np.full(n + 2, 0), np.full(n + 2, n + 1), edge[1:-1], edge[1:-1]])
     j = np.concatenate([edge, edge, np.full(n, 0), np.full(n, n + 1)])
     source = np.clip(i, 1, n) * (n + 2) + np.clip(j, 1, n)
     return _read_only(i * (n + 2) + j), _read_only(source)
+
+
+def _mirror_ghosts(p: np.ndarray):
+    """Set p's ghosts to the nodes they mirror (see _ghosts); p must be C-contiguous."""
+    n = p.shape[0] - 2
+    flat, = _flat_views((p,), n)
+    ghost, source = _ghosts(n)
+    flat[ghost] = flat[source]
 
 
 @dataclass(frozen=True)
@@ -656,29 +664,35 @@ def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
 # transfers
 
 
-def _restrict_into(fine: np.ndarray, coarse: np.ndarray):
-    """Write the full-weighting restriction of fine into coarse's interior."""
+def _check_transfer(fine: np.ndarray, coarse: np.ndarray):
+    """Raise unless fine and coarse are square and coarse is the grid below fine."""
+    m = coarse.shape[0] if coarse.ndim == 2 else 0
+    if m < 3 or coarse.shape != (m, m) or fine.shape != (2 * m - 1,) * 2:
+        raise ValueError(f"grids of shapes {fine.shape} and {coarse.shape} are not a "
+                         f"fine grid and the coarse grid below it")
+
+
+def restrict(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Write fine's full-weighting restriction into coarse's interior; returns coarse."""
+    _check_transfer(fine, coarse)
     coarse[1:-1, 1:-1] = (
         4.0 * fine[2:-2:2, 2:-2:2]
         + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
                  + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
         + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
         + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
-
-
-def restrict(fine: np.ndarray) -> np.ndarray:
-    """Full-weighting restriction to the coarse grid; ring stays zero."""
-    n = fine.shape[0] - 2
-    nc = (n + 1) // 2 - 1
-    if nc < 1 or n % 2 == 0 or fine.shape[0] != fine.shape[1]:
-        raise ValueError(f"grid of shape {fine.shape} cannot be coarsened")
-    coarse = np.zeros((nc + 2, nc + 2))
-    _restrict_into(fine, coarse)
     return coarse
 
 
-def _add_prolonged(coarse: np.ndarray, fine: np.ndarray):
-    """Add the bilinear interpolation of coarse to fine's interior."""
+def prolong(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Add the bilinear interpolation of coarse into fine's interior; returns fine.
+
+    Values at fine nodes adjacent to the boundary average the coarse ring
+    entries, so the caller controls the boundary behavior through them
+    (zero ring for velocity corrections, mirrored ring for pressure).
+    fine's ring is left as it is.
+    """
+    _check_transfer(fine, coarse)
     ev = slice(2, -2, 2)
     od = slice(1, -1, 2)
     fine[ev, ev] += coarse[1:-1, 1:-1]
@@ -686,19 +700,6 @@ def _add_prolonged(coarse: np.ndarray, fine: np.ndarray):
     fine[ev, od] += 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
     fine[od, od] += 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
                             + coarse[:-1, 1:] + coarse[1:, 1:])
-
-
-def prolong(coarse: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation to the next finer grid.
-
-    Values at fine nodes adjacent to the boundary average the coarse ring
-    entries, so the caller controls the boundary behavior through them
-    (zero ring for velocity corrections, mirrored ring for pressure).
-    The returned fine ring is zero.
-    """
-    nc = coarse.shape[0] - 2
-    fine = np.zeros((2 * nc + 3, 2 * nc + 3))
-    _add_prolonged(coarse, fine)
     return fine
 
 
@@ -791,16 +792,15 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     coarse_prob, coarse = _coarse_level(prob)
     for r, f in ((r1, coarse_prob.f1), (r2, coarse_prob.f2), (r3, coarse_prob.f3)):
-        _restrict_into(r, f)  # the coarse rings stay zero
+        restrict(r, f)  # the coarse rings stay zero
     for a in (coarse.u, coarse.v, coarse.p):
         a.fill(0.0)  # the zero state: the coarse boundary data is zero
     _cycle(coarse_prob, coarse, spec, depth - 1)
 
-    _add_prolonged(coarse.u, st.u)
-    _add_prolonged(coarse.v, st.v)
-    _mirror_ghosts(coarse.p)
-    _add_prolonged(coarse.p, st.p)
-    _mirror_ghosts(st.p)
+    # coarse.p comes back anchored, so mirrored; st.p's ghosts are stale
+    # until the next sweep or the closing _anchor mirrors them, before any read
+    for a, b in ((coarse.u, st.u), (coarse.v, st.v), (coarse.p, st.p)):
+        prolong(a, b)
 
     for _ in range(spec.post_sweeps):
         _smooth_step(prob, st, spec)

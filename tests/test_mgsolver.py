@@ -159,6 +159,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="shape"):
             StokesProblem(15, 0.125, z, z, bad, z, z)
 
+    def test_dtype_mismatch(self):
+        # integer boundary data would truncate the random interior and
+        # every undamped update written into it
+        f = np.zeros((9, 9))
+        with pytest.raises(ValueError, match="g_u has dtype int64"):
+            StokesProblem(7, 0.125, f, f, f, np.zeros((9, 9), dtype=np.int64),
+                          np.zeros((9, 9), dtype=np.int64))
+        with pytest.raises(ValueError, match="f2 has dtype float32"):
+            StokesProblem(7, 0.125, f, f.astype(np.float32), f, f, f)
+
     def test_cycle_spec_validation(self):
         with pytest.raises(ValueError):
             CycleSpec(pre_sweeps=0, post_sweeps=0)
@@ -168,6 +178,8 @@ class TestProblemValidation:
             CycleSpec(omega=2.0)
         with pytest.raises(ValueError):
             CycleSpec(pre_sweeps=-1)
+        with pytest.raises(ValueError):
+            CycleSpec(boundary_relax=-3)
 
 
 class TestResidual:
@@ -387,11 +399,11 @@ class TestSweepMatchesReferee:
         for to, frm in plan.pack:
             back[frm] = packed[to]
         assert arrays_equal(back, flat)
-        # the ghost gather in the packed layout is _mirror_ghosts
+        # the ghost gather in the packed layout is the referee's mirror
         ghost, source = plan.ghosts
         packed[ghost] = packed[source]
         mirrored = flat.reshape(n + 2, n + 2).copy()
-        mgsolver._mirror_ghosts(mirrored)
+        _ref_mirror_ghosts(mirrored)
         for to, frm in plan.pack:
             assert arrays_equal(packed[to], mirrored.reshape(-1)[frm])
         # each selector slice lies inside the block of its nodes' color, and
@@ -648,30 +660,28 @@ class TestInPlaceCycle:
 
 class TestTransfers:
     def test_restrict_constant(self):
-        fine = np.ones((17, 17))
-        coarse = restrict(fine)
+        coarse = restrict(np.ones((17, 17)), np.zeros((9, 9)))
         assert np.abs(coarse[1:-1, 1:-1] - 1.0).max() < 1e-14
 
     def test_restrict_kills_checkerboard(self):
         ii, jj = np.meshgrid(np.arange(17), np.arange(17), indexing="ij")
         fine = ((-1.0) ** (ii + jj))
-        assert np.abs(restrict(fine)[1:-1, 1:-1]).max() < 1e-14
+        assert np.abs(restrict(fine, np.zeros((9, 9)))[1:-1, 1:-1]).max() < 1e-14
 
     def test_restrict_preserves_linear(self):
         ii, jj = np.meshgrid(np.arange(17), np.arange(17), indexing="ij")
         fine = ii * 1.0
-        coarse = restrict(fine)
+        coarse = restrict(fine, np.zeros((9, 9)))
         for nc_i in range(1, 8):
             assert coarse[nc_i, 3] == pytest.approx(2.0 * nc_i, abs=1e-13)
 
     def test_prolong_constant_with_ring(self):
-        coarse = np.ones((9, 9))
-        fine = prolong(coarse)
+        fine = prolong(np.ones((9, 9)), np.zeros((17, 17)))
         assert np.abs(fine[1:-1, 1:-1] - 1.0).max() < 1e-14
 
     def test_prolong_linear(self):
         ii = np.arange(9)[:, None] * np.ones((1, 9))
-        fine = prolong(ii)
+        fine = prolong(ii, np.zeros((17, 17)))
         for i in range(1, 16):
             assert fine[i, 8] == pytest.approx(i / 2.0, abs=1e-13)
 
@@ -682,21 +692,62 @@ class TestTransfers:
         xc[1:-1, 1:-1] = rng.standard_normal((7, 7))
         yf = np.zeros((17, 17))
         yf[1:-1, 1:-1] = rng.standard_normal((15, 15))
-        lhs = float((prolong(xc) * yf).sum())
-        rhs = 4.0 * float((xc * restrict(yf)).sum())
+        lhs = float((prolong(xc, np.zeros((17, 17))) * yf).sum())
+        rhs = 4.0 * float((xc * restrict(yf, np.zeros((9, 9)))).sum())
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 15, 127])
     def test_bit_identical_to_referees(self, n):
+        # restrict overwrites the interior, prolong adds to it, and both
+        # leave the ring of the array they write as it was
         rng = np.random.default_rng(n)
         fine = rng.standard_normal((n + 2, n + 2))
         coarse = rng.standard_normal(((n + 1) // 2 + 1,) * 2)
-        assert arrays_equal(restrict(fine), _ref_restrict(fine))
-        assert arrays_equal(prolong(coarse), _ref_prolong(coarse))
+        want = coarse.copy()
+        want[1:-1, 1:-1] = _ref_restrict(fine)[1:-1, 1:-1]
+        out = coarse.copy()
+        assert restrict(fine, out) is out
+        assert arrays_equal(out, want)
+        want = fine.copy()
+        want[1:-1, 1:-1] += _ref_prolong(coarse)[1:-1, 1:-1]
+        out = fine.copy()
+        assert prolong(coarse, out) is out
+        assert arrays_equal(out, want)
+
+    @pytest.mark.parametrize("fine_shape, coarse_shape", [
+        ((5, 5), (7, 7)),  # one coarse value would broadcast over the interior
+        ((7, 7), (3, 3)),  # one coarse value would broadcast in prolong
+        ((17, 17), (8, 8)),
+        ((17, 16), (9, 9)),
+        ((17, 17), (9, 8)),
+        ((3, 3), (2, 2)),
+        ((17, 17), (9,)),
+    ])
+    def test_incompatible_shapes(self, fine_shape, coarse_shape):
+        fine, coarse = np.ones(fine_shape), np.ones(coarse_shape)
+        with pytest.raises(ValueError, match="not a fine grid"):
+            restrict(fine, coarse)
+        with pytest.raises(ValueError, match="not a fine grid"):
+            prolong(coarse, fine)
+        assert (fine == 1.0).all() and (coarse == 1.0).all()
 
     def test_incompatible_restrict(self):
         with pytest.raises(ValueError):
-            restrict(np.zeros((6, 6)))
+            restrict(np.zeros((6, 6)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("n", [3, 7, 31])
+    def test_mirror_ghosts_matches_referee(self, n):
+        p = np.random.default_rng(n).standard_normal((n + 2, n + 2))
+        want = p.copy()
+        _ref_mirror_ghosts(want)
+        mgsolver._mirror_ghosts(p)
+        assert arrays_equal(p, want)
+        # a flat copy would take the write and drop it
+        fortran = np.asfortranarray(np.random.default_rng(n).standard_normal((n + 2, n + 2)))
+        before = fortran.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mgsolver._mirror_ghosts(fortran)
+        assert arrays_equal(fortran, before)
 
 
 class TestVCycle:
@@ -765,6 +816,25 @@ class TestVCycle:
         prob = homogeneous_problem(15, 0.125)
         v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
         assert sorted(set(sizes)) == [7, 15]  # nothing on the 3x3 bottom grid
+
+    def test_cycle_transfers_through_the_public_names(self, monkeypatch):
+        # the benchmark's tracer wraps mgsolver.restrict and mgsolver.prolong,
+        # so the cycle must look them up as module attributes
+        calls = []
+
+        def recording(name, fn):
+            def recorded(a, b):
+                calls.append((name, a.shape[0] - 2))
+                return fn(a, b)
+            return recorded
+
+        for name in ("restrict", "prolong"):
+            monkeypatch.setattr(mgsolver, name, recording(name, getattr(mgsolver, name)))
+        prob = homogeneous_problem(15, 0.125)
+        v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
+        # restrict takes the fine grid (15, then 7), prolong the coarse one (3, then 7)
+        assert calls == ([("restrict", 15)] * 3 + [("restrict", 7)] * 3
+                         + [("prolong", 3)] * 3 + [("prolong", 7)] * 3)
 
 
 class TestBottomSolve:

@@ -66,12 +66,8 @@ COMMANDS = {
     "curves": [sys.executable, "-m", "stokesmg.cli", "curves", "--c-min", "1e-3",
                "--c-max", "1e3", "--n-points", "100", "--scale", "log"],
 }
-# how the benchmark describes a call of each name it wraps; the cycle
-# transfers through restrict's and prolong's writers, which take the
-# same first array, so they are described alike
+# how the benchmark describes a call of each name it wraps
 DESCRIBE = {(module, attr): describe for module, attr, _, describe in layers.WRAPS}
-DESCRIBE[mgsolver, "_restrict_into"] = DESCRIBE[mgsolver, "restrict"]
-DESCRIBE[mgsolver, "_add_prolonged"] = DESCRIBE[mgsolver, "prolong"]
 
 
 def _env():
@@ -154,8 +150,8 @@ def layer_rows():
         "sweep_band": ("distributive_two_color_sweep",
                        lambda d: d["n"] == LAYER_N and d["band"] is not None),
         "assemble_residual": ("assemble_residual", lambda d: d["n"] == LAYER_N),
-        "restrict": ("_restrict_into", lambda d: d["n"] == LAYER_N),
-        "prolong": ("_add_prolonged", lambda d: 2 * d["n"] + 1 == LAYER_N),
+        "restrict": ("restrict", lambda d: d["n"] == LAYER_N),
+        "prolong": ("prolong", lambda d: 2 * d["n"] + 1 == LAYER_N),
         "bottom_solve": ("_bottom_solve", lambda d: True),
     }
     st = mgsolver.v_cycle(prob, mgsolver.random_state(prob), spec)
