@@ -101,13 +101,8 @@ class StokesProblem:
         if not math.isfinite((20.0 * self.c + 1.0) * (self.n + 1) ** 2):
             raise ValueError(f"stabilization parameter {self.c} overflows the pressure "
                              f"diagonal (20c+1)/h^2 at n = {self.n}")
-        shape = (self.n + 2, self.n + 2)
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if arr.dtype != np.float64:
-                raise ValueError(f"{name} has dtype {arr.dtype}, expected float64")
+            _flat(getattr(self, name), self.n, name)
 
     @property
     def h(self) -> float:
@@ -124,6 +119,11 @@ class StokesState:
 
     def copy(self) -> "StokesState":
         return StokesState(self.u.copy(), self.v.copy(), self.p.copy())
+
+
+def _is_count(k) -> bool:
+    """Whether k is a Python or numpy integer; a bool is not."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,13 @@ class CycleSpec:
     boundary_relax: int = 2
 
     def __post_init__(self):
-        if min(self.pre_sweeps, self.post_sweeps, self.boundary_relax) < 0:
-            raise ValueError("sweep counts must be nonnegative")
+        counts = (self.pre_sweeps, self.post_sweeps, self.boundary_relax)
+        if not all(_is_count(k) and k >= 0 for k in counts):
+            raise ValueError(f"sweep counts must be nonnegative integers, got {counts}")
         if self.pre_sweeps + self.post_sweeps < 1:
             raise ValueError("need at least one pre- or post-sweep")
-        if self.levels < 2:
-            raise ValueError(f"need at least 2 levels, got {self.levels}")
+        if not _is_count(self.levels) or self.levels < 2:
+            raise ValueError(f"need an integer number of levels >= 2, got {self.levels}")
         if not (0.0 < self.omega < 2.0):
             raise ValueError(f"damping parameter must lie in (0, 2), got {self.omega}")
 
@@ -196,19 +197,15 @@ def _buffers(prob: StokesProblem, name: str) -> tuple:
     return bufs
 
 
-def _flat(a: np.ndarray, n: int) -> np.ndarray:
-    """a read as a flat C-order vector: a view if a is C-contiguous, else a copy."""
+def _flat(a: np.ndarray, n: int, name: str = "array") -> np.ndarray:
+    """A flat view of a; raises unless a is an (n+2) x (n+2) float64 C-contiguous grid."""
     if a.shape != (n + 2, n + 2):
-        raise ValueError(f"array has shape {a.shape}, expected {(n + 2, n + 2)}")
+        raise ValueError(f"{name} has shape {a.shape}, expected {(n + 2, n + 2)}")
+    if a.dtype != np.float64:
+        raise ValueError(f"{name} has dtype {a.dtype}, expected float64")
+    if not a.flags.c_contiguous:
+        raise ValueError(f"{name} is not C-contiguous, so its flat view would be a copy")
     return a.reshape(-1)
-
-
-def _flat_views(arrays, n: int) -> list:
-    """Flat views of arrays to be written in place, which must be C-contiguous."""
-    if not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError("arrays written in place must be C-contiguous, "
-                         "so that flat views write through")
-    return [_flat(a, n) for a in arrays]
 
 
 # The grid is stored flat, k = i (n+2) + j.  A node selector names a set
@@ -311,9 +308,9 @@ def _ghosts(n: int) -> tuple:
 
 
 def _mirror_ghosts(p: np.ndarray):
-    """Set p's ghosts to the nodes they mirror (see _ghosts); p must be C-contiguous."""
+    """Set p's ghosts to the nodes they mirror (see _ghosts); p must pass _flat."""
     n = p.shape[0] - 2
-    flat, = _flat_views((p,), n)
+    flat = _flat(p, n, "p")
     ghost, source = _ghosts(n)
     flat[ghost] = flat[source]
 
@@ -499,19 +496,19 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
 
     The pressure ring is re-derived by mirroring before differencing, so
     the result does not depend on the ghost values the caller left in p.
-    out, like numpy's, takes the three C-contiguous (n+2) x (n+2) arrays
-    to write the blocks into and is returned; by default they are new.
+    out, like numpy's, takes the three arrays to write the blocks into
+    and is returned; by default they are new.  It and st must pass _flat.
     """
     n = prob.n
     if out is None:
         out = (_zeros(n), _zeros(n), _zeros(n))
     at = _interior(n)
-    blocks = [r[at[0]] for r in _flat_views(out, n)]
+    blocks = [_flat(r, n, "out")[at[0]] for r in out]
+    u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
     p, t = _buffers(prob, "state")[:2]
-    np.copyto(p, st.p)
+    np.copyto(p.reshape(-1), p_in)
     _mirror_ghosts(p)
-    _residual_at(prob, _flat(st.u, n), _flat(st.v, n), p.reshape(-1), at, at[0],
-                 *blocks, t.reshape(-1)[:len(blocks[0])])
+    _residual_at(prob, u, v, p.reshape(-1), at, at[0], *blocks, t.reshape(-1)[:len(blocks[0])])
     for r in out:  # also clears the junk the run left on the ring columns
         r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
     return out
@@ -563,8 +560,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     (20c+1)/h^2 for the pressure block), zero-extended outside the
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
-    (1-omega) * old + omega * swept.  Boundary velocities are untouched;
-    the pressure is re-anchored to 0 at node (1, 1).
+    (1-omega) * old + omega * swept, 0 <= omega < 2.  Boundary velocities
+    are untouched; the pressure is re-anchored to 0 at node (1, 1).
 
     point_mask optionally restricts the update to a subset of interior
     nodes, an (n, n) boolean array (used for the boundary-band
@@ -574,13 +571,15 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     red-black packed layout, where each color and its neighbours are
     contiguous slices, and st keeps the old state until the end, when the
     copy is blended with it and unpacked into it in one step.  A masked
-    sweep works on st itself through cached flat index arrays, so a band
-    sweep costs O(band), and keeps the old state for a damped blend in
-    the state buffers.  Temporaries live in buffers the problem owns.
+    sweep works on st itself through cached flat index arrays, but still
+    anchors the whole interior, and keeps the old state for a damped blend
+    in the state buffers.  Temporaries live in buffers the problem owns.
 
-    st's arrays must be C-contiguous; a caller that needs st again passes
-    a copy.
+    st must pass _flat, checked with omega before anything is written; a
+    caller that needs st again passes a copy.
     """
+    if not 0.0 <= omega < 2.0:
+        raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
     n, h = prob.n, prob.h
     d_vel = 4.0 / h**2  # a power of two, so multiplying by 1/d_vel divides exactly
     d_pre = (20.0 * prob.c + 1.0) / h**2
@@ -590,7 +589,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
-    fields = _flat_views((st.u, st.v, st.p), n)  # raises before anything is written
+    fields = [_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
     spare = [b.reshape(-1) for b in _buffers(prob, "state")]
     if plan.pack:
         for a, b in zip(spare, fields):
@@ -607,9 +606,9 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
            for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
     ghost, source = plan.ghosts
-    p[ghost] = p[source]
     try:
         for rhs, nodes, ring, near, near_ring in plan.colors:
+            p[ghost] = p[source]
             # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
             # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
             # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both,
@@ -634,7 +633,6 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
             _ddy(w3, h, near, dv)[near_ring] = 0.0
             v[near[0]] -= dv
             p[near[0]] += _neg_lap(w3, h, near, dp)
-            p[ghost] = p[source]  # also overwrites the junk on p's ring
             w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
@@ -665,11 +663,13 @@ def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
 
 
 def _check_transfer(fine: np.ndarray, coarse: np.ndarray):
-    """Raise unless fine and coarse are square and coarse is the grid below fine."""
+    """Raise unless coarse is the square grid below fine and both are float64."""
     m = coarse.shape[0] if coarse.ndim == 2 else 0
     if m < 3 or coarse.shape != (m, m) or fine.shape != (2 * m - 1,) * 2:
         raise ValueError(f"grids of shapes {fine.shape} and {coarse.shape} are not a "
                          f"fine grid and the coarse grid below it")
+    if fine.dtype != np.float64 or coarse.dtype != np.float64:
+        raise ValueError(f"grids have dtypes {fine.dtype} and {coarse.dtype}, expected float64")
 
 
 def restrict(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
@@ -812,8 +812,8 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
     """One V-cycle over spec.levels levels (two-grid for levels = 2) on st, in place.
 
     Returns st.  The bottom grid is solved exactly and may be at most
-    BOTTOM_MAX_N x BOTTOM_MAX_N.  st's arrays must be C-contiguous; a
-    caller that needs st again passes a copy.
+    BOTTOM_MAX_N x BOTTOM_MAX_N.  st must pass _flat, checked before the
+    first write; a caller that needs st again passes a copy.
     """
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
@@ -823,7 +823,6 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
         raise ValueError(f"{spec.levels} levels leave a {nb}x{nb} bottom grid at "
                          f"n = {prob.n}; the exact bottom solve takes at most "
                          f"{BOTTOM_MAX_N}x{BOTTOM_MAX_N}, so use more levels")
-    _flat_views((st.u, st.v, st.p), prob.n)  # raises before anything is written
     return _cycle(prob, st, spec, spec.levels)
 
 
@@ -841,8 +840,8 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
     of exactly 0 also stops there, and the fit takes the ratios before
     it (rho_observed is 0 when there are none).
     """
-    if n_cycles < 10:
-        raise ValueError(f"need n_cycles >= 10 for a stable tail, got {n_cycles}")
+    if not _is_count(n_cycles) or n_cycles < 10:
+        raise ValueError(f"need an integer n_cycles >= 10 for a stable tail, got {n_cycles}")
     st = random_state(prob, seed)
     r0 = residual_norm(prob, st)
     report = ConvergenceReport(initial_residual=r0)

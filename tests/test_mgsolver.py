@@ -169,6 +169,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="f2 has dtype float32"):
             StokesProblem(7, 0.125, f, f.astype(np.float32), f, f, f)
 
+    def test_layout_mismatch(self):
+        # the residual reads each right-hand side through a flat view, which
+        # a Fortran-ordered array could only give as a copy per call
+        f = np.zeros((9, 9))
+        with pytest.raises(ValueError, match="f3 is not C-contiguous"):
+            StokesProblem(7, 0.125, f, f, np.asfortranarray(np.eye(9)), f, f)
+
     def test_cycle_spec_validation(self):
         with pytest.raises(ValueError):
             CycleSpec(pre_sweeps=0, post_sweeps=0)
@@ -180,6 +187,21 @@ class TestProblemValidation:
             CycleSpec(pre_sweeps=-1)
         with pytest.raises(ValueError):
             CycleSpec(boundary_relax=-3)
+        # counts must be integers: a float reaches range() or the grid sizes
+        for bad in (2.0, 2.5, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match="integer"):
+                CycleSpec(levels=bad)
+        for name in ("pre_sweeps", "post_sweeps", "boundary_relax"):
+            for bad in (1.0, 1.5, True):
+                with pytest.raises(ValueError, match="integer"):
+                    CycleSpec(**{name: bad})
+        spec = CycleSpec(pre_sweeps=np.int64(1), post_sweeps=np.int32(2), levels=np.int64(3),
+                         boundary_relax=np.uint8(0), omega=OMEGA_8)
+        prob = homogeneous_problem(15, 0.125)
+        assert measure_convergence_factor(prob, spec, np.int64(10)).residual_history
+        for bad in (10.0, 12.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                measure_convergence_factor(prob, spec, bad)
 
 
 class TestResidual:
@@ -308,6 +330,15 @@ class TestSweep:
         st = random_state(prob, seed=1)
         after = distributive_two_color_sweep(prob, st.copy(), 0.0)
         assert state_diff(after, st) == 0.0
+
+    @pytest.mark.parametrize("omega", [math.nan, -0.5, 2.0])
+    def test_damping_outside_range_refused(self, omega):
+        prob, st = scrambled_problem(15, 0.125, seed=5)
+        before = st.copy()
+        for mask in (None, mgsolver._band_mask(15)):
+            with pytest.raises(ValueError, match=r"\[0, 2\)"):
+                distributive_two_color_sweep(prob, st, omega, point_mask=mask)
+        assert states_equal(st, before)
 
     def test_boundary_values_preserved(self):
         prob, exact = manufactured_problem(15, 0.125)
@@ -552,30 +583,35 @@ class TestInPlaceCycle:
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
         assert not mgsolver._buffers(prob, "w3")[0].any()
 
-    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    @pytest.mark.parametrize("layout", ["fortran", "sliced", "float32", "int64"])
     def test_any_layout_through_default_path(self, layout):
+        # every grid is read and written through a flat float64 view, which
+        # a copy or a conversion would not write through; so the sweeps, the
+        # cycle and the residual refuse any other state before they write,
+        # and with no pre-sweep the cycle's first write would be the
+        # prolonged correction
         prob, st = scrambled_problem(15, 0.125, seed=8)
         if layout == "fortran":
             other = StokesState(*(np.asfortranarray(a) for a in (st.u, st.v, st.p)))
-        else:
+        elif layout == "sliced":
             wide = [np.full((17, 34), np.nan) for _ in range(3)]
             for w, a in zip(wide, (st.u, st.v, st.p)):
                 w[:, ::2] = a
             other = StokesState(*(w[:, ::2] for w in wide))
-        assert not other.u.flags.c_contiguous
-        for mine, ref in zip(assemble_residual(prob, other), assemble_residual(prob, st)):
-            assert np.array_equal(mine, ref)
-        assert residual_norm(prob, other) == residual_norm(prob, st)
-        # the sweep and the cycle write through flat views, so they refuse
-        # the layout before writing anything; with no pre-sweep the cycle's
-        # first write would be the prolonged correction
+        else:
+            other = StokesState(*(a.astype(layout) for a in (st.u, st.v, st.p)))
+        match = (f"u has dtype {layout}" if layout in ("float32", "int64")
+                 else "u is not C-contiguous")
         before = other.copy()
         for mask in (None, mgsolver._band_mask(15)):
-            with pytest.raises(ValueError, match="C-contiguous"):
+            with pytest.raises(ValueError, match=match):
                 distributive_two_color_sweep(prob, other, OMEGA_8, mask)
         for pre in (2, 0):
-            with pytest.raises(ValueError, match="C-contiguous"):
+            with pytest.raises(ValueError, match=match):
                 v_cycle(prob, other, CycleSpec(pre_sweeps=pre, levels=3, omega=OMEGA_8))
+        for take in (assemble_residual, residual_norm):
+            with pytest.raises(ValueError, match=match):
+                take(prob, other)
         assert states_equal(other, before)
 
     def test_out_must_be_c_contiguous(self):
@@ -730,6 +766,18 @@ class TestTransfers:
         with pytest.raises(ValueError, match="not a fine grid"):
             prolong(coarse, fine)
         assert (fine == 1.0).all() and (coarse == 1.0).all()
+
+    def test_integer_grids_refused(self):
+        # an int64 coarse grid would truncate the restriction, and an int64
+        # fine grid cannot take the prolonged correction in place
+        fine, coarse = np.arange(289).reshape(17, 17), np.arange(81).reshape(9, 9)
+        keep_fine, keep_coarse = fine.copy(), coarse.copy()
+        for f, c in ((fine, np.zeros((9, 9))), (np.ones((17, 17)), coarse), (fine, coarse)):
+            with pytest.raises(ValueError, match="int64"):
+                restrict(f, c)
+            with pytest.raises(ValueError, match="int64"):
+                prolong(c, f)
+        assert arrays_equal(fine, keep_fine) and arrays_equal(coarse, keep_coarse)
 
     def test_incompatible_restrict(self):
         with pytest.raises(ValueError):
