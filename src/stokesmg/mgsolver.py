@@ -11,9 +11,9 @@ the pressure.  The discrete system at interior nodes is
 
 with the 5-point Laplacian and central first differences.  The smoother
 is the damped two-color distributive Jacobi sweep: ghost corrections are
-computed per color from the current residual using the diagonal blocks
-of the transformed system (two Poisson blocks and the stabilized
-pressure block with center (20c+1)/h^2), then mapped back through the
+computed per color from the current residual, divided by the stencil
+centers of the transformed system's diagonal blocks (make_operator's
+"laplacian" twice and "pressure_block"), then mapped back through the
 distribution operator (I, -dx; I, -dy; -lap).
 
 The sweep and the cycles update the state they are given, in place.  A
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import periodic_two_color_sweep
-from .stencil import Stencil2D
+from .stencil import Stencil2D, make_operator
 
 PI = math.pi
 
@@ -73,9 +73,11 @@ class StokesProblem:
     two so standard coarsening reaches the 3x3 coarsest grid.  f3 is the
     right-hand side of the stabilized continuity equation (zero for the
     plain flow problem, nonzero for coarse-level correction equations and
-    manufactured solutions).  c must be positive, and small enough that
-    the pressure block's diagonal (20c+1)/h^2 is finite.  The fields
-    cannot be rebound, but the arrays can be written.  The problem owns
+    manufactured solutions).  The sweep's diagonals d_vel = 4/h^2 and
+    d_pre = (20c+1)/h^2 are the centers of make_operator's "laplacian"
+    and "pressure_block", built once here, so c must be positive and
+    keep every pressure_block coefficient finite.  The fields cannot be
+    rebound, but the arrays can be written.  The problem owns
     the work buffers of the sweeps and residuals evaluated on it and the
     coarse levels its cycles use, so two threads must not sweep, take
     residuals or cycle on one problem at the same time.
@@ -88,19 +90,17 @@ class StokesProblem:
     f3: np.ndarray
     g_u: np.ndarray
     g_v: np.ndarray
+    d_vel: float = field(init=False, repr=False, compare=False)
+    d_pre: float = field(init=False, repr=False, compare=False)
     # work buffers of the sweeps and residuals on this grid, by name (see
     # _buffers), and the coarse level below it (see _coarse_level), made
     # on first use; they live and die with the problem
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"stabilization parameter must be positive and finite, "
-                             f"got {self.c}")
-        _check_grid(self.n)
-        if not math.isfinite((20.0 * self.c + 1.0) * (self.n + 1) ** 2):
-            raise ValueError(f"stabilization parameter {self.c} overflows the pressure "
-                             f"diagonal (20c+1)/h^2 at n = {self.n}")
+        _check_grid(self.n)  # first: h divides by n + 1
+        for name, kind in (("d_vel", "laplacian"), ("d_pre", "pressure_block")):
+            object.__setattr__(self, name, make_operator(kind, h=self.h, c=self.c).center)
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
             _flat(getattr(self, name), self.n, name)
 
@@ -556,8 +556,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
 
     Red interior nodes (even index sum) are treated first, then black,
     each from a fresh residual.  Ghost corrections are divided by the
-    diagonal of the transformed system (4/h^2 for the velocity blocks,
-    (20c+1)/h^2 for the pressure block), zero-extended outside the
+    transformed system's diagonal, the stencil centers prob.d_vel and
+    prob.d_pre (see StokesProblem), zero-extended outside the
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
     (1-omega) * old + omega * swept, 0 <= omega < 2.  Boundary velocities
@@ -581,8 +581,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     if not 0.0 <= omega < 2.0:
         raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
     n, h = prob.n, prob.h
-    d_vel = 4.0 / h**2  # a power of two, so multiplying by 1/d_vel divides exactly
-    d_pre = (20.0 * prob.c + 1.0) / h**2
+    d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
         plan = _packed_plan(n)
     elif point_mask.shape != (n, n):

@@ -174,6 +174,7 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
         raise ValueError(f"stabilization parameter must be positive and finite, got {c}")
     if kind == "pressure_block" and c is None:
         raise ValueError(f"operator {kind!r} requires the stabilization parameter c")
+    h, c = float(h), None if c is None else float(c)  # exact; numpy scalars warn on overflow
     try:
         entries = _scaled_entries(kind, h, c)
     except ArithmeticError:  # h**p underflowed to 0 or overflowed

@@ -184,7 +184,7 @@ class TestCurvesCommand:
                          "--cycles", "10"])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and "overflows the pressure diagonal" in captured.err
+        assert captured.out == "" and "offset (0, 0) is inf" in captured.err
 
     def test_c_beyond_closed_forms_is_usage_error(self, capsys):
         assert main(["curves", "--c-min", "1e299", "--c-max", "1e300",

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -147,9 +148,10 @@ class TestProblemValidation:
                 homogeneous_problem(15, c)
 
     def test_c_overflowing_the_pressure_diagonal(self):
-        # the sweep divides by (20c + 1)/h^2, and 1/h^2 = 64 at n = 7
+        # the sweep divides by the pressure block's center (20c + 1)/h^2,
+        # and 1/h^2 = 64 at n = 7
         for c in (1e308, 2e305):
-            with pytest.raises(ValueError, match="overflows"):
+            with pytest.raises(ValueError, match=r"offset \(0, 0\) is inf"):
                 homogeneous_problem(7, c)
         assert homogeneous_problem(7, 1e305).c == 1e305
 
@@ -202,6 +204,46 @@ class TestProblemValidation:
         for bad in (10.0, 12.5, True):
             with pytest.raises(ValueError, match="integer"):
                 measure_convergence_factor(prob, spec, bad)
+
+
+def _overflow_threshold(h):
+    """The floats c just below and just above where (20c+1)/h^2 overflows.
+
+    Positive floats order as their bit patterns, so this bisects on those.
+    """
+    def bits(x):
+        return int(np.float64(x).view(np.int64))
+
+    def value(k):
+        return float(np.int64(k).view(np.float64))
+
+    lo, hi = bits(1.0), bits(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.isfinite((20.0 * value(mid) + 1.0) / h**2) else (lo, mid)
+    return value(lo), value(hi)
+
+
+class TestDiagonals:
+    """The sweep divides by the centers of the stencils the analysis sweeps."""
+
+    @pytest.mark.parametrize("n", [2**k - 1 for k in range(2, 10)])
+    def test_problem_diagonals_are_the_stencil_centers(self, n):
+        h = 1.0 / (n + 1)
+        below, above = _overflow_threshold(h)
+        assert below < above == math.nextafter(below, math.inf)
+        for c in (0.005, 1 / 8, 1.0, 1e150, 1e-300, below, above):
+            try:
+                block = make_operator("pressure_block", h=h, c=c)
+            except ValueError as exc:
+                assert c == above
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    homogeneous_problem(n, c)
+                continue
+            prob = homogeneous_problem(n, c)
+            lap = make_operator("laplacian", h=h)
+            assert (prob.d_vel, prob.d_pre) == (lap.center, block.center)
+            assert (prob.d_vel, prob.d_pre) == (4.0 / h**2, (20.0 * c + 1.0) / h**2)
 
 
 class TestResidual:

@@ -1,9 +1,11 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from stokesmg.mgsolver import homogeneous_problem
 from stokesmg.stencil import (Frequency, OPERATOR_KINDS, Stencil2D, apply_stencil,
                               make_operator, reduce_angle, symbol, symbol_grid)
 
@@ -86,6 +88,26 @@ class TestMakeOperator:
                 make_operator(kind, h=h, c=1.0)
         # each kind scales by its own power of h only
         assert make_operator("ddx", h=1e-200).entries[(1, 0)] == 5e199
+
+    def test_numpy_scalars_refused_as_python_floats(self):
+        # numpy scalar arithmetic warns on overflow; the refusal must not,
+        # and must read as it does for a Python float
+        calls = [(r"offset \(0, 0\) is inf",
+                  lambda: make_operator("pressure_block", c=np.float64(1e308))),
+                 ("mesh size 1e-200 is out of range",
+                  lambda: make_operator("laplacian", h=np.float64(1e-200))),
+                 (r"offset \(0, 0\) is inf", lambda: homogeneous_problem(7, np.float64(1e308)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for message, call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+        # the conversion is exact: every coefficient keeps its bits
+        for h, c in ((0.25, 0.125), (1 / 512, 1e150), (0.1, 1e-300)):
+            mine = make_operator("pressure_block", h=np.float64(h), c=np.float64(c))
+            theirs = make_operator("pressure_block", h=h, c=c)
+            assert [v.hex() for v in mine.entries.values()] == \
+                [v.hex() for v in theirs.entries.values()]
 
 
 class TestSymbol:
