@@ -138,15 +138,16 @@ _UNSCALED = {
     # central first derivatives, scale 1/(2h)
     "ddx": {(0, 0): 0.0, (-1, 0): -1.0, (1, 0): 1.0},
     "ddy": {(0, 0): 0.0, (0, -1): -1.0, (0, 1): 1.0},
-    # 13-point biharmonic, scale 1/h^4
-    "biharmonic": {(0, 0): 20.0,
-                   (1, 0): -8.0, (-1, 0): -8.0, (0, 1): -8.0, (0, -1): -8.0,
-                   (1, 1): 2.0, (1, -1): 2.0, (-1, 1): 2.0, (-1, -1): 2.0,
-                   (2, 0): 1.0, (-2, 0): 1.0, (0, 2): 1.0, (0, -2): 1.0},
-    # negative 5-point Laplacian on the doubled mesh, scale 1/(4h^2)
-    "laplacian_2h": {(0, 0): 4.0, (2, 0): -1.0, (-2, 0): -1.0,
-                     (0, 2): -1.0, (0, -2): -1.0},
 }
+# 13-point biharmonic, scale 1/h^4: the Laplacian applied twice, an exact
+# integer self-convolution, listed ring by ring (|k|^2 = 0, 1, 2, 4)
+_terms = [((a1 + b1, a2 + b2), u * w) for (a1, a2), u in _UNSCALED["laplacian"].items()
+          for (b1, b2), w in _UNSCALED["laplacian"].items()]
+_UNSCALED["biharmonic"] = {k: sum(t for j, t in _terms if j == k)
+                           for k, _ in sorted(_terms, key=lambda e: e[0][0]**2 + e[0][1]**2)}
+# the Laplacian on the doubled mesh, -dx dx - dy dy, scale 1/(4h^2)
+_UNSCALED["laplacian_2h"] = {(2 * k1, 2 * k2): v
+                             for (k1, k2), v in _UNSCALED["laplacian"].items()}
 
 OPERATOR_KINDS = ("laplacian", "ddx", "ddy", "biharmonic", "laplacian_2h",
                   "pressure_block")
@@ -158,8 +159,8 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
     Parameters
     ----------
     kind : str
-        One of ``OPERATOR_KINDS``.  "pressure_block" is the stabilized
-        pressure operator c*h^2*biharmonic + laplacian_2h and requires c.
+        One of ``OPERATOR_KINDS``.  "pressure_block", which requires c, is
+        c*h^2*biharmonic + laplacian_2h, both kinds scaled as on their own.
     h : float
         Mesh size, > 0.
     c : float, optional
@@ -180,16 +181,19 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
     except ArithmeticError:  # h**p underflowed to 0 or overflowed
         raise ValueError(f"mesh size {h} is out of range: the 1/h^p scaling of "
                          f"{kind!r} leaves the floating-point range") from None
-    return Stencil2D(entries, kind)
+    try:
+        return Stencil2D(entries, kind)
+    except ValueError as err:  # a coefficient is not finite: say which stencil
+        built = f"{kind} at h = {h}" + ("" if c is None else f", c = {c}")
+        raise ValueError(f"{built}: {err}") from None
 
 
 def _scaled_entries(kind: str, h: float, c: float | None) -> dict:
-    if kind == "pressure_block":
-        entries = {}
-        for off, val in _UNSCALED["biharmonic"].items():
-            entries[off] = c * h**2 * val / h**4
-        for off, val in _UNSCALED["laplacian_2h"].items():
-            entries[off] = entries.get(off, 0.0) + val / (4.0 * h**2)
+    if kind == "pressure_block":  # each part scaled as its own kind
+        entries = {off: c * h**2 * val
+                   for off, val in _scaled_entries("biharmonic", h, c).items()}
+        for off, val in _scaled_entries("laplacian_2h", h, c).items():
+            entries[off] = entries.get(off, 0.0) + val
         return entries
 
     # the scale is 1/(m h^p), computed for this kind only

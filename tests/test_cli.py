@@ -249,6 +249,14 @@ class TestSolveCommand:
         assert main(["solve", "--c", "1e300", "--n", "15"]) == EXIT_USAGE
         assert "closed forms" in capsys.readouterr().err
 
+    def test_overflowing_stencil_names_its_kind_and_c(self, capsys):
+        assert main(["solve", "--c", "1e308", "--omega", "1", "--n", "7",
+                     "--cycles", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: pressure_block at h = 0.125, c = 1e+308: " in captured.err
+        assert "offset (0, 0) is inf" in captured.err
+
     def test_bottom_grid_too_large_is_usage_error(self, capsys):
         # two-grid at n = 63 leaves a 31x31 bottom grid, beyond the exact solve
         assert main(["solve", "--c", "0.125", "--n", "63", "--levels", "2"]) == EXIT_USAGE

@@ -80,6 +80,13 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match=r"offset \(0, 0\) is inf"):
             make_operator("biharmonic", h=1e-80)
 
+    def test_refusal_names_kind_h_and_c(self):
+        with pytest.raises(ValueError, match=r"^pressure_block at h = 0\.125, c = 1e\+308: "
+                                             r"stencil coefficient at offset \(0, 0\) is inf"):
+            make_operator("pressure_block", h=0.125, c=1e308)
+        with pytest.raises(ValueError, match=r"^biharmonic at h = 1e-80: stencil coefficient"):
+            make_operator("biharmonic", h=1e-80)
+
     def test_scaling_out_of_range(self):
         # h**2 underflows to 0 or overflows: an error, not an arithmetic exception
         for kind, h in (("laplacian", 1e-200), ("pressure_block", 1e-200),
@@ -108,6 +115,96 @@ class TestMakeOperator:
             theirs = make_operator("pressure_block", h=h, c=c)
             assert [v.hex() for v in mine.entries.values()] == \
                 [v.hex() for v in theirs.entries.values()]
+
+
+# The tables earlier versions typed by hand, and the scaling they applied;
+# stencil.py now builds both from the Laplacian.
+_BIHARMONIC = {(0, 0): 20.0,
+               (1, 0): -8.0, (-1, 0): -8.0, (0, 1): -8.0, (0, -1): -8.0,
+               (1, 1): 2.0, (1, -1): 2.0, (-1, 1): 2.0, (-1, -1): 2.0,
+               (2, 0): 1.0, (-2, 0): 1.0, (0, 2): 1.0, (0, -2): 1.0}
+_LAPLACIAN_2H = {(0, 0): 4.0, (2, 0): -1.0, (-2, 0): -1.0, (0, 2): -1.0, (0, -2): -1.0}
+POWERS_OF_TWO = [2.0**-k for k in range(13)]
+
+
+def _bits(entries):
+    return [(off, val.hex()) for off, val in entries.items()]
+
+
+def _conv(a, b):
+    """The stencil product: offsets add, coefficients multiply and sum."""
+    out = {}
+    for (a1, a2), u in a.items():
+        for (b1, b2), w in b.items():
+            out[a1 + b1, a2 + b2] = out.get((a1 + b1, a2 + b2), 0.0) + u * w
+    return out
+
+
+def _add(*stencils):
+    out = {}
+    for s in stencils:
+        for off, val in s.items():
+            out[off] = out.get(off, 0.0) + val
+    return out
+
+
+def _scaled(entries, f):
+    return {off: f * val for off, val in entries.items()}
+
+
+def _nonzero(entries):
+    return {off: val for off, val in entries.items() if val != 0.0}
+
+
+class TestOneDefinition:
+    """biharmonic and laplacian_2h are built from the Laplacian, and the
+    pressure block from those two kinds, each scaled as on its own."""
+
+    @pytest.mark.parametrize("h", POWERS_OF_TWO + [0.1, 1 / 3, 0.7, 1e-3, 1e3])
+    def test_built_tables_match_the_typed_ones(self, h):
+        bih = {off: val * (1.0 / (1.0 * h**4)) for off, val in _BIHARMONIC.items()}
+        wide = {off: val * (1.0 / (4.0 * h**2)) for off, val in _LAPLACIAN_2H.items()}
+        assert _bits(make_operator("biharmonic", h=h).entries) == _bits(bih)
+        assert _bits(make_operator("laplacian_2h", h=h).entries) == _bits(wide)
+
+    @pytest.mark.parametrize("h", [0.7, 1 / 3, 1e-3, 1.0, 2.0**-9])
+    def test_pressure_block_is_composed_from_its_kinds(self, h):
+        bih = make_operator("biharmonic", h=h).entries
+        wide = make_operator("laplacian_2h", h=h).entries
+        for c in (1 / 16, 1 / 8, 1.0, 10.0):
+            want = _add(_scaled(bih, c * h**2), wide)
+            assert _bits(make_operator("pressure_block", h=h, c=c).entries) == _bits(want)
+
+    @pytest.mark.parametrize("h", POWERS_OF_TWO)
+    def test_pressure_block_keeps_its_bits_at_powers_of_two(self, h):
+        # the block as earlier versions scaled it, with its own expressions
+        for c in (0.005, 1 / 16, 1 / 8, 1.0, 10.0, 1e150):
+            want = {off: c * h**2 * val / h**4 for off, val in _BIHARMONIC.items()}
+            for off, val in _LAPLACIAN_2H.items():
+                want[off] = want.get(off, 0.0) + val / (4.0 * h**2)
+            assert _bits(make_operator("pressure_block", h=h, c=c).entries) == _bits(want)
+
+    @pytest.mark.parametrize("h", [1.0, 1 / 16])
+    def test_pressure_row_of_l_times_m(self, h):
+        # L = (lap, 0, dx; 0, lap, dy; dx, dy, c h^2 lap), the distribution
+        # M = (I, 0, -dx; 0, I, -dy; 0, 0, lap); every product is exact here
+        c = 1 / 8
+        lap, dx, dy = (dict(make_operator(kind, h=h).entries)
+                       for kind in ("laplacian", "ddx", "ddy"))
+        zero, eye = {}, {(0, 0): 1.0}
+        L = [[lap, zero, dx], [zero, lap, dy], [dx, dy, _scaled(lap, c * h**2)]]
+        M = [[eye, zero, _scaled(dx, -1.0)], [zero, eye, _scaled(dy, -1.0)], [zero, zero, lap]]
+        LM = [[_add(*(_conv(L[i][k], M[k][j]) for k in range(3))) for j in range(3)]
+              for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2)):
+            assert _nonzero(LM[i][j]) == {}
+        assert _nonzero(LM[0][0]) == lap and _nonzero(LM[1][1]) == lap
+        assert _nonzero(LM[2][0]) == _nonzero(dx) and _nonzero(LM[2][1]) == _nonzero(dy)
+        # the two parts of the pressure row, and their sum
+        assert _nonzero(_conv(lap, lap)) == make_operator("biharmonic", h=h).entries
+        assert _nonzero(_scaled(_add(_conv(dx, dx), _conv(dy, dy)), -1.0)) == \
+            make_operator("laplacian_2h", h=h).entries
+        assert _nonzero(LM[2][2]) == make_operator("pressure_block", h=h, c=c).entries
 
 
 class TestSymbol:
