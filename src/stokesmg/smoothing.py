@@ -15,9 +15,20 @@ then zooms locally around both extrema in lockstep, since the
 extremizers are generally off-lattice; the 257-point grid alone is only
 accurate to about 1e-5 in the extreme values.  smoothing_factor, the
 damped factor at a given omega, referees it by definition.
+
+The lattice is evaluated in row blocks of at most LATTICE_BLOCK_POINTS
+(2^14) base points, written into one real output, so that a block's
+complex temporaries stay in cache; at 257 samples the search's
+tracemalloc peak is about 1.7 MB.  A window search stops once its
+half-width is below REFINE_MIN_WIDTH, where the window's spacing falls
+below sqrt(eps): the field is flat to rounding there, and the optimum
+meets the closed forms to about 5e-16.  At c = 1/8 the windows take
+19/18/17 field evaluations at 65/129/257 samples, and the lattice 1/2/5
+blocks; the README's notes on frequency sweeps give the recorded timings.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +44,23 @@ IMAG_TOL = 1e-10
 # REFINE_POINTS x REFINE_POINTS windows around each lattice extremum.
 REFINE_ROUNDS = 80
 REFINE_POINTS = 17
+# A search stops once its window half-width falls below this, where the
+# window's spacing falls below sqrt(eps): a smooth extremum changes by the
+# square of that distance, so the field is flat to rounding there.
+REFINE_MIN_WIDTH = (REFINE_POINTS - 1) / 2 * math.sqrt(sys.float_info.epsilon)
+# The seed lattice is evaluated in row blocks of at most this many base
+# points, so that a block's complex temporaries stay cache-sized.
+LATTICE_BLOCK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Sampling plan for extrema searches over the low-frequency box.
 
-    Each lattice extremum is refined by local zoom stages, which resolve
-    the extreme values to ~1e-12.
+    The lattice is evaluated in row blocks of at most LATTICE_BLOCK_POINTS
+    base points.  Each lattice extremum is then refined by local zoom
+    stages until the window's spacing falls below sqrt(eps), which
+    resolves the extreme values to rounding.
     """
 
     n_samples_per_axis: int = 257
@@ -135,7 +155,10 @@ def _refine(field, starts, width: float) -> list:
                              min(q.t1 + q.w, HALF_PI), min(q.t2 + q.w, HALF_PI))
                             for q in live])
         # axes[k] = (xs, ys) of live search k
-        axes = np.linspace(windows[:, :2], windows[:, 2:], pts).transpose(1, 2, 0)
+        # the bits of np.linspace(lo, hi, pts), without its per-call overhead
+        lo, hi = windows[:, :2, None], windows[:, 2:, None]
+        axes = np.arange(pts) * ((hi - lo) / (pts - 1)) + lo
+        axes[:, :, -1] = hi[:, :, 0]
         stacked = field(axes[:, 0, :, None], axes[:, 1, None, :])
         still = []
         for q, (xs, ys), (lo1, lo2, hi1, hi2), vals in zip(live, axes, windows, stacked):
@@ -152,7 +175,7 @@ def _refine(field, starts, width: float) -> list:
                               or (col == pts - 1 and hi2 < HALF_PI))
             if not on_window_edge:
                 q.w /= 2.0
-                if q.w >= 1e-10:
+                if q.w >= REFINE_MIN_WIDTH:
                     still.append(q)
             elif improved:
                 still.append(q)
@@ -162,6 +185,22 @@ def _refine(field, starts, width: float) -> list:
     return [(q.value, q.t1, q.t2) for q in searches]
 
 
+def _lattice(field, ax: np.ndarray) -> np.ndarray:
+    """field on the ax x ax lattice, in row blocks of near-equal row counts.
+
+    Each block holds at most LATTICE_BLOCK_POINTS base points (or one
+    row, if a row holds more) and is written into one real output; each
+    value is the one the whole-lattice call gives.
+    """
+    n = ax.size
+    blocks = -(-n // max(1, LATTICE_BLOCK_POINTS // n))  # the fewest that fit
+    rows = -(-n // blocks)  # spread evenly over them
+    vals = np.empty((n, n))
+    for start in range(0, n, rows):
+        vals[start:start + rows] = field(ax[start:start + rows, None], ax[None, :])
+    return vals
+
+
 def _extrema(field, ax: np.ndarray, signs) -> list:
     """Maximizers of sign*field over the low box, one per sign.
 
@@ -169,7 +208,7 @@ def _extrema(field, ax: np.ndarray, signs) -> list:
     refined together; returns [(value, t1, t2)] in the order of signs.
     The lattice values are dropped before the refine starts.
     """
-    vals = field(ax[:, None], ax[None, :])
+    vals = _lattice(field, ax)
     n = ax.size
     starts = []
     for sign in signs:

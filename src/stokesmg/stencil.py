@@ -190,7 +190,10 @@ def make_operator(kind: str, h: float = 1.0, c: float | None = None) -> Stencil2
 
 def _scaled_entries(kind: str, h: float, c: float | None) -> dict:
     if kind == "pressure_block":  # each part scaled as its own kind
-        entries = {off: c * h**2 * val
+        # an overflowed biharmonic entry stays inf: c h^2 may underflow to
+        # 0, and 0 * inf would report the overflow as nan
+        scale = c * h**2
+        entries = {off: val if math.isinf(val) else scale * val
                    for off, val in _scaled_entries("biharmonic", h, c).items()}
         for off, val in _scaled_entries("laplacian_2h", h, c).items():
             entries[off] = entries.get(off, 0.0) + val

@@ -86,6 +86,11 @@ class TestMakeOperator:
             make_operator("pressure_block", h=0.125, c=1e308)
         with pytest.raises(ValueError, match=r"^biharmonic at h = 1e-80: stencil coefficient"):
             make_operator("biharmonic", h=1e-80)
+        # c h^2 underflows to 0 where the biharmonic part overflows: still
+        # an overflow, not 0 * inf = nan
+        with pytest.raises(ValueError, match=r"^pressure_block at h = 1e-77, c = 1e-260: "
+                                             r"stencil coefficient at offset \(0, 0\) is inf"):
+            make_operator("pressure_block", h=1e-77, c=1e-260)
 
     def test_scaling_out_of_range(self):
         # h**2 underflows to 0 or overflows: an error, not an arithmetic exception

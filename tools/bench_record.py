@@ -14,8 +14,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   grid's full sweep, band sweep, residual, restrict and prolong, and of
   the bottom solve;
 * lfa: at c = 1/8, ms per call of symbol_grid, of the field on the
-  257x257 lattice and of the refine inside one_stage_optimum, of
-  one_stage_optimum (with its field evaluations) and of the referees;
+  257x257 lattice (in its row blocks) and of the refine inside
+  one_stage_optimum, of one_stage_optimum (with its field evaluations)
+  and of the referees;
 * criteria and commands: seconds and outcome of each criterion, the
   tier-1 suite, `stokesmg theorems` and `stokesmg curves`.
 
@@ -193,11 +194,11 @@ def lfa_rows():
         for _ in range(LFA_REPEATS):
             smoothing.one_stage_optimum(op, cfg)
 
-    # the field on the lattice and the refine of both extrema, each in the
-    # optimum's own calls, with only the timed function wrapped
-    _, fields = _traced(smoothing, ["projected_eigenvalue_grid"], optima)
-    rows["lattice"] = {"points": lattice.size ** 2, "ms_per_call": _median_span_ms(
-        span for span in fields if span[5]["points"] == lattice.size ** 2)}
+    # the field on the lattice (all its row blocks) and the refine of both
+    # extrema, each in the optimum's own calls, with only the timed
+    # function wrapped
+    _, lattices = _traced(smoothing, ["_lattice"], optima)
+    rows["lattice"] = {"points": lattice.size ** 2, "ms_per_call": _median_span_ms(lattices)}
     _, refines = _traced(smoothing, ["_refine"], optima)
     rows["refine"] = {"ms_per_call": _median_span_ms(refines)}
     for n in (65, 257):
