@@ -9,7 +9,9 @@ the pressure.  The discrete system at interior nodes is
     -lap v + dy p          = f2
     dx u + dy v - c h^2 lap p = f3
 
-with the 5-point Laplacian and central first differences.  The smoother
+with make_operator's 5-point "laplacian" and central "ddx" and "ddy",
+which the residual and the distribution apply (_apply takes 5-point
+stencils only), and c h^2 as in its "pressure_block".  The smoother
 is the damped two-color distributive Jacobi sweep: ghost corrections are
 computed per color from the current residual, divided by the stencil
 centers of the transformed system's diagonal blocks (make_operator's
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import periodic_two_color_sweep
-from .stencil import Stencil2D, make_operator
+from .stencil import Stencil2D, _is_count, make_operator
 
 PI = math.pi
 
@@ -76,11 +78,12 @@ class StokesProblem:
     manufactured solutions).  The sweep's diagonals d_vel = 4/h^2 and
     d_pre = (20c+1)/h^2 are the centers of make_operator's "laplacian"
     and "pressure_block", built once here, so c must be positive and
-    keep every pressure_block coefficient finite.  The fields cannot be
-    rebound, but the arrays can be written.  The problem owns
-    the work buffers of the sweeps and residuals evaluated on it and the
-    coarse levels its cycles use, so two threads must not sweep, take
-    residuals or cycle on one problem at the same time.
+    keep every pressure_block coefficient finite.  The residual and the
+    distribution apply its "laplacian", "ddx" and "ddy", also built once
+    here.  The fields cannot be rebound, but the arrays can be written.
+    The problem owns the work buffers of the sweeps and residuals
+    evaluated on it and the coarse levels its cycles use, so two threads
+    must not sweep, take residuals or cycle on one problem at the same time.
     """
 
     n: int
@@ -92,6 +95,9 @@ class StokesProblem:
     g_v: np.ndarray
     d_vel: float = field(init=False, repr=False, compare=False)
     d_pre: float = field(init=False, repr=False, compare=False)
+    _laplacian: tuple = field(init=False, repr=False, compare=False)  # _apply plans
+    _ddx: tuple = field(init=False, repr=False, compare=False)
+    _ddy: tuple = field(init=False, repr=False, compare=False)
     # work buffers of the sweeps and residuals on this grid, by name (see
     # _buffers), and the coarse level below it (see _coarse_level), made
     # on first use; they live and die with the problem
@@ -101,6 +107,8 @@ class StokesProblem:
         _check_grid(self.n)  # first: h divides by n + 1
         for name, kind in (("d_vel", "laplacian"), ("d_pre", "pressure_block")):
             object.__setattr__(self, name, make_operator(kind, h=self.h, c=self.c).center)
+        for kind in ("laplacian", "ddx", "ddy"):
+            object.__setattr__(self, "_" + kind, _plan(make_operator(kind, h=self.h)))
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
             _flat(getattr(self, name), self.n, name)
 
@@ -119,11 +127,6 @@ class StokesState:
 
     def copy(self) -> "StokesState":
         return StokesState(self.u.copy(), self.v.copy(), self.p.copy())
-
-
-def _is_count(k) -> bool:
-    """Whether k is a Python or numpy integer; a bool is not."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 @dataclass(frozen=True)
@@ -246,22 +249,28 @@ def _count(k) -> int:
 # their reciprocals, which are exact, gives the bits of dividing by them.
 
 
-def _neg_lap(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
-    c, xp, xm, yp, ym = at
-    np.multiply(a[c], 4.0, out=out)
-    for s in (xp, xm, yp, ym):
-        np.subtract(out, a[s], out=out)
-    return np.multiply(out, 1.0 / h**2, out=out)
+def _plan(s: Stencil2D) -> tuple:
+    """The 5-point stencil s as _apply takes it: (center, pair, terms, scale) in units of scale."""
+    scale = max(abs(v) for off, v in s.entries.items() if off != (0, 0))
+    slots = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))  # a selector's, in order
+    w = {slots.index(off): v / scale for off, v in s.entries.items() if v != 0.0}
+    terms = tuple(({1.0: np.add, -1.0: np.subtract}[x], k) for k, x in w.items() if k)
+    if 0 in w:
+        return w[0], (), terms, scale
+    (pos,), (neg,) = ([k for k in w if w[k] == x] for x in (1.0, -1.0))  # one of each sign
+    return 0.0, (pos, neg), (), scale
 
 
-def _ddx(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
-    np.subtract(a[at[1]], a[at[2]], out=out)
-    return np.multiply(out, 0.5 / h, out=out)
-
-
-def _ddy(a: np.ndarray, h: float, at: tuple, out: np.ndarray) -> np.ndarray:
-    np.subtract(a[at[3]], a[at[4]], out=out)
-    return np.multiply(out, 0.5 / h, out=out)
+def _apply(plan: tuple, a: np.ndarray, at: tuple, out: np.ndarray) -> np.ndarray:
+    """The planned stencil (see _plan) applied to a at the nodes of selector at, into out."""
+    center, pair, terms, scale = plan
+    if center:
+        np.multiply(a[at[0]], center, out=out)
+    else:  # a central difference: the positive neighbour minus the negative
+        np.subtract(a[at[pair[0]]], a[at[pair[1]]], out=out)
+    for op, k in terms:
+        op(out, a[at[k]], out=out)
+    return np.multiply(out, scale, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,9 +403,9 @@ def _band_mask(n: int) -> np.ndarray:
 
 
 def _check_grid(n: int):
-    """Raise unless n interior nodes per axis coarsen to the 3x3 grid."""
-    if n < 3 or (n + 1) & n != 0:
-        raise ValueError(f"n + 1 must be a power of two with n >= 3, got n = {n}")
+    """Raise unless n interior nodes per axis, an integer, coarsen to the 3x3 grid."""
+    if not _is_count(n) or n < 3 or (n + 1) & n != 0:
+        raise ValueError(f"n + 1 must be a power of two with n an integer >= 3, got n = {n}")
 
 
 def max_levels(n: int) -> int:
@@ -415,6 +424,7 @@ def _zeros(n: int) -> np.ndarray:
 
 def homogeneous_problem(n: int, c: float) -> StokesProblem:
     """Zero right-hand sides and boundary data; exact solution is zero."""
+    _check_grid(n)  # before _zeros, which cannot take a non-integer n
     return StokesProblem(n, c, _zeros(n), _zeros(n), _zeros(n), _zeros(n), _zeros(n))
 
 
@@ -477,15 +487,15 @@ def _residual_at(prob: StokesProblem, u: np.ndarray, v: np.ndarray, p: np.ndarra
     """
     h = prob.h
     f1, f2, f3 = (_flat(f, prob.n)[rhs] for f in (prob.f1, prob.f2, prob.f3))
-    _neg_lap(u, h, at, r1)
-    r1 += _ddx(p, h, at, t)
+    _apply(prob._laplacian, u, at, r1)
+    r1 += _apply(prob._ddx, p, at, t)
     np.subtract(f1, r1, out=r1)
-    _neg_lap(v, h, at, r2)
-    r2 += _ddy(p, h, at, t)
+    _apply(prob._laplacian, v, at, r2)
+    r2 += _apply(prob._ddy, p, at, t)
     np.subtract(f2, r2, out=r2)
-    _ddx(u, h, at, r3)
-    r3 += _ddy(v, h, at, t)
-    _neg_lap(p, h, at, t)
+    _apply(prob._ddx, u, at, r3)
+    r3 += _apply(prob._ddy, v, at, t)
+    _apply(prob._laplacian, p, at, t)
     t *= prob.c * h**2
     r3 += t
     np.subtract(f3, r3, out=r3)
@@ -580,7 +590,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     """
     if not 0.0 <= omega < 2.0:
         raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
-    n, h = prob.n, prob.h
+    n = prob.n
     d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
         plan = _packed_plan(n)
@@ -627,11 +637,11 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
             w3[nodes[0]] = r3
             p[nodes[0]] += np.multiply(r3, d_vel, out=t)
             du, dv, dp = (b[:_count(near[0])] for b in tmp[:3])
-            _ddx(w3, h, near, du)[near_ring] = 0.0
+            _apply(prob._ddx, w3, near, du)[near_ring] = 0.0
             u[near[0]] -= du
-            _ddy(w3, h, near, dv)[near_ring] = 0.0
+            _apply(prob._ddy, w3, near, dv)[near_ring] = 0.0
             v[near[0]] -= dv
-            p[near[0]] += _neg_lap(w3, h, near, dp)
+            p[near[0]] += _apply(prob._laplacian, w3, near, dp)
             w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
@@ -887,7 +897,9 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
     two-color sweep and then removes all low-box Fourier content, and
     the asymptotic norm ratio is the measured factor.  It can only fall
     short of the analytic supremum because the grid samples finitely
-    many pairs.  Returns (rho_measured, ratios).
+    many pairs.  Returns (rho_measured, ratios); omega must lie in (0, 2).
+    An error that vanishes exactly ends the run, and the fit takes the
+    ratios before it (rho_measured is 0 when there are none).
 
     The complementary pairs with both members high (e.g. the pair of
     (pi, 0) and (0, pi)) evolve independently at their own rates, which
@@ -897,6 +909,8 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
     re-seeds them and their slower decay takes over the measured tail
     after a few dozen sweeps.
     """
+    if not (0.0 < omega < 2.0):
+        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
     proj = _high_pair_projector(PERIODIC_GRID)
 
     def project_to_family_high(e):
@@ -919,5 +933,6 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
             break
         e /= new
         norm = 1.0
-    rho = float(np.exp(np.mean(np.log(ratios[-5:]))))
+    tail = ratios[:-1 if ratios[-1] == 0.0 else None][-5:]
+    rho = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
     return rho, ratios

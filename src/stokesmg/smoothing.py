@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import Frequency, Stencil2D
+from .stencil import Frequency, Stencil2D, _is_count
 from .harmonics import projected_eigenvalue_grid
 
 HALF_PI = 0.5 * math.pi
@@ -66,8 +66,9 @@ class SweepConfig:
     n_samples_per_axis: int = 257
 
     def __post_init__(self):
-        if self.n_samples_per_axis < 2:
-            raise ValueError("need at least 2 samples per axis")
+        if not _is_count(self.n_samples_per_axis) or self.n_samples_per_axis < 2:
+            raise ValueError(f"need an integer number of samples per axis >= 2, "
+                             f"got {self.n_samples_per_axis}")
 
 
 @dataclass(frozen=True)

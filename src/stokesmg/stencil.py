@@ -18,6 +18,11 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _is_count(k) -> bool:
+    """Whether k is a Python or numpy integer; a bool is not."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def reduce_angle(t: float) -> float:
     """Reduce an angle into the half-open interval (-pi, pi]."""
     r = math.remainder(t, TWO_PI)

@@ -176,6 +176,11 @@ class TestCurvesCommand:
         assert main(["curves", "--c-min", "1", "--c-max", "0.5"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_no_points_is_usage_error(self, capsys):
+        assert main(["curves", "--c-min", "0.1", "--c-max", "1", "--n-points", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n_points must be >= 1" in captured.err
+
     def test_c_overflowing_the_pressure_diagonal_is_usage_error(self, capsys):
         # once reported as a divergence, after overflow warnings
         with warnings.catch_warnings():

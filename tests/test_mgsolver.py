@@ -17,7 +17,7 @@ from stokesmg.mgsolver import (CycleSpec, StokesProblem, StokesState,
                                random_state, residual_norm, restrict, v_cycle,
                                zero_state)
 from stokesmg.harmonics import periodic_two_color_sweep, projected_eigenvalue_grid
-from stokesmg.stencil import apply_stencil, make_operator
+from stokesmg.stencil import Stencil2D, apply_stencil, make_operator
 
 PI = math.pi
 OMEGA_8 = cf.OMEGA_AT_C_EIGHTH
@@ -141,6 +141,18 @@ class TestProblemValidation:
                 max_levels(n)
             assert str(again.value) == str(raised.value)
         assert (max_levels(3), max_levels(511)) == (1, 8)
+
+    @pytest.mark.parametrize("n", [7.0, np.float64(7.0), True, "7"],
+                             ids=["float", "numpy float", "bool", "str"])
+    def test_grid_size_must_be_an_integer(self, n):
+        # 7.0 once raised TypeError from np.zeros or from the & of the check
+        grids = [np.zeros((9, 9)) for _ in range(5)]
+        for make in (lambda: homogeneous_problem(n, 0.125), lambda: max_levels(n),
+                     lambda: StokesProblem(n, 0.125, *grids)):
+            with pytest.raises(ValueError, match="integer"):
+                make()
+        assert max_levels(np.int64(7)) == 2
+        assert homogeneous_problem(np.int32(7), 0.125).h == 0.125
 
     def test_c_positive(self):
         for c in (0.0, math.nan, math.inf):
@@ -302,6 +314,31 @@ class TestResidual:
                 e2 = -(apply_stencil(lap, st.v, (i, j)) + apply_stencil(ddy, p, (i, j)))
                 e3 = -(apply_stencil(ddx, st.u, (i, j)) + apply_stencil(ddy, st.v, (i, j))
                        - c * h**2 * (-apply_stencil(lap, p, (i, j))))
+                assert abs(r1[i, j] - e1) < 1e-13
+                assert abs(r2[i, j] - e2) < 1e-13
+                assert abs(r3[i, j] - e3) < 1e-13
+
+    def test_applies_the_stencils_make_operator_returns(self, monkeypatch):
+        # every kind built at 2h, still a power of two: a solver with its own
+        # difference weights would still difference at h
+        def at_double_h(kind, h=1.0, c=None):
+            return make_operator(kind, h=2 * h, c=c)
+
+        monkeypatch.setattr(mgsolver, "make_operator", at_double_h)
+        n, c = 7, 0.2
+        prob = homogeneous_problem(n, c)
+        st = random_state(prob, seed=5)
+        h = prob.h
+        lap, ddx, ddy = (make_operator(kind, h=2 * h) for kind in ("laplacian", "ddx", "ddy"))
+        p = st.p.copy()
+        _ref_mirror_ghosts(p)
+        r1, r2, r3 = assemble_residual(prob, st)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                e1 = -(apply_stencil(lap, st.u, (i, j)) + apply_stencil(ddx, p, (i, j)))
+                e2 = -(apply_stencil(lap, st.v, (i, j)) + apply_stencil(ddy, p, (i, j)))
+                e3 = -(apply_stencil(ddx, st.u, (i, j)) + apply_stencil(ddy, st.v, (i, j))
+                       + c * h**2 * apply_stencil(lap, p, (i, j)))
                 assert abs(r1[i, j] - e1) < 1e-13
                 assert abs(r2[i, j] - e2) < 1e-13
                 assert abs(r3[i, j] - e3) < 1e-13
@@ -624,6 +661,28 @@ class TestInPlaceCycle:
         mine = distributive_two_color_sweep(prob, clean, OMEGA_8, point_mask=mask)
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
         assert not mgsolver._buffers(prob, "w3")[0].any()
+
+    def test_interrupted_sweep_leaves_a_zero_buffer(self, monkeypatch):
+        # interrupt the first distribution step, after the red nodes' ghosts
+        # are written to w3 and before they are cleared from it
+        prob, st = scrambled_problem(15, 0.125, seed=4)
+        w3 = mgsolver._buffers(prob, "w3")[0]
+        apply, written = mgsolver._apply, []
+
+        def interrupt_distribution(plan, a, at, out):
+            if np.shares_memory(a, w3):
+                written.append(bool(w3.any()))
+                raise KeyboardInterrupt
+            return apply(plan, a, at, out)
+
+        monkeypatch.setattr(mgsolver, "_apply", interrupt_distribution)
+        with pytest.raises(KeyboardInterrupt):
+            distributive_two_color_sweep(prob, st.copy(), OMEGA_8)
+        assert written == [True]
+        assert not w3.any()
+        monkeypatch.undo()
+        mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8)
+        assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8))
 
     @pytest.mark.parametrize("layout", ["fortran", "sliced", "float32", "int64"])
     def test_any_layout_through_default_path(self, layout):
@@ -1033,6 +1092,21 @@ class TestConvergenceMeasurement:
 
 
 class TestPeriodicSmoothing:
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 5.0, -1.0, math.nan])
+    def test_damping_outside_range_refused(self, omega):
+        pb = make_operator("pressure_block", c=0.125)
+        with pytest.raises(ValueError, match=re.escape("must lie in (0, 2), got")):
+            mgsolver.measure_periodic_smoothing(pb, omega)
+
+    def test_vanishing_error_ends_the_run_without_log_of_zero(self):
+        # one sweep with the identity stencil solves exactly: the first
+        # ratio is 0 and no ratio precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, ratios = mgsolver.measure_periodic_smoothing(
+                Stencil2D({(0, 0): 1.0}, "identity"), 1.0)
+        assert (rho, ratios) == (0.0, [0.0])
+
     def test_single_pair_matches_prediction(self):
         # seed one harmonic pair and compare the per-sweep damping with
         # the damped projected eigenvalue at that base frequency

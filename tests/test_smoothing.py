@@ -164,6 +164,14 @@ class TestSweepExtrema:
         with pytest.raises(ValueError):
             SweepConfig(n_samples_per_axis=1)
 
+    @pytest.mark.parametrize("n", [65.0, np.float64(65.0), True, "65"],
+                             ids=["float", "numpy float", "bool", "str"])
+    def test_config_refuses_a_non_integer_sample_count(self, n):
+        # 65.0 was accepted and failed later, inside np.linspace
+        with pytest.raises(ValueError, match="integer number of samples"):
+            SweepConfig(n)
+        assert SweepConfig(np.int64(65)).n_samples_per_axis == 65
+
 
 # Referee for the extremum searches: the sequential refine they replaced,
 # one pattern search per extremum, on a field whose pair members come

@@ -59,6 +59,10 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match="requires the stabilization"):
             make_operator("pressure_block")
 
+    def test_stencil_without_center_refused(self):
+        with pytest.raises(ValueError, match=r"center offset \(0, 0\)"):
+            Stencil2D({(1, 0): 1.0, (-1, 0): -1.0}, "no center")
+
     def test_nonpositive_mesh(self):
         for h in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="mesh size"):
