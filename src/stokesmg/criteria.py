@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform as cf
-from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
-from .mgsolver import (CycleSpec, homogeneous_problem, max_levels,
-                       measure_convergence_factor, measure_periodic_smoothing)
+from .harmonics import (harmonics_of, measure_periodic_smoothing, numerical_lfa_oracle,
+                        two_color_rep)
+from .mgsolver import CycleSpec, homogeneous_problem, max_levels, measure_convergence_factor
 from .smoothing import SweepConfig, one_stage_optimum, smoothing_factor
 from .stencil import Frequency, make_operator
 

@@ -1,5 +1,10 @@
 """Harmonic mode pairs and the two-color Jacobi relaxation in Fourier space.
 
+This module is the periodic half of the analysis: the symbols and pair
+representations, the concrete red-black sweep on a periodic grid, and
+the two referees that run it, the pair oracle (numerical_lfa_oracle)
+and the smoothing measurement (measure_periodic_smoothing).
+
 Under standard coarsening, the modes theta and theta + (pi, pi) alias to
 the same coarse-grid mode.  A two-color (red-black) point relaxation
 leaves each such pair invariant, so its action is a 2x2 complex matrix
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import Frequency, Stencil2D, symbol_grid
+from .stencil import Frequency, Stencil2D, _is_count, symbol_grid
 
 PI = math.pi
 
@@ -189,8 +194,8 @@ def numerical_lfa_oracle(s: Stencil2D, pair: HarmonicPair, n_grid: int) -> np.nd
     This is an independent check of the closed-form representation; no
     symbols are used.
     """
-    if n_grid % 2 != 0 or n_grid < 8:
-        raise ValueError(f"n_grid must be even and >= 8, got {n_grid}")
+    if not _is_count(n_grid) or n_grid % 2 != 0 or n_grid < 8:
+        raise ValueError(f"n_grid must be an even integer >= 8, got {n_grid}")
     for th in (pair.base, pair.high):
         _lattice_index(th.theta1, n_grid)
         _lattice_index(th.theta2, n_grid)
@@ -204,3 +209,73 @@ def numerical_lfa_oracle(s: Stencil2D, pair: HarmonicPair, n_grid: int) -> np.nd
         for row, psi in enumerate(modes):
             m[row, col] = np.mean(e * np.conj(psi))
     return m
+
+
+PERIODIC_GRID = 32
+PERIODIC_SWEEPS = 30
+
+
+def _high_pair_projector(n: int) -> np.ndarray:
+    """The n x n matrix P with P @ e @ P.T = ifft2(fft2(e) * high-box mask).
+
+    The high box, the partners of the low box (-pi/2, pi/2]^2, is the
+    tensor product high(t1) & high(t2) of one per-axis mask over the
+    fftfreq frequencies, so the 2D projection splits into P = ifft(diag
+    (high) fft(I)) along each axis.  No symbol enters it.
+    """
+    theta = 2.0 * PI * np.fft.fftfreq(n)
+    high = ~((theta > -PI / 2) & (theta <= PI / 2))
+    return np.fft.ifft(high[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+
+
+def measure_periodic_smoothing(s: Stencil2D, omega: float,
+                               seed: int = 0) -> tuple[float, list]:
+    """Per-sweep damping of aliasing-pair error on a periodic grid.
+
+    The two-color sweep leaves every mode pair {mu, mu + (pi, pi)}
+    invariant.  The pair family analyzed by the sweep machinery (and the
+    one an ideal coarse-grid correction interacts with) is the aliasing
+    family whose base lies in the low box: the error is seeded with
+    random content of its high members, each step applies one damped
+    two-color sweep and then removes all low-box Fourier content, and
+    the asymptotic norm ratio is the measured factor.  It can only fall
+    short of the analytic supremum because the grid samples finitely
+    many pairs.  Returns (rho_measured, ratios); omega must lie in (0, 2).
+    An error that vanishes exactly ends the run, and the fit takes the
+    ratios before it (rho_measured is 0 when there are none).
+
+    The complementary pairs with both members high (e.g. the pair of
+    (pi, 0) and (0, pi)) evolve independently at their own rates, which
+    the one-stage optimum does not describe: at c = 1/8 with the optimal
+    damping they decay at 15/31 per sweep.  The per-step projection
+    removes them along with the low content; otherwise rounding noise
+    re-seeds them and their slower decay takes over the measured tail
+    after a few dozen sweeps.
+    """
+    if not (0.0 < omega < 2.0):
+        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
+    proj = _high_pair_projector(PERIODIC_GRID)
+
+    def project_to_family_high(e):
+        return proj @ e @ proj.T
+
+    def sweep(e):
+        return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
+
+    rng = np.random.default_rng(seed)
+    shape = (PERIODIC_GRID, PERIODIC_GRID)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e = project_to_family_high(noise)
+    ratios = []
+    norm = np.linalg.norm(e)
+    for _ in range(PERIODIC_SWEEPS):
+        e = project_to_family_high(sweep(e))
+        new = np.linalg.norm(e)
+        ratios.append(float(new / norm))
+        if new < 1e-200:
+            break
+        e /= new
+        norm = 1.0
+    tail = ratios[:-1 if ratios[-1] == 0.0 else None][-5:]
+    rho = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
+    return rho, ratios

@@ -1,5 +1,9 @@
 """Geometric multigrid for the stabilized collocated Stokes system.
 
+This module is the Dirichlet solver alone.  It re-exports the periodic
+referee measure_periodic_smoothing only because the benchmark in
+perfbench/ calls and traces that function under this module's name.
+
 Unknowns u, v, p live on the nodes of a uniform grid over the unit
 square, stored as (n+2) x (n+2) arrays whose outer ring holds boundary
 data: Dirichlet values for the velocities, first-order mirror ghosts for
@@ -57,8 +61,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import periodic_two_color_sweep
 from .stencil import Stencil2D, _is_count, make_operator
+
+# not used here: perfbench/workloads.py calls this name and
+# perfbench/layers.py traces it as mgsolver.measure_periodic_smoothing
+from .harmonics import measure_periodic_smoothing  # noqa: F401
 
 PI = math.pi
 
@@ -209,6 +216,14 @@ def _flat(a: np.ndarray, n: int, name: str = "array") -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError(f"{name} is not C-contiguous, so its flat view would be a copy")
     return a.reshape(-1)
+
+
+def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
+    """_flat(a, n, name) for an array the solver writes; raises also if a is read-only."""
+    flat = _flat(a, n, name)
+    if not flat.flags.writeable:
+        raise ValueError(f"{name} is read-only")
+    return flat
 
 
 # The grid is stored flat, k = i (n+2) + j.  A node selector names a set
@@ -454,6 +469,7 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
     f3), so the returned state solves the discrete system to rounding and
     is a fixed point of the smoother and the cycles.
     """
+    _check_grid(n)  # before linspace and p[1, 1], which a bad n fails otherwise
     x = np.linspace(0.0, 1.0, n + 2)
     xg, yg = np.meshgrid(x, x, indexing="ij")
     u = np.sin(PI * xg) * np.sin(PI * yg)
@@ -507,13 +523,14 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     The pressure ring is re-derived by mirroring before differencing, so
     the result does not depend on the ghost values the caller left in p.
     out, like numpy's, takes the three arrays to write the blocks into
-    and is returned; by default they are new.  It and st must pass _flat.
+    and is returned; by default they are new.  st must pass _flat, and out
+    must pass it and be writeable, checked before anything is written.
     """
     n = prob.n
     if out is None:
         out = (_zeros(n), _zeros(n), _zeros(n))
     at = _interior(n)
-    blocks = [_flat(r, n, "out")[at[0]] for r in out]
+    blocks = [_writable(r, n, f"out[{k}]")[at[0]] for k, r in enumerate(out)]
     u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
     p, t = _buffers(prob, "state")[:2]
     np.copyto(p.reshape(-1), p_in)
@@ -585,8 +602,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     anchors the whole interior, and keeps the old state for a damped blend
     in the state buffers.  Temporaries live in buffers the problem owns.
 
-    st must pass _flat, checked with omega before anything is written; a
-    caller that needs st again passes a copy.
+    st's arrays must pass _flat and be writeable, checked with omega
+    before anything is written; a caller that needs st again passes a copy.
     """
     if not 0.0 <= omega < 2.0:
         raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
@@ -598,7 +615,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
-    fields = [_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
+    fields = [_writable(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
     spare = [b.reshape(-1) for b in _buffers(prob, "state")]
     if plan.pack:
         for a, b in zip(spare, fields):
@@ -821,8 +838,9 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
     """One V-cycle over spec.levels levels (two-grid for levels = 2) on st, in place.
 
     Returns st.  The bottom grid is solved exactly and may be at most
-    BOTTOM_MAX_N x BOTTOM_MAX_N.  st must pass _flat, checked before the
-    first write; a caller that needs st again passes a copy.
+    BOTTOM_MAX_N x BOTTOM_MAX_N.  st's arrays must pass _flat and be
+    writeable, checked before the first write; a caller that needs st
+    again passes a copy.
     """
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
@@ -832,6 +850,8 @@ def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesStat
         raise ValueError(f"{spec.levels} levels leave a {nb}x{nb} bottom grid at "
                          f"n = {prob.n}; the exact bottom solve takes at most "
                          f"{BOTTOM_MAX_N}x{BOTTOM_MAX_N}, so use more levels")
+    for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")):
+        _writable(a, prob.n, name)
     return _cycle(prob, st, spec, spec.levels)
 
 
@@ -863,76 +883,3 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
     report.rho_observed = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
     report.diverged = not math.isfinite(r) or report.rho_observed > 1.0
     return report
-
-
-# ---------------------------------------------------------------------------
-# periodic smoothing measurement
-
-PERIODIC_GRID = 32
-PERIODIC_SWEEPS = 30
-
-
-def _high_pair_projector(n: int) -> np.ndarray:
-    """The n x n matrix P with P @ e @ P.T = ifft2(fft2(e) * high-box mask).
-
-    The high box, the partners of the low box (-pi/2, pi/2]^2, is the
-    tensor product high(t1) & high(t2) of one per-axis mask over the
-    fftfreq frequencies, so the 2D projection splits into P = ifft(diag
-    (high) fft(I)) along each axis.  No symbol enters it.
-    """
-    theta = 2.0 * PI * np.fft.fftfreq(n)
-    high = ~((theta > -PI / 2) & (theta <= PI / 2))
-    return np.fft.ifft(high[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-
-
-def measure_periodic_smoothing(s: Stencil2D, omega: float,
-                               seed: int = 0) -> tuple[float, list]:
-    """Per-sweep damping of aliasing-pair error on a periodic grid.
-
-    The two-color sweep leaves every mode pair {mu, mu + (pi, pi)}
-    invariant.  The pair family analyzed by the sweep machinery (and the
-    one an ideal coarse-grid correction interacts with) is the aliasing
-    family whose base lies in the low box: the error is seeded with
-    random content of its high members, each step applies one damped
-    two-color sweep and then removes all low-box Fourier content, and
-    the asymptotic norm ratio is the measured factor.  It can only fall
-    short of the analytic supremum because the grid samples finitely
-    many pairs.  Returns (rho_measured, ratios); omega must lie in (0, 2).
-    An error that vanishes exactly ends the run, and the fit takes the
-    ratios before it (rho_measured is 0 when there are none).
-
-    The complementary pairs with both members high (e.g. the pair of
-    (pi, 0) and (0, pi)) evolve independently at their own rates, which
-    the one-stage optimum does not describe: at c = 1/8 with the optimal
-    damping they decay at 15/31 per sweep.  The per-step projection
-    removes them along with the low content; otherwise rounding noise
-    re-seeds them and their slower decay takes over the measured tail
-    after a few dozen sweeps.
-    """
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
-    proj = _high_pair_projector(PERIODIC_GRID)
-
-    def project_to_family_high(e):
-        return proj @ e @ proj.T
-
-    def sweep(e):
-        return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
-
-    rng = np.random.default_rng(seed)
-    shape = (PERIODIC_GRID, PERIODIC_GRID)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    e = project_to_family_high(noise)
-    ratios = []
-    norm = np.linalg.norm(e)
-    for _ in range(PERIODIC_SWEEPS):
-        e = project_to_family_high(sweep(e))
-        new = np.linalg.norm(e)
-        ratios.append(float(new / norm))
-        if new < 1e-200:
-            break
-        e /= new
-        norm = 1.0
-    tail = ratios[:-1 if ratios[-1] == 0.0 else None][-5:]
-    rho = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
-    return rho, ratios

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import pytest
@@ -43,6 +44,11 @@ class TestFmtComplex:
 class TestSymbolCommand:
     def test_laplacian_checkerboard(self, capsys):
         assert main(["symbol", "laplacian", "--theta", "pi,pi"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "8 + 0i"
+
+    def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["stokesmg", "symbol", "laplacian", "--theta", "pi,pi"])
+        assert main() == EXIT_OK
         assert capsys.readouterr().out.strip() == "8 + 0i"
 
     def test_pressure_block(self, capsys):

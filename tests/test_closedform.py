@@ -147,6 +147,14 @@ class TestC0:
         assert cf.rho_opt_closed(1 / 28) > 11 / 43
         assert cf.rho_opt_closed(1 / 27) < 11 / 43
 
+    def test_missing_sign_change_raises(self, monkeypatch):
+        # a closed form with f(1/28) <= 0 leaves no root in the bracket
+        monkeypatch.setattr(cf, "rho_opt_closed", lambda c: 11 / 43 - 1e-3)
+        with pytest.raises(RuntimeError,
+                           match=r"^root not bracketed: f\(1/28\)=-1\.000e-03, "
+                                 r"f\(1/27\)=-1\.000e-03$"):
+            cf.find_c0()
+
 
 class TestCurveShape:
     def test_decreasing_up_to_c_eighth(self):

@@ -1,14 +1,20 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+import stokesmg
+from stokesmg import closedform as cf
+from stokesmg import harmonics, mgsolver
 from stokesmg.stencil import Frequency, Stencil2D, make_operator
 from stokesmg.harmonics import (_color_plan, harmonics_of, jacobi_symbol,
                                 numerical_lfa_oracle, periodic_two_color_sweep,
                                 projected_eigenvalue_grid, rep_grid, two_color_rep)
 
 PI = math.pi
+OMEGA_8 = cf.OMEGA_AT_C_EIGHTH
 
 
 def lattice_low_frequency(rng, n_grid):
@@ -145,6 +151,17 @@ def test_oracle_input_validation():
         numerical_lfa_oracle(lap, off_lattice, 16)
 
 
+def test_oracle_refuses_a_non_integer_grid():
+    # a float grid size of 16 once ran like the integer
+    lap = make_operator("laplacian")
+    pair = harmonics_of(Frequency(PI / 4, 0))
+    for n_grid in (16.0, np.float64(16)):
+        with pytest.raises(ValueError, match="even integer"):
+            numerical_lfa_oracle(lap, pair, n_grid)
+    assert np.array_equal(numerical_lfa_oracle(lap, pair, np.int64(16)),
+                          numerical_lfa_oracle(lap, pair, 16))
+
+
 def test_periodic_sweep_rejects_zero_center():
     ddx = make_operator("ddx")
     with pytest.raises(ValueError, match="zero center"):
@@ -279,3 +296,102 @@ def test_poisson_projected_row_in_s_coordinates():
         want22 = 0.5 * (s1 + s2) * (s1 + s2 - 1)
         assert rep[1, 0] == pytest.approx(want21, abs=1e-12)
         assert rep[1, 1] == pytest.approx(want22, abs=1e-12)
+
+
+def test_periodic_referee_has_one_home():
+    # the solver module re-exports the referee only for the benchmark's name
+    assert (mgsolver.measure_periodic_smoothing is harmonics.measure_periodic_smoothing
+            is stokesmg.measure_periodic_smoothing)
+
+
+class TestPeriodicSmoothing:
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 5.0, -1.0, math.nan])
+    def test_damping_outside_range_refused(self, omega):
+        pb = make_operator("pressure_block", c=0.125)
+        with pytest.raises(ValueError, match=re.escape("must lie in (0, 2), got")):
+            harmonics.measure_periodic_smoothing(pb, omega)
+
+    def test_vanishing_error_ends_the_run_without_log_of_zero(self):
+        # one sweep with the identity stencil solves exactly: the first
+        # ratio is 0 and no ratio precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, ratios = harmonics.measure_periodic_smoothing(
+                Stencil2D({(0, 0): 1.0}, "identity"), 1.0)
+        assert (rho, ratios) == (0.0, [0.0])
+
+    def test_single_pair_matches_prediction(self):
+        # seed one harmonic pair and compare the per-sweep damping with
+        # the damped projected eigenvalue at that base frequency
+        pb = make_operator("pressure_block", c=0.125)
+        omega = OMEGA_8
+        n_grid = 32
+        base = (2 * PI * 2 / n_grid, 2 * PI * 3 / n_grid)
+        lam = complex(projected_eigenvalue_grid(pb, *base)).real
+        predicted = abs((1 - omega) + omega * lam)
+
+        k1, k2 = np.meshgrid(np.arange(n_grid), np.arange(n_grid), indexing="ij")
+        theta = 2 * PI * np.fft.fftfreq(n_grid)
+        t1, t2 = np.meshgrid(theta, theta, indexing="ij")
+        high = ~(((t1 > -PI / 2) & (t1 <= PI / 2)) & ((t2 > -PI / 2) & (t2 <= PI / 2)))
+
+        def sweep(e):
+            return (1 - omega) * e + omega * periodic_two_color_sweep(pb, e)
+
+        e = np.exp(1j * ((base[0] + PI) * k1 + (base[1] + PI) * k2))
+        for _ in range(6):
+            before = np.linalg.norm(e)
+            e = np.fft.ifft2(np.fft.fft2(sweep(e)) * high)
+            ratio = np.linalg.norm(e) / before
+        assert ratio == pytest.approx(predicted, abs=1e-8)
+
+
+# Referee for the projection of measure_periodic_smoothing: the FFT mask
+# over the high box that its two matrix products replaced.
+
+def _fft_project_to_family_high(e):
+    theta = 2 * PI * np.fft.fftfreq(e.shape[0])
+    t1, t2 = np.meshgrid(theta, theta, indexing="ij")
+    low1 = (t1 > -PI / 2) & (t1 <= PI / 2)
+    low2 = (t2 > -PI / 2) & (t2 <= PI / 2)
+    return np.fft.ifft2(np.fft.fft2(e) * (~low1 & ~low2))
+
+
+def _fft_measure_periodic_smoothing(s, omega, seed=0):
+    def sweep(e):
+        return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
+
+    rng = np.random.default_rng(seed)
+    shape = (harmonics.PERIODIC_GRID, harmonics.PERIODIC_GRID)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e = _fft_project_to_family_high(noise)
+    ratios = []
+    norm = np.linalg.norm(e)
+    for _ in range(harmonics.PERIODIC_SWEEPS):
+        e = _fft_project_to_family_high(sweep(e))
+        new = np.linalg.norm(e)
+        ratios.append(float(new / norm))
+        if new < 1e-200:
+            break
+        e /= new
+        norm = 1.0
+    return float(np.exp(np.mean(np.log(ratios[-5:])))), ratios
+
+
+class TestSeparableProjector:
+    def test_matches_fft_mask(self):
+        proj = harmonics._high_pair_projector(harmonics.PERIODIC_GRID)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            e = rng.standard_normal(proj.shape) + 1j * rng.standard_normal(proj.shape)
+            assert np.abs(proj @ e @ proj.T - _fft_project_to_family_high(e)).max() < 1e-13
+
+    @pytest.mark.parametrize("c", [0.003, 1 / 16, 1 / 8, 1.0, 100.0])
+    def test_measurement_matches_fft_projection(self, c):
+        pb = make_operator("pressure_block", c=c)
+        omega = cf.omega_opt_closed(c)
+        rho, ratios = harmonics.measure_periodic_smoothing(pb, omega, seed=5)
+        want_rho, want_ratios = _fft_measure_periodic_smoothing(pb, omega, seed=5)
+        assert abs(rho - want_rho) <= 1e-12
+        assert len(ratios) == len(want_ratios)
+        assert np.abs(np.subtract(ratios, want_ratios)).max() <= 1e-12

@@ -16,8 +16,7 @@ from stokesmg.mgsolver import (CycleSpec, StokesProblem, StokesState,
                                max_levels, measure_convergence_factor, prolong,
                                random_state, residual_norm, restrict, v_cycle,
                                zero_state)
-from stokesmg.harmonics import periodic_two_color_sweep, projected_eigenvalue_grid
-from stokesmg.stencil import Stencil2D, apply_stencil, make_operator
+from stokesmg.stencil import apply_stencil, make_operator
 
 PI = math.pi
 OMEGA_8 = cf.OMEGA_AT_C_EIGHTH
@@ -153,6 +152,15 @@ class TestProblemValidation:
                 make()
         assert max_levels(np.int64(7)) == 2
         assert homogeneous_problem(np.int32(7), 0.125).h == 0.125
+
+    def test_manufactured_problem_checks_n_first(self):
+        # 7.0 once raised TypeError from np.linspace, and -1 IndexError from p[1, 1]
+        for n in (7.0, -1):
+            with pytest.raises(ValueError) as raised:
+                manufactured_problem(n, 0.125)
+            with pytest.raises(ValueError) as again:
+                homogeneous_problem(n, 0.125)
+            assert str(raised.value) == str(again.value)
 
     def test_c_positive(self):
         for c in (0.0, math.nan, math.inf):
@@ -715,6 +723,48 @@ class TestInPlaceCycle:
                 take(prob, other)
         assert states_equal(other, before)
 
+    @pytest.mark.parametrize("name", ["u", "v", "p"])
+    def test_read_only_state_refused_before_any_write(self, name):
+        # a full sweep once wrote u and v before the unpack failed on a
+        # read-only p, and so did the cycle's first sweep; with no pre-sweep
+        # the cycle's first write would be the prolonged correction
+        prob, st = scrambled_problem(15, 0.125, seed=10)
+        getattr(st, name).setflags(write=False)
+        before = st.copy()
+        for mask in (None, mgsolver._band_mask(15)):
+            with pytest.raises(ValueError, match=f"^{name} is read-only$"):
+                distributive_two_color_sweep(prob, st, OMEGA_8, mask)
+        for pre in (2, 0):
+            with pytest.raises(ValueError, match=f"^{name} is read-only$"):
+                v_cycle(prob, st, CycleSpec(pre_sweeps=pre, levels=3, omega=OMEGA_8))
+        assert states_equal(st, before)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_read_only_out_refused_before_any_write(self, k):
+        # a read-only out[2] once failed only after out[0] and out[1] were filled
+        prob, st = scrambled_problem(15, 0.125, seed=11)
+        out = tuple(np.full((17, 17), np.nan) for _ in range(3))
+        out[k].setflags(write=False)
+        with pytest.raises(ValueError, match=rf"^out\[{k}\] is read-only$"):
+            assemble_residual(prob, st, out=out)
+        assert all(np.isnan(r).all() for r in out)
+
+    def test_read_only_data_accepted(self):
+        # the solver only reads the right-hand sides and the boundary data
+        prob, st = scrambled_problem(15, 0.125, seed=12)
+        data = ("f1", "f2", "f3", "g_u", "g_v")
+        writable = StokesProblem(15, 0.125, *(getattr(prob, name).copy() for name in data))
+        for name in data:
+            getattr(prob, name).setflags(write=False)
+        spec = CycleSpec(levels=3, omega=OMEGA_8)
+        mine, ref = st.copy(), st.copy()
+        for p, x in ((prob, mine), (writable, ref)):
+            distributive_two_color_sweep(p, x, OMEGA_8)
+            v_cycle(p, x, spec)
+        assert states_equal(mine, ref)
+        for a, b in zip(assemble_residual(prob, mine), assemble_residual(writable, ref)):
+            assert arrays_equal(a, b)
+
     def test_out_must_be_c_contiguous(self):
         prob, st = scrambled_problem(15, 0.125, seed=9)
         fortran = StokesState(*(np.asfortranarray(a) for a in (st.u, st.v, st.p)))
@@ -1089,96 +1139,3 @@ class TestConvergenceMeasurement:
         assert math.isnan(report.residual_history[-1])
         assert len(report.residual_history) == 1  # stops at the non-finite residual
         assert report.diverged
-
-
-class TestPeriodicSmoothing:
-    @pytest.mark.parametrize("omega", [0.0, 2.0, 5.0, -1.0, math.nan])
-    def test_damping_outside_range_refused(self, omega):
-        pb = make_operator("pressure_block", c=0.125)
-        with pytest.raises(ValueError, match=re.escape("must lie in (0, 2), got")):
-            mgsolver.measure_periodic_smoothing(pb, omega)
-
-    def test_vanishing_error_ends_the_run_without_log_of_zero(self):
-        # one sweep with the identity stencil solves exactly: the first
-        # ratio is 0 and no ratio precedes it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rho, ratios = mgsolver.measure_periodic_smoothing(
-                Stencil2D({(0, 0): 1.0}, "identity"), 1.0)
-        assert (rho, ratios) == (0.0, [0.0])
-
-    def test_single_pair_matches_prediction(self):
-        # seed one harmonic pair and compare the per-sweep damping with
-        # the damped projected eigenvalue at that base frequency
-        pb = make_operator("pressure_block", c=0.125)
-        omega = OMEGA_8
-        n_grid = 32
-        base = (2 * PI * 2 / n_grid, 2 * PI * 3 / n_grid)
-        lam = complex(projected_eigenvalue_grid(pb, *base)).real
-        predicted = abs((1 - omega) + omega * lam)
-
-        k1, k2 = np.meshgrid(np.arange(n_grid), np.arange(n_grid), indexing="ij")
-        theta = 2 * PI * np.fft.fftfreq(n_grid)
-        t1, t2 = np.meshgrid(theta, theta, indexing="ij")
-        high = ~(((t1 > -PI / 2) & (t1 <= PI / 2)) & ((t2 > -PI / 2) & (t2 <= PI / 2)))
-
-        def sweep(e):
-            return (1 - omega) * e + omega * periodic_two_color_sweep(pb, e)
-
-        e = np.exp(1j * ((base[0] + PI) * k1 + (base[1] + PI) * k2))
-        for _ in range(6):
-            before = np.linalg.norm(e)
-            e = np.fft.ifft2(np.fft.fft2(sweep(e)) * high)
-            ratio = np.linalg.norm(e) / before
-        assert ratio == pytest.approx(predicted, abs=1e-8)
-
-
-# Referee for the projection of measure_periodic_smoothing: the FFT mask
-# over the high box that its two matrix products replaced.
-
-def _fft_project_to_family_high(e):
-    theta = 2 * PI * np.fft.fftfreq(e.shape[0])
-    t1, t2 = np.meshgrid(theta, theta, indexing="ij")
-    low1 = (t1 > -PI / 2) & (t1 <= PI / 2)
-    low2 = (t2 > -PI / 2) & (t2 <= PI / 2)
-    return np.fft.ifft2(np.fft.fft2(e) * (~low1 & ~low2))
-
-
-def _fft_measure_periodic_smoothing(s, omega, seed=0):
-    def sweep(e):
-        return (1.0 - omega) * e + omega * periodic_two_color_sweep(s, e)
-
-    rng = np.random.default_rng(seed)
-    shape = (mgsolver.PERIODIC_GRID, mgsolver.PERIODIC_GRID)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    e = _fft_project_to_family_high(noise)
-    ratios = []
-    norm = np.linalg.norm(e)
-    for _ in range(mgsolver.PERIODIC_SWEEPS):
-        e = _fft_project_to_family_high(sweep(e))
-        new = np.linalg.norm(e)
-        ratios.append(float(new / norm))
-        if new < 1e-200:
-            break
-        e /= new
-        norm = 1.0
-    return float(np.exp(np.mean(np.log(ratios[-5:])))), ratios
-
-
-class TestSeparableProjector:
-    def test_matches_fft_mask(self):
-        proj = mgsolver._high_pair_projector(mgsolver.PERIODIC_GRID)
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            e = rng.standard_normal(proj.shape) + 1j * rng.standard_normal(proj.shape)
-            assert np.abs(proj @ e @ proj.T - _fft_project_to_family_high(e)).max() < 1e-13
-
-    @pytest.mark.parametrize("c", [0.003, 1 / 16, 1 / 8, 1.0, 100.0])
-    def test_measurement_matches_fft_projection(self, c):
-        pb = make_operator("pressure_block", c=c)
-        omega = cf.omega_opt_closed(c)
-        rho, ratios = mgsolver.measure_periodic_smoothing(pb, omega, seed=5)
-        want_rho, want_ratios = _fft_measure_periodic_smoothing(pb, omega, seed=5)
-        assert abs(rho - want_rho) <= 1e-12
-        assert len(ratios) == len(want_ratios)
-        assert np.abs(np.subtract(ratios, want_ratios)).max() <= 1e-12

@@ -215,7 +215,7 @@ def lfa_rows():
     rows["one_stage_optimum_257"]["tracemalloc_peak_mb"] = peak / 1e6
     omega = closedform.omega_opt_closed(C)
     rows["periodic_smoothing"] = {"omega": omega, "ms_per_call": _median_ms(
-        lambda: mgsolver.measure_periodic_smoothing(op, omega))}
+        lambda: harmonics.measure_periodic_smoothing(op, omega))}
     rng = np.random.default_rng(PERFBENCH_SEED)
     grid = rng.standard_normal((ORACLE_GRID, ORACLE_GRID)) + 1j * rng.standard_normal(
         (ORACLE_GRID, ORACLE_GRID))
