@@ -53,10 +53,25 @@ state, which every cycle zeroes.  So the first cycle on a problem builds
 its hierarchy, later cycles reuse it, and it dies with the problem.
 Every coarse level's work buffers are views of the leading entries of
 the finest level's, so one set of 7 serves the whole hierarchy.
+
+The solver splits each elementwise pass over a large grid (the full
+sweep's pack, each color's residual and own-node update, its
+distribution onto the neighbours, the blend and unpack, and the
+residual, its squares, the anchoring, restrict and prolong) into two
+node ranges when two CPUs are usable: the calling thread runs one, a
+worker thread that the module starts on first use runs the other, and
+the caller waits for both.  The pressure-ghost gather, every sum, the
+band sweeps and every public call stay on the caller.  Each split pass
+gives every node the same operations on the same operands as one pass
+would, and a sum always runs whole, so the results are bit-identical
+whatever the part count.
 """
 
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +106,10 @@ class StokesProblem:
     The problem owns the work buffers of the sweeps and residuals
     evaluated on it and the coarse levels its cycles use, so two threads
     must not sweep, take residuals or cycle on one problem at the same time.
+    On a large grid the solver itself splits those passes between the
+    calling thread and one worker thread of its own, over disjoint nodes
+    and bit for bit (see the module docstring); a caller on another
+    thread meanwhile runs its passes whole.
     """
 
     n: int
@@ -226,6 +245,128 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
     return flat
 
 
+# A pass runs in two parts (see _run) when each gets at least _PART_NODES
+# nodes and two CPUs are usable.  On a 2-core host, every pass at n = 255
+# (at most 33,024 nodes a part) but the residual ran slower in two parts,
+# up to 1.4x, while every pass at n = 511 (at least 65,280 a part) ran
+# 1.3-2x faster, and at n = 1023 1.5-2x; the threshold lies between the
+# two sizes.  Sums, whose rounding numpy blocks by the length of what it
+# adds, never split.
+_PART_NODES = 3 * 2**14
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _part_count(nodes: int) -> int:
+    """Parts for a pass over nodes nodes: two if each gets _PART_NODES and two CPUs are usable."""
+    return 2 if nodes >= 2 * _PART_NODES and _usable_cpus() >= 2 else 1
+
+
+def _cuts(start: int, stop: int, parts: int) -> tuple:
+    """range(start, stop) cut into parts slices of nearly equal length."""
+    ends = [start + (stop - start) * k // parts for k in range(parts + 1)]
+    return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+
+
+class _Worker:
+    """A daemon thread that runs the jobs handed to it, one at a time.
+
+    A job runs under the numpy error state of the thread that started
+    it, which numpy keeps per thread.  A caller holds lock from starting
+    a job until it has joined it.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="stokesmg-parts", daemon=True).start()
+
+    def _serve(self):
+        while True:  # holds no job between calls, so none keeps its arrays alive
+            self._done.put(self._call(*self._jobs.get()))
+
+    @staticmethod
+    def _call(job, part, errstate):
+        try:
+            with np.errstate(**errstate):
+                job(part)
+        except BaseException as error:  # the caller raises it
+            return error
+        return None
+
+    def start(self, job, part):
+        self._jobs.put((job, part, np.geterr()))
+
+    def join(self):
+        """Wait for the job started last; returns what it raised, or None.
+
+        An interrupt does not end the wait: it is raised once the job is done.
+        """
+        interrupt = None
+        while True:
+            try:
+                error = self._done.get()
+            except BaseException as caught:
+                interrupt = caught
+            else:
+                break
+        if interrupt is not None:
+            raise interrupt
+        return error
+
+
+_WORKER = None  # the _Worker, started by the first pass in two parts
+
+
+def _worker() -> _Worker:
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = _Worker()
+    return _WORKER
+
+
+def _forget_worker():
+    global _WORKER
+    _WORKER = None  # a forked child has no worker thread; it starts its own
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run(job, parts: tuple):
+    """job(part) for each of one or two parts; a second part runs on the worker.
+
+    The caller runs the first part meanwhile, and waits for the worker
+    before it returns or raises, so an error in either part reaches it
+    only once both are done (the caller's own error first).  While
+    another thread uses the worker, the caller runs both parts itself.
+    """
+    if len(parts) == 1:
+        job(parts[0])
+        return
+    worker = _worker()
+    if not worker.lock.acquire(blocking=False):
+        for part in parts:
+            job(part)
+        return
+    try:
+        worker.start(job, parts[1])
+        try:
+            job(parts[0])
+        finally:
+            error = worker.join()
+        if error is not None:
+            raise error
+    finally:
+        worker.lock.release()
+
+
 # The grid is stored flat, k = i (n+2) + j.  A node selector names a set
 # of nodes together with their four neighbours: five flat indices, for the
 # nodes themselves and for the nodes at i+1, i-1, j+1 and j-1, which are
@@ -260,6 +401,12 @@ def _count(k) -> int:
     return len(range(k.start, k.stop, k.step)) if isinstance(k, slice) else len(k)
 
 
+def _split_run(k: slice, parts: int) -> tuple:
+    """The run k cut into parts runs, each with its span: the positions of its nodes in k."""
+    return tuple((slice(k.start + s.start * k.step, k.start + s.stop * k.step, k.step), s)
+                 for s in _cuts(0, _count(k), parts))
+
+
 # h, 2h and h^2 are powers of two (see _check_grid), so multiplying by
 # their reciprocals, which are exact, gives the bits of dividing by them.
 
@@ -289,9 +436,10 @@ def _apply(plan: tuple, a: np.ndarray, at: tuple, out: np.ndarray) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _interior(n: int) -> tuple:
-    """Selector of the run from node (1, 1) to node (n, n)."""
-    return _selector(slice(n + 3, n * (n + 3) + 1, 1), n + 2)
+def _interior(n: int, parts: int = 1) -> tuple:
+    """The run from node (1, 1) to node (n, n) in parts: (selector, span) each."""
+    return tuple((_selector(k, n + 2), span)
+                 for k, span in _split_run(slice(n + 3, n * (n + 3) + 1, 1), parts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -343,15 +491,17 @@ def _mirror_ghosts(p: np.ndarray):
 class _SweepPlan:
     """Where a sweep works, in which layout, and how it mirrors the pressure.
 
-    pack holds the (packed, flat) slice pairs that copy the grid into the
-    layout the selectors index, red then black; it is empty when they
-    index the flat grid itself.  ghosts is (ghost, source), the pressure
-    mirror's gather in that layout.  colors lists per color, red first,
-    the flat index of the nodes the color updates (which reads the
-    right-hand sides), their selector and that of the other-color
-    interior nodes next to them, each selector with the positions of its
-    ring-column junk.  A node's four neighbours always have the other
-    color.
+    pack holds per part the (packed, flat) slice pairs that copy the grid
+    into the layout the selectors index, red then black; it is empty when
+    they index the flat grid itself.  ghosts is (ghost, source), the
+    pressure mirror's gather in that layout.  colors holds per color, red
+    first, the parts of the nodes the color updates and the parts of the
+    other-color interior nodes next to them.  A part of the first kind is
+    (rhs, nodes, ring, span): the flat index of its nodes (which reads the
+    right-hand sides), their selector, the positions of its ring-column
+    junk and its span, the positions of its nodes among all of the kind,
+    which index the temporaries.  A part of the second kind is (near,
+    ring, span).  A node's four neighbours always have the other color.
     """
 
     pack: tuple
@@ -360,19 +510,23 @@ class _SweepPlan:
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_plan(n: int) -> _SweepPlan:
-    """Sweep plan over the whole interior, in the red-black packed layout.
+def _packed_plan(n: int, parts: int = 1) -> _SweepPlan:
+    """Sweep plan over the whole interior, in the red-black packed layout, in parts.
 
     Red nodes (even index sum) have even flat index, black ones odd, so
     each color's interior nodes are one stride-2 run of the flat grid and
     one contiguous slice of the packed layout.
     """
-    stop, half = n * (n + 3) + 1, ((n + 2) ** 2 + 1) // 2
+    size, stop, half = (n + 2) ** 2, n * (n + 3) + 1, ((n + 2) ** 2 + 1) // 2
     red, black = slice(n + 3, stop, 2), slice(n + 4, stop, 2)
-    pack = ((slice(0, half), slice(0, None, 2)), (slice(half, None), slice(1, None, 2)))
+    pack = tuple(((r, slice(2 * r.start, 2 * r.stop, 2)),
+                  (slice(half + b.start, half + b.stop), slice(2 * b.start + 1, 2 * b.stop + 1, 2)))
+                 for r, b in zip(_cuts(0, half, parts), _cuts(0, size - half, parts)))
     ghosts = tuple(_read_only(_packed_index(n, k)) for k in _ghosts(n))
-    colors = tuple((own, _packed_selector(n, own), _ring_positions(n, own),
-                    _packed_selector(n, other), _ring_positions(n, other))
+    colors = tuple((tuple((k, _packed_selector(n, k), _ring_positions(n, k), span)
+                          for k, span in _split_run(own, parts)),
+                    tuple((_packed_selector(n, k), _ring_positions(n, k), span)
+                          for k, span in _split_run(other, parts)))
                    for own, other in ((red, black), (black, red)))
     return _SweepPlan(pack, ghosts, colors)
 
@@ -398,7 +552,8 @@ def _masked_plan(n: int, packed_mask: bytes) -> _SweepPlan:
         sels = (_selector(own, n + 2), _selector(np.flatnonzero(near), n + 2))
         for idx in (a for sel in sels for a in sel):
             idx.setflags(write=False)
-        colors.append((own, sels[0], none, sels[1], none))
+        colors.append((((own, sels[0], none, slice(0, len(own))),),
+                       ((sels[1], none, slice(0, len(sels[1][0]))),)))
     return _SweepPlan((), _ghosts(n), tuple(colors))
 
 
@@ -529,13 +684,18 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     n = prob.n
     if out is None:
         out = (_zeros(n), _zeros(n), _zeros(n))
-    at = _interior(n)
+    (at, _), = _interior(n)
     blocks = [_writable(r, n, f"out[{k}]")[at[0]] for k, r in enumerate(out)]
     u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
-    p, t = _buffers(prob, "state")[:2]
-    np.copyto(p.reshape(-1), p_in)
-    _mirror_ghosts(p)
-    _residual_at(prob, u, v, p.reshape(-1), at, at[0], *blocks, t.reshape(-1)[:len(blocks[0])])
+    p, t = (b.reshape(-1) for b in _buffers(prob, "state")[:2])
+    np.copyto(p, p_in)
+    _mirror_ghosts(p.reshape(n + 2, n + 2))
+
+    def residual(part):
+        at, span = part
+        _residual_at(prob, u, v, p, at, at[0], *(b[span] for b in blocks), t[span])
+
+    _run(residual, _interior(n, _part_count(n * n)))
     for r in out:  # also clears the junk the run left on the ring columns
         r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
     return out
@@ -553,8 +713,14 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     """
     blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     sq = _buffers(prob, "state")[0]
+    rows = _cuts(0, len(sq), _part_count(sq.size))
+
+    def squares(r):
+        _run(lambda part: np.square(r[part], out=sq[part]), rows)
+        return sq
+
     with np.errstate(over="ignore", under="ignore"):
-        total = sum(np.square(r, out=sq).sum() for r in blocks)
+        total = sum(squares(r).sum() for r in blocks)
         if total == np.inf or total < 1e-280:
             scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
             if 0.0 < scale < np.inf:
@@ -565,8 +731,11 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
 
 def _anchor(st: StokesState):
     """Fix the free constant of the pressure: p = 0 at interior node (1, 1)."""
-    st.p[1:-1, 1:-1] -= st.p[1, 1]
-    _mirror_ghosts(st.p)
+    p, n = st.p, st.p.shape[0] - 2
+    p11 = p[1, 1]  # a copy, read before any part writes the node
+    _run(lambda rows: np.subtract(p[rows, 1:-1], p11, out=p[rows, 1:-1]),
+         _cuts(1, n + 1, _part_count(n * n)))
+    _mirror_ghosts(p)
 
 
 def _blend(new: np.ndarray, old: np.ndarray, omega: float, out: np.ndarray):
@@ -610,7 +779,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     n = prob.n
     d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
-        plan = _packed_plan(n)
+        plan = _packed_plan(n, _part_count(n * n // 2))  # a color's nodes
     elif point_mask.shape != (n, n):
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
@@ -618,9 +787,12 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     fields = [_writable(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
     spare = [b.reshape(-1) for b in _buffers(prob, "state")]
     if plan.pack:
-        for a, b in zip(spare, fields):
-            for packed, flat in plan.pack:
-                a[packed] = b[flat]
+        def pack(part):
+            for a, b in zip(spare, fields):
+                for packed, flat in part:
+                    a[packed] = b[flat]
+
+        _run(pack, plan.pack)
         u, v, p = spare
     else:
         if omega != 1.0:
@@ -632,44 +804,58 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
            for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
     ghost, source = plan.ghosts
+
+    # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so du =
+    # w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3 and dv =
+    # -dy w3 on the neighbours, and dp = -lap w3 on both, which is
+    # 4 w3 / h^2 = d_vel w3 on the color's nodes.  No two nodes of a color
+    # are neighbours, so the color's residual is the same before and after
+    # its own velocity updates, and a part of its nodes reads, of what the
+    # color writes, only its own nodes.  The distribution reads w3 at the
+    # nodes of every part, so it starts once all parts are done
+    def relax(part):
+        rhs, nodes, ring, span = part
+        r1, r2, r3, t = (b[span] for b in tmp)
+        _residual_at(prob, u, v, p, nodes, rhs, r1, r2, r3, t)
+        r1 *= 1.0 / d_vel
+        r2 *= 1.0 / d_vel
+        r3 /= d_pre
+        for r in (r1, r2, r3):
+            r[ring] = 0.0
+        u[nodes[0]] += r1
+        v[nodes[0]] += r2
+        w3[nodes[0]] = r3
+        p[nodes[0]] += np.multiply(r3, d_vel, out=t)
+
+    def distribute(part):
+        near, ring, span = part
+        du, dv, dp = (b[span] for b in tmp[:3])
+        _apply(prob._ddx, w3, near, du)[ring] = 0.0
+        u[near[0]] -= du
+        _apply(prob._ddy, w3, near, dv)[ring] = 0.0
+        v[near[0]] -= dv
+        p[near[0]] += _apply(prob._laplacian, w3, near, dp)
+
     try:
-        for rhs, nodes, ring, near, near_ring in plan.colors:
+        for own, near in plan.colors:
             p[ghost] = p[source]
-            # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so
-            # du = w1 and dv = w2 there (dx w3 and dy w3 vanish), du = -dx w3
-            # and dv = -dy w3 on the neighbours, and dp = -lap w3 on both,
-            # which is 4 w3 / h^2 = d_vel w3 on the color's nodes.  No two
-            # nodes of a color are neighbours, so the color's residual is the
-            # same before and after its own velocity updates.
-            m = _count(rhs)
-            r1, r2, r3, t = (b[:m] for b in tmp)
-            _residual_at(prob, u, v, p, nodes, rhs, r1, r2, r3, t)
-            r1 *= 1.0 / d_vel
-            r2 *= 1.0 / d_vel
-            r3 /= d_pre
-            for r in (r1, r2, r3):
-                r[ring] = 0.0
-            u[nodes[0]] += r1
-            v[nodes[0]] += r2
-            w3[nodes[0]] = r3
-            p[nodes[0]] += np.multiply(r3, d_vel, out=t)
-            du, dv, dp = (b[:_count(near[0])] for b in tmp[:3])
-            _apply(prob._ddx, w3, near, du)[near_ring] = 0.0
-            u[near[0]] -= du
-            _apply(prob._ddy, w3, near, dv)[near_ring] = 0.0
-            v[near[0]] -= dv
-            p[near[0]] += _apply(prob._laplacian, w3, near, dp)
-            w3[nodes[0]] = 0.0
+            _run(relax, own)
+            _run(distribute, near)
+            for _, nodes, _, _ in own:
+                w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
         raise
     if plan.pack:  # blend with the old state and unpack in one step
-        for new, old in zip(spare, fields):
-            for packed, flat in plan.pack:
-                if omega != 1.0:
-                    _blend(new[packed], old[flat], omega, out=old[flat])
-                else:
-                    old[flat] = new[packed]
+        def unpack(part):
+            for new, old in zip(spare, fields):
+                for packed, flat in part:
+                    if omega != 1.0:
+                        _blend(new[packed], old[flat], omega, out=old[flat])
+                    else:
+                        old[flat] = new[packed]
+
+        _run(unpack, plan.pack)
     elif omega != 1.0:
         for new, old in zip(fields, spare):
             _blend(new, old, omega, out=new)
@@ -701,12 +887,18 @@ def _check_transfer(fine: np.ndarray, coarse: np.ndarray):
 def restrict(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     """Write fine's full-weighting restriction into coarse's interior; returns coarse."""
     _check_transfer(fine, coarse)
-    coarse[1:-1, 1:-1] = (
-        4.0 * fine[2:-2:2, 2:-2:2]
-        + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
-                 + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
-        + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
-        + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
+
+    def rows(part):  # coarse rows i and fine rows 2i - 1, 2i and 2i + 1
+        lo, mid, hi = (slice(2 * part.start + d, 2 * part.stop + d, 2) for d in (-1, 0, 1))
+        coarse[part, 1:-1] = (
+            4.0 * fine[mid, 2:-2:2]
+            + 2.0 * (fine[lo, 2:-2:2] + fine[hi, 2:-2:2]
+                     + fine[mid, 1:-3:2] + fine[mid, 3:-1:2])
+            + fine[lo, 1:-3:2] + fine[hi, 1:-3:2]
+            + fine[lo, 3:-1:2] + fine[hi, 3:-1:2]) / 16.0
+
+    m = coarse.shape[0] - 2
+    _run(rows, _cuts(1, m + 1, _part_count(fine.size)))
     return coarse
 
 
@@ -721,11 +913,19 @@ def prolong(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     _check_transfer(fine, coarse)
     ev = slice(2, -2, 2)
     od = slice(1, -1, 2)
-    fine[ev, ev] += coarse[1:-1, 1:-1]
-    fine[od, ev] += 0.5 * (coarse[:-1, 1:-1] + coarse[1:, 1:-1])
-    fine[ev, od] += 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
-    fine[od, od] += 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
-                            + coarse[:-1, 1:] + coarse[1:, 1:])
+
+    def rows(part):  # fine rows 2i (but the ring) and 2i + 1 for coarse rows i
+        a, b = part.start, part.stop
+        mid, lo, hi = slice(max(a, 1), b), slice(a, b), slice(a + 1, b + 1)
+        even, odd = slice(2 * mid.start, 2 * b, 2), slice(2 * a + 1, 2 * b + 1, 2)
+        fine[even, ev] += coarse[mid, 1:-1]
+        fine[odd, ev] += 0.5 * (coarse[lo, 1:-1] + coarse[hi, 1:-1])
+        fine[even, od] += 0.5 * (coarse[mid, :-1] + coarse[mid, 1:])
+        fine[odd, od] += 0.25 * (coarse[lo, :-1] + coarse[hi, :-1]
+                                 + coarse[lo, 1:] + coarse[hi, 1:])
+
+    m = coarse.shape[0] - 2
+    _run(rows, _cuts(0, m + 1, _part_count(fine.size)))
     return fine
 
 

@@ -1,7 +1,12 @@
 import dataclasses
 import gc
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
 import warnings
 import weakref
 
@@ -271,32 +276,42 @@ class TestResidual:
         prob = homogeneous_problem(15, 0.125)
         assert residual_norm(prob, zero_state(prob)) == 0.0
 
-    def test_norm_of_huge_finite_residual_is_finite(self):
+    # At n = 511 the squares are taken in two parts, one on the worker
+    # thread, which must run under the caller's numpy error state; two
+    # CPUs are made to look usable so that it does on any host.
+
+    def test_norm_of_huge_finite_residual_is_finite(self, monkeypatch):
         # squaring entries of about 1e200 overflows; the norm must not
-        prob = homogeneous_problem(15, 0.125)
-        st = random_state(prob, seed=6)
-        big = StokesState(1e200 * st.u, 1e200 * st.v, 1e200 * st.p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            norm = residual_norm(prob, big)
-        assert norm == pytest.approx(1e200 * residual_norm(prob, st), rel=1e-12)
-
-    def test_norm_of_tiny_residual_is_not_zero(self):
-        # squaring entries of about 1e-200 underflows; the norm must not
-        prob = homogeneous_problem(15, 0.125)
-        st = random_state(prob, seed=6)
-        tiny = StokesState(1e-200 * st.u, 1e-200 * st.v, 1e-200 * st.p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            norm = residual_norm(prob, tiny)
-        assert norm == pytest.approx(1e-200 * residual_norm(prob, st), rel=1e-12)
-
-    def test_non_finite_residual_gives_non_finite_norm(self):
-        prob = homogeneous_problem(15, 0.125)
-        for bad in (np.inf, np.nan):
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        for n in (15, 511):
+            prob = homogeneous_problem(n, 0.125)
             st = random_state(prob, seed=6)
-            st.u[3, 4] = bad
-            assert not math.isfinite(residual_norm(prob, st))
+            big = StokesState(1e200 * st.u, 1e200 * st.v, 1e200 * st.p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norm = residual_norm(prob, big)
+            assert norm == pytest.approx(1e200 * residual_norm(prob, st), rel=1e-12), n
+
+    def test_norm_of_tiny_residual_is_not_zero(self, monkeypatch):
+        # squaring entries of about 1e-200 underflows; the norm must not
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        for n in (15, 511):
+            prob = homogeneous_problem(n, 0.125)
+            st = random_state(prob, seed=6)
+            tiny = StokesState(1e-200 * st.u, 1e-200 * st.v, 1e-200 * st.p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norm = residual_norm(prob, tiny)
+            assert norm == pytest.approx(1e-200 * residual_norm(prob, st), rel=1e-12), n
+
+    def test_non_finite_residual_gives_non_finite_norm(self, monkeypatch):
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        for n in (15, 511):
+            prob = homogeneous_problem(n, 0.125)
+            for bad in (np.inf, np.nan):
+                st = random_state(prob, seed=6)
+                st.u[3, 4] = bad
+                assert not math.isfinite(residual_norm(prob, st)), (n, bad)
 
     def test_manufactured_solution_is_discrete_solution(self):
         prob, exact = manufactured_problem(31, 0.125)
@@ -351,7 +366,7 @@ class TestResidual:
                 assert abs(r2[i, j] - e2) < 1e-13
                 assert abs(r3[i, j] - e3) < 1e-13
 
-    @pytest.mark.parametrize("n", [3, 15, 127])
+    @pytest.mark.parametrize("n", [3, 15, 127, 511])
     def test_bit_identical_to_whole_interior_referee(self, n):
         prob, st = scrambled_problem(n, 0.3, seed=n)
         for mine, ref in zip(assemble_residual(prob, st), _ref_assemble_residual(prob, st)):
@@ -454,8 +469,9 @@ class TestSweep:
 class TestSweepMatchesReferee:
     """The sub-lattice and band sweeps give the masked formulation's states bit for bit."""
 
-    @pytest.mark.parametrize("n", [3, 7, 15, 31, 127, 255])
-    @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
+    # n = 511 sweeps in two parts where two CPUs are usable
+    @pytest.mark.parametrize("c, n", [(c, n) for c in (0.005, 0.125, 1.0)
+                                      for n in (3, 7, 15, 31, 127, 255)] + [(0.125, 511)])
     def test_bit_identical(self, n, c):
         prob, st = scrambled_problem(n, c, seed=n)
         for mask in (None, mgsolver._band_mask(n)):
@@ -491,30 +507,41 @@ class TestSweepMatchesReferee:
         band = mgsolver._band_mask(31)
         assert band is mgsolver._band_mask(31) and not band.flags.writeable
         masked = mgsolver._masked_plan(31, np.packbits(band).tobytes())
-        packed = mgsolver._packed_plan(31)
-        assert masked.pack == () and packed.pack
-        for plan in (masked, packed):
+        packed = [mgsolver._packed_plan(31, parts) for parts in (1, 2)]
+        assert masked.pack == () and all(plan.pack for plan in packed)
+        for plan in [masked] + packed:
             arrays = list(plan.ghosts)
-            for rhs, nodes, ring, near, near_ring in plan.colors:
-                arrays += [a for a in (rhs,) + nodes + near if isinstance(a, np.ndarray)]
-                arrays += [ring, near_ring]
+            for own, near in plan.colors:
+                for rhs, nodes, ring, _ in own:
+                    arrays += [a for a in (rhs,) + nodes if isinstance(a, np.ndarray)] + [ring]
+                for sel, ring, _ in near:
+                    arrays += [a for a in sel if isinstance(a, np.ndarray)] + [ring]
             for idx in arrays:
                 assert not idx.flags.writeable
-        for rhs, nodes, ring, near, near_ring in packed.colors:
-            # ring-column junk: each color's run passes columns 0 and 32 of
-            # the rows of its parity, 30 nodes once the run's ends are cut
-            assert len(ring) == len(near_ring) == 30
+        for plan in packed:
+            for own, near in plan.colors:
+                # ring-column junk: each color's run passes columns 0 and 32
+                # of the rows of its parity, 30 nodes once the run's ends are
+                # cut, whichever parts they fall in
+                assert sum(len(ring) for _, _, ring, _ in own) == 30
+                assert sum(len(ring) for _, ring, _ in near) == 30
 
     @pytest.mark.parametrize("n", [3, 7, 15, 31, 63, 127, 255, 511])
     def test_packed_plan(self, n):
-        plan = mgsolver._packed_plan(n)
+        for parts in (1, 2):
+            self.check_packed_plan(n, parts)
+
+    def check_packed_plan(self, n, parts):
+        plan = mgsolver._packed_plan(n, parts)
         size, half = (n + 2) ** 2, ((n + 2) ** 2 + 1) // 2
+        assert len(plan.pack) == parts
+        pairs = [pair for part in plan.pack for pair in part]
         flat = np.random.default_rng(n).standard_normal(size)
-        packed = np.empty(size)
-        for to, frm in plan.pack:
+        packed = np.full(size, np.nan)
+        for to, frm in pairs:
             packed[to] = flat[frm]
-        back = np.empty(size)
-        for to, frm in plan.pack:
+        back = np.full(size, np.nan)
+        for to, frm in pairs:
             back[frm] = packed[to]
         assert arrays_equal(back, flat)
         # the ghost gather in the packed layout is the referee's mirror
@@ -522,13 +549,26 @@ class TestSweepMatchesReferee:
         packed[ghost] = packed[source]
         mirrored = flat.reshape(n + 2, n + 2).copy()
         _ref_mirror_ghosts(mirrored)
-        for to, frm in plan.pack:
+        for to, frm in pairs:
             assert arrays_equal(packed[to], mirrored.reshape(-1)[frm])
+        # the parts of a color are its run cut in order, and their spans
+        # are the positions of their nodes in it (in the other color's run,
+        # for the parts of its neighbours)
+        stop = n * (n + 3) + 1
+        for (own, near), (other, _), start in zip(plan.colors, plan.colors[::-1],
+                                                  (n + 3, n + 4)):
+            assert len(own) == len(near) == parts
+            runs = [np.arange(k.start, k.stop, k.step) for k, _, _, _ in own]
+            assert arrays_equal(np.concatenate(runs), np.arange(start, stop, 2))
+            for kind, nodes in ((own, own), (near, other)):
+                ends = np.cumsum([0] + [mgsolver._count(part[0]) for part in nodes]).tolist()
+                assert [part[-1] for part in kind] == [slice(a, b) for a, b in zip(ends, ends[1:])]
         # each selector slice lies inside the block of its nodes' color, and
         # names the same nodes as the flat run shifted by its offset: a
         # slice that started below its block would read the other color
-        for (rhs, nodes, _, near, _), other in zip(plan.colors, plan.colors[::-1]):
-            for run, sel in ((rhs, nodes), (other[0], near)):
+        for (own, near), (other, _) in zip(plan.colors, plan.colors[::-1]):
+            for run, sel in ([(rhs, nodes) for rhs, nodes, _, _ in own]
+                             + [(o[0], part[0]) for o, part in zip(other, near)]):
                 for s, d in zip(sel, (0, n + 2, -n - 2, 1, -1)):
                     red = (run.start + d) % 2 == 0
                     lo, hi = (0, half) if red else (half, size)
@@ -617,12 +657,20 @@ def _levels(prob) -> list:
     return levels
 
 
+@pytest.fixture(scope="module")
+def swept_511():
+    """A scrambled problem and state at n = 511 and the referee's sweep of the state."""
+    prob, st = scrambled_problem(511, 0.125, seed=5)
+    return prob, st, _reference_sweep(prob, st, OMEGA_8)
+
+
 class TestInPlaceCycle:
     """The in-place sweep and cycle on problem-owned buffers against the copying referees."""
 
-    @pytest.mark.parametrize("n", [7, 15, 31, 63])
-    @pytest.mark.parametrize("c", [0.005, 0.125, 1.0])
-    @pytest.mark.parametrize("relax", [0, 2])
+    # n = 511 cycles in two parts on its finest grid where two CPUs are usable
+    @pytest.mark.parametrize("relax, c, n", [(relax, c, n) for relax in (0, 2)
+                                             for c in (0.005, 0.125, 1.0)
+                                             for n in (7, 15, 31, 63)] + [(0, 0.125, 511)])
     def test_v_cycle_matches_referee(self, n, c, relax):
         prob, st = scrambled_problem(n, c, seed=n)
         spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c),
@@ -691,6 +739,103 @@ class TestInPlaceCycle:
         monkeypatch.undo()
         mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8)
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8))
+
+    @pytest.mark.parametrize("failing, error", [("worker", ValueError),
+                                                ("worker", KeyboardInterrupt),
+                                                ("caller", ValueError)])
+    def test_error_in_a_part_is_raised_once_both_parts_are_done(self, monkeypatch, swept_511,
+                                                                 failing, error):
+        # a sweep at n = 511 in two parts: one part raises from its first
+        # stencil, the other is slow and then writes w3; the caller gets the
+        # error only once both are done, so its clean-up leaves w3 zero
+        prob, st, ref = swept_511
+        w3 = mgsolver._buffers(prob, "w3")[0]
+        apply, caller, raised = mgsolver._apply, threading.current_thread(), []
+
+        def part_apply(plan, a, at, out):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raised.append(threading.current_thread())
+                raise error("a part failed")
+            time.sleep(0.002)
+            return apply(plan, a, at, out)
+
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mgsolver, "_apply", part_apply)
+        with pytest.raises(error, match="a part failed"):
+            distributive_two_color_sweep(prob, st.copy(), OMEGA_8)
+        assert len(raised) == 1 and (raised[0] is caller) == (failing == "caller")
+        assert not w3.any()
+        monkeypatch.setattr(mgsolver, "_apply", apply)
+        assert states_equal(distributive_two_color_sweep(prob, st.copy(), OMEGA_8), ref)
+
+    def test_worker_jobs_per_v_cycle(self, monkeypatch, swept_511):
+        # the finest grid's passes run in two parts at n = 511 where two
+        # CPUs are usable, and no pass does at n = 255
+        jobs, start = [], mgsolver._Worker.start
+
+        def counted(worker, job, part):
+            jobs.append(job)
+            return start(worker, job, part)
+
+        problem = homogeneous_problem(255, 0.125)
+        cases = ((problem, random_state(problem)), (swept_511[0], swept_511[1].copy()))
+        monkeypatch.setattr(mgsolver._Worker, "start", counted)
+        for prob, st in cases:
+            n = prob.n
+            jobs.clear()
+            v_cycle(prob, st, CycleSpec(levels=max_levels(n), omega=OMEGA_8))
+            if n == 511 and mgsolver._usable_cpus() >= 2:
+                assert len(jobs) > 0
+            else:
+                assert jobs == [], n
+
+    def test_usable_cpus_come_from_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert mgsolver._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((4, 4), (None, 1)):  # cpu_count may not know
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert mgsolver._usable_cpus() == usable
+
+    def test_callers_on_other_threads_run_their_own_parts(self, swept_511):
+        # three threads sweep three problems at n = 511 at once; one at a
+        # time holds the worker, the others run both parts themselves, and
+        # every state equals the one swept alone
+        data, st, _ = swept_511
+        problems = [(StokesProblem(511, 0.125, data.f1, data.f2, data.f3, data.g_u, data.g_v),
+                     StokesState(st.u * k, st.v * k, st.p * k)) for k in (1.0, -0.5, 2.0)]
+        alone = [distributive_two_color_sweep(prob, st.copy(), OMEGA_8) for prob, st in problems]
+        swept = [st.copy() for _, st in problems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=distributive_two_color_sweep,
+                                        args=(prob, mine, OMEGA_8))
+                       for (prob, _), mine in zip(problems, swept)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(states_equal(a, b) for a, b in zip(swept, alone))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch, swept_511):
+        # a child forked after a sweep in two parts has no worker thread;
+        # it must start one, not wait for the parent's
+        prob, st, ref = swept_511
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        assert states_equal(distributive_two_color_sweep(prob, st.copy(), OMEGA_8), ref)
+        child = multiprocessing.get_context("fork").Process(
+            target=distributive_two_color_sweep, args=(prob, st.copy(), OMEGA_8))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        assert not hung and child.exitcode == 0
 
     @pytest.mark.parametrize("layout", ["fortran", "sliced", "float32", "int64"])
     def test_any_layout_through_default_path(self, layout):
@@ -782,6 +927,17 @@ class TestInPlaceCycle:
         arrays = [weakref.ref(a) for a in _reachable_arrays(prob._scratch)]
         assert len(arrays) == 7 + 2 * (7 + 5 + 3)
         del prob
+        gc.collect()
+        assert all(ref() is None for ref in arrays)
+
+    def test_worker_keeps_nothing_alive(self, monkeypatch):
+        # the worker thread drops each job once it is done, so a problem and
+        # a state swept in two parts die with their last reference
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        prob = homogeneous_problem(511, 0.125)
+        st = distributive_two_color_sweep(prob, random_state(prob), OMEGA_8)
+        arrays = [weakref.ref(a) for a in _reachable_arrays(prob._scratch) + [st.u, st.v, st.p]]
+        del prob, st
         gc.collect()
         assert all(ref() is None for ref in arrays)
 
@@ -883,7 +1039,7 @@ class TestTransfers:
         rhs = 4.0 * float((xc * restrict(yf, np.zeros((9, 9)))).sum())
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 15, 127])
+    @pytest.mark.parametrize("n", [3, 15, 127, 511])
     def test_bit_identical_to_referees(self, n):
         # restrict overwrites the interior, prolong adds to it, and both
         # leave the ring of the array they write as it was

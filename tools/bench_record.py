@@ -6,6 +6,9 @@ Run from anywhere, on a checkout whose stokesmg it measures:
 
 It writes BENCH_<tag>.json at the root of the checkout, holding:
 
+* env: the CPUs usable to this process and, at each n of the solve
+  block, the number of parts the solver splits a full sweep's passes
+  into (2 where it runs them on its worker thread as well, else 1);
 * perfbench: the env line and the final JSON line of `perfbench/run.py`
   for each workload of BENCHMARK.json;
 * solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
@@ -22,7 +25,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 
 Library calls are timed by wrapping them with the benchmark's tracer
 (perfbench/spans.py), each described as perfbench/layers.py describes it.
-All of it runs single-threaded, one measurement at a time.
+It takes one measurement at a time.  BLAS runs on one thread, but the
+solver splits large grids' passes between the calling thread and one
+worker thread of its own where two CPUs are usable (see env).
 """
 
 import argparse
@@ -80,6 +85,11 @@ def _env():
 def _spec(n):
     return mgsolver.CycleSpec(levels=mgsolver.max_levels(n),
                               omega=closedform.omega_opt_closed(C))
+
+
+def env_rows():
+    return {"usable_cpus": mgsolver._usable_cpus(),
+            "sweep_parts": {str(n): mgsolver._part_count(n * n // 2) for n in SOLVE_NS}}
 
 
 def perfbench_rows():
@@ -254,9 +264,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     args = ap.parse_args(argv)
-    record = {"tag": args.tag, "perfbench": perfbench_rows(), "solve": solve_rows(),
-              "layers": layer_rows(), "lfa": lfa_rows(), "criteria": criteria_rows(),
-              "commands": command_rows()}
+    record = {"tag": args.tag, "env": env_rows(), "perfbench": perfbench_rows(),
+              "solve": solve_rows(), "layers": layer_rows(), "lfa": lfa_rows(),
+              "criteria": criteria_rows(), "commands": command_rows()}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
