@@ -164,9 +164,10 @@ def cmd_solve(args) -> int:
     spec = CycleSpec(pre_sweeps=args.pre, post_sweeps=args.post, levels=levels,
                      omega=omega)
     report = measure_convergence_factor(prob, spec, args.cycles, seed=args.seed)
-    lines = ["cycle_index,residual_norm,ratio", f"0,{report.initial_residual:.12g},"]
+    # repr: the shortest digits that read back as the same float
+    lines = ["cycle_index,residual_norm,ratio", f"0,{report.initial_residual!r},"]
     for k, (r, q) in enumerate(zip(report.residual_history, report.ratios()), start=1):
-        lines.append(f"{k},{r:.12g},{q:.12g}")
+        lines.append(f"{k},{r!r},{q!r}")
     _write_lines(lines, args.output)
     print(f"rho_observed={report.rho_observed:.6g}")
     if report.diverged:

@@ -42,7 +42,10 @@ two-grid cycles stay near the interior prediction.
 
 The bottom grid of every cycle is solved exactly, by one correction
 with the cached pseudo-inverse of its system matrix; it may be at most
-BOTTOM_MAX_N x BOTTOM_MAX_N.
+BOTTOM_MAX_N x BOTTOM_MAX_N.  The matrix is minus the residual's
+_matrix_of: _matrix_of builds the dense matrix of any linear map of
+states (the residual, or a whole cycle) column by column from the unit
+states, so the discretization has one implementation.
 
 A StokesProblem is frozen, so n and c cannot be rebound under what was
 built from them; its arrays stay writable.  It owns the work buffers of
@@ -58,13 +61,14 @@ The solver splits each elementwise pass over a large grid (the full
 sweep's pack, each color's residual and own-node update, its
 distribution onto the neighbours, the blend and unpack, and the
 residual, its squares, the anchoring, restrict and prolong) into two
-node ranges when two CPUs are usable: the calling thread runs one, a
-worker thread that the module starts on first use runs the other, and
-the caller waits for both.  The pressure-ghost gather, every sum, the
-band sweeps and every public call stay on the caller.  Each split pass
-gives every node the same operations on the same operands as one pass
-would, and a sum always runs whole, so the results are bit-identical
-whatever the part count.
+node ranges by one rule: when the n x n grid it covers (a transfer's
+fine grid) has n >= _PART_MIN_N and two CPUs are usable.  The calling
+thread runs one range, a worker thread that the module starts on first
+use runs the other, and the caller waits for both.  The pressure-ghost
+gather, every sum, the band sweeps and every public call stay on the
+caller.  Each split pass gives every node the same operations on the
+same operands as one pass would, and a sum always runs whole, so the
+results are bit-identical whatever the part count.
 """
 
 import functools
@@ -245,14 +249,13 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
     return flat
 
 
-# A pass runs in two parts (see _run) when each gets at least _PART_NODES
-# nodes and two CPUs are usable.  On a 2-core host, every pass at n = 255
-# (at most 33,024 nodes a part) but the residual ran slower in two parts,
-# up to 1.4x, while every pass at n = 511 (at least 65,280 a part) ran
-# 1.3-2x faster, and at n = 1023 1.5-2x; the threshold lies between the
-# two sizes.  Sums, whose rounding numpy blocks by the length of what it
-# adds, never split.
-_PART_NODES = 3 * 2**14
+# A pass over an n x n grid runs in two parts (see _run) when n is at
+# least _PART_MIN_N and two CPUs are usable.  On a 2-core host, every pass
+# at n = 255 (at most 33,024 nodes a part) but the residual ran slower in
+# two parts, up to 1.4x, while every pass at n = 511 (at least 65,280 a
+# part) ran 1.3-2x faster, and at n = 1023 1.5-2x.  Sums, whose rounding
+# numpy blocks by the length of what it adds, never split.
+_PART_MIN_N = 511
 
 
 def _usable_cpus() -> int:
@@ -262,9 +265,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _part_count(nodes: int) -> int:
-    """Parts for a pass over nodes nodes: two if each gets _PART_NODES and two CPUs are usable."""
-    return 2 if nodes >= 2 * _PART_NODES and _usable_cpus() >= 2 else 1
+def _part_count(n: int) -> int:
+    """Parts for a pass over the n x n grid: two if n >= _PART_MIN_N and two CPUs are usable."""
+    return 2 if n >= _PART_MIN_N and _usable_cpus() >= 2 else 1
 
 
 def _cuts(start: int, stop: int, parts: int) -> tuple:
@@ -679,14 +682,23 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     the result does not depend on the ghost values the caller left in p.
     out, like numpy's, takes the three arrays to write the blocks into
     and is returned; by default they are new.  st must pass _flat, and out
-    must pass it and be writeable, checked before anything is written.
+    must be three arrays that pass it, are writeable and share no memory
+    with each other, with st's grids or with prob's right-hand sides,
+    checked before anything is written.
     """
     n = prob.n
     if out is None:
         out = (_zeros(n), _zeros(n), _zeros(n))
+    elif not (isinstance(out, (tuple, list)) and len(out) == 3
+              and all(isinstance(r, np.ndarray) for r in out)):
+        raise ValueError("out must be a tuple or list of three arrays")
     (at, _), = _interior(n)
     blocks = [_writable(r, n, f"out[{k}]")[at[0]] for k, r in enumerate(out)]
     u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
+    read = (st.u, st.v, st.p, prob.f1, prob.f2, prob.f3)
+    for k, r in enumerate(out):
+        if any(np.may_share_memory(r, a) for a in (*out[:k], *read)):
+            raise ValueError(f"out[{k}] may share memory with an earlier out array or an input")
     p, t = (b.reshape(-1) for b in _buffers(prob, "state")[:2])
     np.copyto(p, p_in)
     _mirror_ghosts(p.reshape(n + 2, n + 2))
@@ -695,7 +707,7 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
         at, span = part
         _residual_at(prob, u, v, p, at, at[0], *(b[span] for b in blocks), t[span])
 
-    _run(residual, _interior(n, _part_count(n * n)))
+    _run(residual, _interior(n, _part_count(n)))
     for r in out:  # also clears the junk the run left on the ring columns
         r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
     return out
@@ -713,7 +725,7 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     """
     blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     sq = _buffers(prob, "state")[0]
-    rows = _cuts(0, len(sq), _part_count(sq.size))
+    rows = _cuts(0, len(sq), _part_count(prob.n))
 
     def squares(r):
         _run(lambda part: np.square(r[part], out=sq[part]), rows)
@@ -734,7 +746,7 @@ def _anchor(st: StokesState):
     p, n = st.p, st.p.shape[0] - 2
     p11 = p[1, 1]  # a copy, read before any part writes the node
     _run(lambda rows: np.subtract(p[rows, 1:-1], p11, out=p[rows, 1:-1]),
-         _cuts(1, n + 1, _part_count(n * n)))
+         _cuts(1, n + 1, _part_count(n)))
     _mirror_ghosts(p)
 
 
@@ -779,7 +791,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     n = prob.n
     d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
-        plan = _packed_plan(n, _part_count(n * n // 2))  # a color's nodes
+        plan = _packed_plan(n, _part_count(n))
     elif point_mask.shape != (n, n):
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
@@ -898,7 +910,7 @@ def restrict(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
             + fine[lo, 3:-1:2] + fine[hi, 3:-1:2]) / 16.0
 
     m = coarse.shape[0] - 2
-    _run(rows, _cuts(1, m + 1, _part_count(fine.size)))
+    _run(rows, _cuts(1, m + 1, _part_count(fine.shape[0] - 2)))
     return coarse
 
 
@@ -925,7 +937,7 @@ def prolong(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
                                  + coarse[lo, 1:] + coarse[hi, 1:])
 
     m = coarse.shape[0] - 2
-    _run(rows, _cuts(0, m + 1, _part_count(fine.size)))
+    _run(rows, _cuts(0, m + 1, _part_count(fine.shape[0] - 2)))
     return fine
 
 
@@ -941,29 +953,29 @@ def _interior_vector(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> np.ndarr
     return np.concatenate([r[1:-1, 1:-1].ravel() for r in (r1, r2, r3)])
 
 
+def _matrix_of(apply, n: int) -> np.ndarray:
+    """Dense matrix of a linear map apply(st) -> (r1, r2, r3) on n x n grid states.
+
+    Column k is the _interior_vector of apply(st) at the k-th unit state.  st's
+    grids view one array, zeroed per column, so apply may update st in place.
+    """
+    grids, cols = np.zeros((3, n + 2, n + 2)), []
+    for k in np.ndindex(3, n, n):  # interior u, then v, then p, each row-major
+        grids.fill(0.0)
+        grids[:, 1:-1, 1:-1][k] = 1.0
+        cols.append(_interior_vector(*apply(StokesState(*grids))))
+    return np.column_stack(cols)
+
+
 # bounded: a 15x15 pseudo-inverse holds 3.6 MB, and a sweep over c adds one per c
 @functools.lru_cache(maxsize=16)
 def _bottom_pinv(n: int, c: float) -> np.ndarray:
-    """Pseudo-inverse of the system matrix on the n x n grid, read-only.
+    """Read-only pseudo-inverse of the n x n system matrix, minus the residual's _matrix_of.
 
-    Column k is the operator applied to the k-th unit state (interior u,
-    then v, then p, each row-major), read off assemble_residual so that
-    the discretization has one implementation.  The constant pressure
-    spans the one-dimensional null space, which the pseudo-inverse
-    absorbs; the caller re-anchors the pressure.
+    It absorbs the null space, the constant pressure; the caller re-anchors the pressure.
     """
-    prob = homogeneous_problem(n, c)
-    st = zero_state(prob)
-    cols = []
-    for a in (st.u, st.v, st.p):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                a[i, j] = 1.0
-                cols.append(-_interior_vector(*assemble_residual(prob, st)))
-                a[i, j] = 0.0
-    pinv = np.linalg.pinv(np.column_stack(cols))
-    pinv.setflags(write=False)
-    return pinv
+    residual = functools.partial(assemble_residual, homogeneous_problem(n, c))
+    return _read_only(np.linalg.pinv(-_matrix_of(residual, n)))
 
 
 def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:

@@ -4,9 +4,12 @@ import warnings
 
 import pytest
 
+from stokesmg import closedform as cf
 from stokesmg import criteria
 from stokesmg.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                           fmt_complex, main, parse_angle, parse_theta)
+from stokesmg.mgsolver import (CycleSpec, homogeneous_problem, max_levels,
+                               measure_convergence_factor)
 
 PI = math.pi
 
@@ -224,6 +227,22 @@ class TestSolveCommand:
         assert lines[0] == "cycle_index,residual_norm,ratio"
         assert len(lines) == 14  # header + cycle 0 + 12 cycles
         assert lines[1].startswith("0,") and lines[1].endswith(",")
+
+    def test_csv_values_read_back_as_the_report_floats(self, capsys, tmp_path):
+        # each float is written with repr, so the CSV holds every bit of
+        # the report and two runs' CSVs are equal only if their floats are
+        out_file = tmp_path / "hist.csv"
+        assert main(["solve", "--c", "0.3", "--n", "15", "--cycles", "12",
+                     "--output", str(out_file)]) == EXIT_OK
+        prob = homogeneous_problem(15, 0.3)
+        spec = CycleSpec(levels=max_levels(15), omega=cf.omega_opt_closed(0.3))
+        report = measure_convergence_factor(prob, spec, 12, seed=42)
+        rows = [line.split(",") for line in out_file.read_text().split()[1:]]
+        assert rows[0] == ["0", repr(report.initial_residual), ""]
+        assert float(rows[0][1]) == report.initial_residual
+        assert [int(row[0]) for row in rows[1:]] == list(range(1, 13))
+        assert [float(row[1]) for row in rows[1:]] == report.residual_history
+        assert [float(row[2]) for row in rows[1:]] == report.ratios()
 
     def test_divergence_exit_code(self, capsys):
         code = main(["solve", "--c", "0.005", "--n", "31", "--omega", "1.9",

@@ -89,7 +89,7 @@ def _spec(n):
 
 def env_rows():
     return {"usable_cpus": mgsolver._usable_cpus(),
-            "sweep_parts": {str(n): mgsolver._part_count(n * n // 2) for n in SOLVE_NS}}
+            "sweep_parts": {str(n): mgsolver._part_count(n) for n in SOLVE_NS}}
 
 
 def perfbench_rows():
