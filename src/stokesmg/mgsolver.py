@@ -60,15 +60,15 @@ the finest level's, so one set of 7 serves the whole hierarchy.
 The solver splits each elementwise pass over a large grid (the full
 sweep's pack, each color's residual and own-node update, its
 distribution onto the neighbours, the blend and unpack, and the
-residual, its squares, the anchoring, restrict and prolong) into two
-node ranges by one rule: when the n x n grid it covers (a transfer's
-fine grid) has n >= _PART_MIN_N and two CPUs are usable.  The calling
-thread runs one range, a worker thread that the module starts on first
-use runs the other, and the caller waits for both.  The pressure-ghost
-gather, every sum, the band sweeps and every public call stay on the
-caller.  Each split pass gives every node the same operations on the
-same operands as one pass would, and a sum always runs whole, so the
-results are bit-identical whatever the part count.
+residual, its squares and the anchoring) into two node ranges by one
+rule: when the n x n grid it covers has n >= _PART_MIN_N and two CPUs
+are usable.  The calling thread runs one range, a worker thread that the
+module starts on first use runs the other, and the caller waits for
+both.  The pressure-ghost gather, every sum, the band sweeps, the grid
+transfers (whose two parts showed no end-to-end gain) and every public
+call stay on the caller.  Each split pass gives every node the same
+operations on the same operands as one pass would, and a sum always runs
+whole, so the results are bit-identical whatever the part count.
 """
 
 import functools
@@ -254,7 +254,10 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
 # at n = 255 (at most 33,024 nodes a part) but the residual ran slower in
 # two parts, up to 1.4x, while every pass at n = 511 (at least 65,280 a
 # part) ran 1.3-2x faster, and at n = 1023 1.5-2x.  Sums, whose rounding
-# numpy blocks by the length of what it adds, never split.
+# numpy blocks by the length of what it adds, never split.  Nor do the
+# grid transfers: in two parts they saved about 0.5 of 1.5 ms a call at
+# n = 511, some 3 ms of a 125 ms V-cycle, which 10 alternating pairs of
+# the n = 511 benchmark solve could not tell from its run-to-run spread.
 _PART_MIN_N = 511
 
 
@@ -266,7 +269,10 @@ def _usable_cpus() -> int:
 
 
 def _part_count(n: int) -> int:
-    """Parts for a pass over the n x n grid: two if n >= _PART_MIN_N and two CPUs are usable."""
+    """Parts for a pass over the n x n grid it runs on; no grid transfer asks, they run whole.
+
+    Two if n >= _PART_MIN_N and two CPUs are usable, else one.
+    """
     return 2 if n >= _PART_MIN_N and _usable_cpus() >= 2 else 1
 
 
@@ -772,7 +778,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     are untouched; the pressure is re-anchored to 0 at node (1, 1).
 
     point_mask optionally restricts the update to a subset of interior
-    nodes, an (n, n) boolean array (used for the boundary-band
+    nodes, an (n, n) boolean ndarray (used for the boundary-band
     relaxation).  Each color evaluates its residual only at the nodes it
     updates, and distributes only onto them and their neighbours.  A full
     sweep copies the state into the problem's state buffers in the
@@ -783,8 +789,9 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     anchors the whole interior, and keeps the old state for a damped blend
     in the state buffers.  Temporaries live in buffers the problem owns.
 
-    st's arrays must pass _flat and be writeable, checked with omega
-    before anything is written; a caller that needs st again passes a copy.
+    st's arrays must pass _flat and be writeable, checked with omega and
+    point_mask before anything is written; a caller that needs st again
+    passes a copy.
     """
     if not 0.0 <= omega < 2.0:
         raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
@@ -792,6 +799,9 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
         plan = _packed_plan(n, _part_count(n))
+    elif not isinstance(point_mask, np.ndarray) or point_mask.dtype != bool:
+        got = getattr(point_mask, "dtype", type(point_mask).__name__)
+        raise ValueError(f"point_mask must be a boolean ndarray, got {got}")
     elif point_mask.shape != (n, n):
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     else:
@@ -899,18 +909,12 @@ def _check_transfer(fine: np.ndarray, coarse: np.ndarray):
 def restrict(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     """Write fine's full-weighting restriction into coarse's interior; returns coarse."""
     _check_transfer(fine, coarse)
-
-    def rows(part):  # coarse rows i and fine rows 2i - 1, 2i and 2i + 1
-        lo, mid, hi = (slice(2 * part.start + d, 2 * part.stop + d, 2) for d in (-1, 0, 1))
-        coarse[part, 1:-1] = (
-            4.0 * fine[mid, 2:-2:2]
-            + 2.0 * (fine[lo, 2:-2:2] + fine[hi, 2:-2:2]
-                     + fine[mid, 1:-3:2] + fine[mid, 3:-1:2])
-            + fine[lo, 1:-3:2] + fine[hi, 1:-3:2]
-            + fine[lo, 3:-1:2] + fine[hi, 3:-1:2]) / 16.0
-
-    m = coarse.shape[0] - 2
-    _run(rows, _cuts(1, m + 1, _part_count(fine.shape[0] - 2)))
+    coarse[1:-1, 1:-1] = (
+        4.0 * fine[2:-2:2, 2:-2:2]
+        + 2.0 * (fine[1:-3:2, 2:-2:2] + fine[3:-1:2, 2:-2:2]
+                 + fine[2:-2:2, 1:-3:2] + fine[2:-2:2, 3:-1:2])
+        + fine[1:-3:2, 1:-3:2] + fine[3:-1:2, 1:-3:2]
+        + fine[1:-3:2, 3:-1:2] + fine[3:-1:2, 3:-1:2]) / 16.0
     return coarse
 
 
@@ -925,19 +929,11 @@ def prolong(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     _check_transfer(fine, coarse)
     ev = slice(2, -2, 2)
     od = slice(1, -1, 2)
-
-    def rows(part):  # fine rows 2i (but the ring) and 2i + 1 for coarse rows i
-        a, b = part.start, part.stop
-        mid, lo, hi = slice(max(a, 1), b), slice(a, b), slice(a + 1, b + 1)
-        even, odd = slice(2 * mid.start, 2 * b, 2), slice(2 * a + 1, 2 * b + 1, 2)
-        fine[even, ev] += coarse[mid, 1:-1]
-        fine[odd, ev] += 0.5 * (coarse[lo, 1:-1] + coarse[hi, 1:-1])
-        fine[even, od] += 0.5 * (coarse[mid, :-1] + coarse[mid, 1:])
-        fine[odd, od] += 0.25 * (coarse[lo, :-1] + coarse[hi, :-1]
-                                 + coarse[lo, 1:] + coarse[hi, 1:])
-
-    m = coarse.shape[0] - 2
-    _run(rows, _cuts(0, m + 1, _part_count(fine.shape[0] - 2)))
+    fine[ev, ev] += coarse[1:-1, 1:-1]
+    fine[od, ev] += 0.5 * (coarse[:-1, 1:-1] + coarse[1:, 1:-1])
+    fine[ev, od] += 0.5 * (coarse[1:-1, :-1] + coarse[1:-1, 1:])
+    fine[od, od] += 0.25 * (coarse[:-1, :-1] + coarse[1:, :-1]
+                            + coarse[:-1, 1:] + coarse[1:, 1:])
     return fine
 
 
@@ -1035,14 +1031,17 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
         a.fill(0.0)  # the zero state: the coarse boundary data is zero
     _cycle(coarse_prob, coarse, spec, depth - 1)
 
-    # coarse.p comes back anchored, so mirrored; st.p's ghosts are stale
-    # until the next sweep or the closing _anchor mirrors them, before any read
+    # coarse.p comes back anchored, so mirrored, but st.p's ghosts are now
+    # stale and its p[1, 1] is off 0: a sweep mirrors the ghosts before it
+    # reads them and ends with _anchor, so only a cycle without post-sweeps
+    # re-anchors here
     for a, b in ((coarse.u, st.u), (coarse.v, st.v), (coarse.p, st.p)):
         prolong(a, b)
 
     for _ in range(spec.post_sweeps):
         _smooth_step(prob, st, spec)
-    _anchor(st)
+    if spec.post_sweeps == 0:
+        _anchor(st)
     return st
 
 

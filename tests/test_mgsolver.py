@@ -503,6 +503,18 @@ class TestSweepMatchesReferee:
             distributive_two_color_sweep(prob, zero_state(prob), 1.0,
                                          point_mask=np.ones((9, 9), dtype=bool))
 
+    @pytest.mark.parametrize("mask", [np.ones((7, 7)), np.ones((7, 7), dtype=np.int64),
+                                      [[True] * 7] * 7], ids=["float", "int", "list"])
+    def test_mask_type_checked(self, mask):
+        # only a boolean ndarray is a mask, refused before any write: a
+        # float mask would fail inside np.packbits, a list on its shape,
+        # and an int mask would be read as "nonzero"
+        prob, st = scrambled_problem(7, 0.125, seed=7)
+        before = st.copy()
+        with pytest.raises(ValueError, match="point_mask"):
+            distributive_two_color_sweep(prob, st, 1.0, point_mask=mask)
+        assert states_equal(st, before)
+
     def test_cached_index_sets_are_read_only(self):
         band = mgsolver._band_mask(31)
         assert band is mgsolver._band_mask(31) and not band.flags.writeable
@@ -681,6 +693,21 @@ class TestInPlaceCycle:
             ref = _ref_cycle(prob, ref, spec, spec.levels)
             assert states_equal(mine, ref)
 
+    # without post-sweeps the cycle's closing _anchor re-anchors the
+    # prolonged state; with them the last sweep's own anchoring does
+    @pytest.mark.parametrize("pre, post", [(2, 0), (0, 2)])
+    @pytest.mark.parametrize("relax", [0, 2])
+    @pytest.mark.parametrize("n", [15, 63])
+    def test_one_sided_v_cycle_matches_referee(self, n, relax, pre, post):
+        prob, st = scrambled_problem(n, 0.125, seed=n)
+        spec = CycleSpec(pre_sweeps=pre, post_sweeps=post, levels=max_levels(n),
+                         omega=OMEGA_8, boundary_relax=relax)
+        mine, ref = st.copy(), st
+        for _ in range(2):
+            v_cycle(prob, mine, spec)
+            ref = _ref_cycle(prob, ref, spec, spec.levels)
+            assert states_equal(mine, ref)
+
     def test_inputs_untouched(self):
         prob, st = scrambled_problem(15, 0.125, seed=4)
         before = st.copy()
@@ -789,10 +816,31 @@ class TestInPlaceCycle:
             else:
                 assert jobs == [], n
 
+    def test_worker_jobs_of_a_two_part_v_cycle(self, monkeypatch, swept_511):
+        # with two CPUs usable, a V(2,2) cycle at n = 511 hands the worker
+        # one job per split pass of its finest grid: 7 for each of the 4
+        # full sweeps (pack, each color's relax and distribute, unpack and
+        # the anchoring), 1 for each of the 8 band sweeps (the anchoring)
+        # and 1 for the residual.  The grid transfers run whole, and the
+        # cycle ends on a sweep's anchoring, not on one of its own
+        jobs, start = [], mgsolver._Worker.start
+
+        def counted(worker, job, part):
+            jobs.append(job.__qualname__)
+            return start(worker, job, part)
+
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mgsolver._Worker, "start", counted)
+        prob, st, _ = swept_511
+        v_cycle(prob, st.copy(), CycleSpec(levels=max_levels(511), omega=OMEGA_8))
+        assert len(jobs) == 37, jobs
+        assert not [job for job in jobs if job.startswith(("restrict.", "prolong."))]
+
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_one_split_rule_per_grid(self, monkeypatch, cpus):
-        # every pass over an n x n grid (a transfer's fine grid) splits by
-        # n alone: two parts from n = 511 on where two CPUs are usable
+        # every split pass over an n x n grid splits by n alone: two parts
+        # from n = 511 on where two CPUs are usable (the grid transfers
+        # never split)
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
         parts = [mgsolver._part_count(2**k - 1) for k in range(2, 12)]
         assert parts == [1] * 7 + [2 if cpus >= 2 else 1] * 3

@@ -9,6 +9,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 * env: the CPUs usable to this process and, at each n of the solve
   block, the number of parts the solver splits a full sweep's passes
   into (2 where it runs them on its worker thread as well, else 1);
+* control: ms per call of one fixed numpy pass that no change to
+  stokesmg moves, so that its ratio between two records shows how much
+  the host itself drifted between them;
 * perfbench: the env line and the final JSON line of `perfbench/run.py`
   for each workload of BENCHMARK.json;
 * solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
@@ -66,6 +69,7 @@ LAYER_CYCLES = 3
 LFA_REPEATS = 20
 ORACLE_GRID = 32
 PERFBENCH_SEED = 1
+CONTROL_N, CONTROL_CALLS = 513, 200  # np.add over two grids of the n = 511 level
 COMMANDS = {
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
     "theorems": [sys.executable, "-m", "stokesmg.cli", "theorems"],
@@ -90,6 +94,13 @@ def _spec(n):
 def env_rows():
     return {"usable_cpus": mgsolver._usable_cpus(),
             "sweep_parts": {str(n): mgsolver._part_count(n) for n in SOLVE_NS}}
+
+
+def control_row():
+    a, b = np.random.default_rng(PERFBENCH_SEED).standard_normal((2, CONTROL_N, CONTROL_N))
+    out = np.empty_like(a)
+    return {"grid": CONTROL_N, "calls": CONTROL_CALLS, "ms_per_call": _median_ms(
+        lambda: np.add(a, b, out=out), CONTROL_CALLS)}
 
 
 def perfbench_rows():
@@ -264,7 +275,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     args = ap.parse_args(argv)
-    record = {"tag": args.tag, "env": env_rows(), "perfbench": perfbench_rows(),
+    record = {"tag": args.tag, "env": env_rows(), "control": control_row(),
+              "perfbench": perfbench_rows(),
               "solve": solve_rows(), "layers": layer_rows(), "lfa": lfa_rows(),
               "criteria": criteria_rows(), "commands": command_rows()}
     path = ROOT / f"BENCH_{args.tag}.json"
