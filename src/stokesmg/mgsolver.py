@@ -57,16 +57,16 @@ its hierarchy, later cycles reuse it, and it dies with the problem.
 Every coarse level's work buffers are views of the leading entries of
 the finest level's, so one set of 7 serves the whole hierarchy.
 
-The solver splits each elementwise pass over a large grid (the full
-sweep's pack, each color's residual and own-node update, its
-distribution onto the neighbours, the blend and unpack, and the
-residual, its squares and the anchoring) into two node ranges by one
-rule: when the n x n grid it covers has n >= _PART_MIN_N and two CPUs
-are usable.  The calling thread runs one range, a worker thread that the
-module starts on first use runs the other, and the caller waits for
-both.  The pressure-ghost gather, every sum, the band sweeps, the grid
-transfers (whose two parts showed no end-to-end gain) and every public
-call stay on the caller.  Each split pass gives every node the same
+The solver splits two kinds of elementwise pass over a large grid into
+two node ranges: the full sweep's (its pack, each color's residual and
+own-node update, then its distribution onto the neighbours, then the
+blend and unpack) and assemble_residual's residual.  One rule decides:
+the n x n grid the pass covers has n >= _PART_MIN_N and two CPUs are
+usable.  So a V(2,2) cycle at n = 511 hands the worker 25 jobs, 6 per
+full sweep and 1 for the residual.  The calling thread runs one range, a
+worker thread that the module starts on first use runs the other, and
+the caller waits for both.  Every other pass stays on the caller (see
+_PART_MIN_N for why).  Each split pass gives every node the same
 operations on the same operands as one pass would, and a sum always runs
 whole, so the results are bit-identical whatever the part count.
 """
@@ -249,15 +249,18 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
     return flat
 
 
-# A pass over an n x n grid runs in two parts (see _run) when n is at
-# least _PART_MIN_N and two CPUs are usable.  On a 2-core host, every pass
-# at n = 255 (at most 33,024 nodes a part) but the residual ran slower in
-# two parts, up to 1.4x, while every pass at n = 511 (at least 65,280 a
-# part) ran 1.3-2x faster, and at n = 1023 1.5-2x.  Sums, whose rounding
-# numpy blocks by the length of what it adds, never split.  Nor do the
-# grid transfers: in two parts they saved about 0.5 of 1.5 ms a call at
-# n = 511, some 3 ms of a 125 ms V-cycle, which 10 alternating pairs of
-# the n = 511 benchmark solve could not tell from its run-to-run spread.
+# A full sweep's passes and the residual over an n x n grid run in two
+# parts (see _run) when n is at least _PART_MIN_N and two CPUs are usable.
+# On a 2-core host, every pass at n = 255 (at most 33,024 nodes a part)
+# but the residual ran slower in two parts, up to 1.4x, while every pass
+# at n = 511 (at least 65,280 a part) ran 1.3-2x faster, and at n = 1023
+# 1.5-2x.  Sums, whose rounding numpy blocks by the length of what it
+# adds, never split.  Nor do the grid transfers: in two parts they saved
+# about 0.5 of 1.5 ms a call at n = 511, some 3 ms of a 125 ms V-cycle,
+# which 10 alternating pairs of the n = 511 benchmark solve could not
+# tell from its run-to-run spread.  Nor do the anchoring and the squares
+# of residual_norm, whose two parts tied with one in alternating n = 511
+# V-cycles; nor the band sweeps, which ran 2x slower in two parts.
 _PART_MIN_N = 511
 
 
@@ -269,9 +272,10 @@ def _usable_cpus() -> int:
 
 
 def _part_count(n: int) -> int:
-    """Parts for a pass over the n x n grid it runs on; no grid transfer asks, they run whole.
+    """Parts for a full sweep's passes or the residual over the n x n grid.
 
-    Two if n >= _PART_MIN_N and two CPUs are usable, else one.
+    Two if n >= _PART_MIN_N and two CPUs are usable, else one.  No other
+    pass asks: the rest run whole.
     """
     return 2 if n >= _PART_MIN_N and _usable_cpus() >= 2 else 1
 
@@ -731,14 +735,8 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     """
     blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
     sq = _buffers(prob, "state")[0]
-    rows = _cuts(0, len(sq), _part_count(prob.n))
-
-    def squares(r):
-        _run(lambda part: np.square(r[part], out=sq[part]), rows)
-        return sq
-
     with np.errstate(over="ignore", under="ignore"):
-        total = sum(squares(r).sum() for r in blocks)
+        total = sum(np.square(r, out=sq).sum() for r in blocks)
         if total == np.inf or total < 1e-280:
             scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
             if 0.0 < scale < np.inf:
@@ -749,10 +747,8 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
 
 def _anchor(st: StokesState):
     """Fix the free constant of the pressure: p = 0 at interior node (1, 1)."""
-    p, n = st.p, st.p.shape[0] - 2
-    p11 = p[1, 1]  # a copy, read before any part writes the node
-    _run(lambda rows: np.subtract(p[rows, 1:-1], p11, out=p[rows, 1:-1]),
-         _cuts(1, n + 1, _part_count(n)))
+    p = st.p
+    p[1:-1, 1:-1] -= p[1, 1]  # p[1, 1] is a copy, read before the node is written
     _mirror_ghosts(p)
 
 

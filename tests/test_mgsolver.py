@@ -276,9 +276,10 @@ class TestResidual:
         prob = homogeneous_problem(15, 0.125)
         assert residual_norm(prob, zero_state(prob)) == 0.0
 
-    # At n = 511 the squares are taken in two parts, one on the worker
-    # thread, which must run under the caller's numpy error state; two
-    # CPUs are made to look usable so that it does on any host.
+    # At n = 511 the residual is assembled in two parts, one on the
+    # worker thread, which must run under the caller's numpy error state;
+    # two CPUs are made to look usable so that it does on any host.  The
+    # squares, which overflow or underflow here, run whole on the caller.
 
     def test_norm_of_huge_finite_residual_is_finite(self, monkeypatch):
         # squaring entries of about 1e200 overflows; the norm must not
@@ -679,11 +680,16 @@ def swept_511():
 class TestInPlaceCycle:
     """The in-place sweep and cycle on problem-owned buffers against the copying referees."""
 
-    # n = 511 cycles in two parts on its finest grid where two CPUs are usable
-    @pytest.mark.parametrize("relax, c, n", [(relax, c, n) for relax in (0, 2)
-                                             for c in (0.005, 0.125, 1.0)
-                                             for n in (7, 15, 31, 63)] + [(0, 0.125, 511)])
-    def test_v_cycle_matches_referee(self, n, c, relax):
+    # n = 511 runs its finest grid's split passes in two parts with two
+    # CPUs usable and whole with one; both must give the referee's bits,
+    # and residual_norm the same float either way
+    @pytest.mark.parametrize("relax, c, n, cpus", [
+        pytest.param(relax, c, n, None, id=f"{relax}-{c}-{n}")
+        for relax in (0, 2) for c in (0.005, 0.125, 1.0) for n in (7, 15, 31, 63)]
+        + [pytest.param(0, 0.125, 511, cpus, id=f"0-0.125-511-cpus{cpus}") for cpus in (1, 2)])
+    def test_v_cycle_matches_referee(self, monkeypatch, n, c, relax, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
         prob, st = scrambled_problem(n, c, seed=n)
         spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c),
                          boundary_relax=relax)
@@ -692,6 +698,12 @@ class TestInPlaceCycle:
             assert v_cycle(prob, mine, spec) is mine
             ref = _ref_cycle(prob, ref, spec, spec.levels)
             assert states_equal(mine, ref)
+        if cpus is not None:
+            norms = set()
+            for k in (1, 2):
+                monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: k)
+                norms.add(float.hex(residual_norm(prob, mine)))
+            assert len(norms) == 1, norms
 
     # without post-sweeps the cycle's closing _anchor re-anchors the
     # prolonged state; with them the last sweep's own anchoring does
@@ -818,11 +830,11 @@ class TestInPlaceCycle:
 
     def test_worker_jobs_of_a_two_part_v_cycle(self, monkeypatch, swept_511):
         # with two CPUs usable, a V(2,2) cycle at n = 511 hands the worker
-        # one job per split pass of its finest grid: 7 for each of the 4
-        # full sweeps (pack, each color's relax and distribute, unpack and
-        # the anchoring), 1 for each of the 8 band sweeps (the anchoring)
-        # and 1 for the residual.  The grid transfers run whole, and the
-        # cycle ends on a sweep's anchoring, not on one of its own
+        # one job per split pass of its finest grid: 6 for each of the 4
+        # full sweeps (pack, each color's relax and distribute, unpack)
+        # and 1 for the residual, 25 in all.  The band sweeps, the
+        # anchoring, the grid transfers and the norm's squares run whole,
+        # so residual_norm hands the worker its residual's job alone
         jobs, start = [], mgsolver._Worker.start
 
         def counted(worker, job, part):
@@ -832,9 +844,15 @@ class TestInPlaceCycle:
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mgsolver._Worker, "start", counted)
         prob, st, _ = swept_511
-        v_cycle(prob, st.copy(), CycleSpec(levels=max_levels(511), omega=OMEGA_8))
-        assert len(jobs) == 37, jobs
-        assert not [job for job in jobs if job.startswith(("restrict.", "prolong."))]
+        st = st.copy()
+        v_cycle(prob, st, CycleSpec(levels=max_levels(511), omega=OMEGA_8))
+        sweep = [f"distributive_two_color_sweep.<locals>.{job}"
+                 for job in ("pack", "relax", "distribute", "relax", "distribute", "unpack")]
+        residual = ["assemble_residual.<locals>.residual"]
+        assert jobs == 2 * sweep + residual + 2 * sweep, jobs
+        jobs.clear()
+        residual_norm(prob, st)
+        assert jobs == residual
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_one_split_rule_per_grid(self, monkeypatch, cpus):
@@ -1430,6 +1448,19 @@ class TestConvergenceMeasurement:
         assert all(r > 0 for r in report.residual_history[:-1])
         assert report.rho_observed == pytest.approx(0.0768697, rel=1e-5)
         assert not report.diverged
+
+    def test_slow_divergence_shows_only_in_a_long_run(self):
+        # at c = 0.005 and n = 63 the default V(2,2) diverges slowly: its
+        # 20-cycle fit, criterion 12's, reads 0.9298, below 1, and only
+        # a 100-cycle fit reads above 1 (1.00917)
+        c = 0.005
+        spec = CycleSpec(levels=max_levels(63), omega=cf.omega_opt_closed(c))
+        short, long = (measure_convergence_factor(homogeneous_problem(63, c), spec, cycles)
+                       for cycles in (20, 100))
+        assert short.rho_observed == pytest.approx(0.9298, abs=1e-4)
+        assert not short.diverged
+        assert long.rho_observed == pytest.approx(1.00917, abs=1e-5)
+        assert long.diverged
 
     def test_nan_residual_flagged(self):
         prob = homogeneous_problem(15, 0.125)
