@@ -63,19 +63,17 @@ own-node update, then its distribution onto the neighbours, then the
 blend and unpack) and assemble_residual's residual.  One rule decides:
 the n x n grid the pass covers has n >= _PART_MIN_N and two CPUs are
 usable.  So a V(2,2) cycle at n = 511 hands the worker 25 jobs, 6 per
-full sweep and 1 for the residual.  The calling thread runs one range, a
-worker thread that the module starts on first use runs the other, and
-the caller waits for both.  Every other pass stays on the caller (see
-_PART_MIN_N for why).  Each split pass gives every node the same
-operations on the same operands as one pass would, and a sum always runs
-whole, so the results are bit-identical whatever the part count.
+full sweep and 1 for the residual.  The calling thread runs one range,
+the worker (the thread of a ThreadPoolExecutor made on first use) runs
+the other, and the caller waits for both.  Every other pass stays on the
+caller (see _PART_MIN_N for why).  Each split pass gives every node the
+same operations on the same operands as one pass would, and a sum always
+runs whole, so the results are bit-identical whatever the part count.
 """
 
 import functools
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +111,7 @@ class StokesProblem:
     On a large grid the solver itself splits those passes between the
     calling thread and one worker thread of its own, over disjoint nodes
     and bit for bit (see the module docstring); a caller on another
-    thread meanwhile runs its passes whole.
+    thread meanwhile queues its second parts on that worker.
     """
 
     n: int
@@ -286,98 +284,64 @@ def _cuts(start: int, stop: int, parts: int) -> tuple:
     return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
 
-class _Worker:
-    """A daemon thread that runs the jobs handed to it, one at a time.
+_EXECUTOR = None  # its one thread runs the second part of every pass in two parts
 
-    A job runs under the numpy error state of the thread that started
-    it, which numpy keeps per thread.  A caller holds lock from starting
-    a job until it has joined it.
+
+def _executor():
+    global _EXECUTOR
+    if _EXECUTOR is None:
+        # here, not at import: concurrent.futures loads logging, some 50 ms
+        # when compiled from source, as the benchmark's setup does
+        from concurrent.futures import ThreadPoolExecutor
+        _EXECUTOR = ThreadPoolExecutor(1, thread_name_prefix="stokesmg-parts")
+    return _EXECUTOR
+
+
+def _forget_executor():
+    global _EXECUTOR
+    _EXECUTOR = None  # a forked child has no worker thread; it makes its own
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _run(job, parts: tuple):
+    """job(part) for each of one or two parts; a second part runs on the worker.
+
+    The worker, the thread of _executor(), runs it under the caller's
+    numpy error state, which numpy keeps per thread.  The caller runs the
+    first part meanwhile, and waits for the worker before it returns or
+    raises, so an error in either part reaches it only once both are done
+    (the caller's own error first).  An interrupt does not end the wait:
+    it is raised once the worker's part is done.  Callers on other threads
+    queue their second parts on the same worker.
     """
+    if len(parts) == 1:
+        job(parts[0])
+        return
+    errstate = np.geterr()
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="stokesmg-parts", daemon=True).start()
+    def second():
+        with np.errstate(**errstate):
+            job(parts[1])
 
-    def _serve(self):
-        while True:  # holds no job between calls, so none keeps its arrays alive
-            self._done.put(self._call(*self._jobs.get()))
-
-    @staticmethod
-    def _call(job, part, errstate):
-        try:
-            with np.errstate(**errstate):
-                job(part)
-        except BaseException as error:  # the caller raises it
-            return error
-        return None
-
-    def start(self, job, part):
-        self._jobs.put((job, part, np.geterr()))
-
-    def join(self):
-        """Wait for the job started last; returns what it raised, or None.
-
-        An interrupt does not end the wait: it is raised once the job is done.
-        """
+    future = _executor().submit(second)
+    try:
+        job(parts[0])
+    finally:
         interrupt = None
         while True:
             try:
-                error = self._done.get()
+                error = future.exception()
             except BaseException as caught:
                 interrupt = caught
             else:
                 break
         if interrupt is not None:
             raise interrupt
-        return error
-
-
-_WORKER = None  # the _Worker, started by the first pass in two parts
-
-
-def _worker() -> _Worker:
-    global _WORKER
-    if _WORKER is None:
-        _WORKER = _Worker()
-    return _WORKER
-
-
-def _forget_worker():
-    global _WORKER
-    _WORKER = None  # a forked child has no worker thread; it starts its own
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _run(job, parts: tuple):
-    """job(part) for each of one or two parts; a second part runs on the worker.
-
-    The caller runs the first part meanwhile, and waits for the worker
-    before it returns or raises, so an error in either part reaches it
-    only once both are done (the caller's own error first).  While
-    another thread uses the worker, the caller runs both parts itself.
-    """
-    if len(parts) == 1:
-        job(parts[0])
-        return
-    worker = _worker()
-    if not worker.lock.acquire(blocking=False):
-        for part in parts:
-            job(part)
-        return
-    try:
-        worker.start(job, parts[1])
-        try:
-            job(parts[0])
-        finally:
-            error = worker.join()
-        if error is not None:
-            raise error
-    finally:
-        worker.lock.release()
+    if error is not None:
+        raise error
 
 
 # The grid is stored flat, k = i (n+2) + j.  A node selector names a set
@@ -748,8 +712,8 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
 def _anchor(st: StokesState):
     """Fix the free constant of the pressure: p = 0 at interior node (1, 1)."""
     p = st.p
-    p[1:-1, 1:-1] -= p[1, 1]  # p[1, 1] is a copy, read before the node is written
-    _mirror_ghosts(p)
+    p -= p[1, 1]  # p[1, 1] is a copy, read before the node is written
+    _mirror_ghosts(p)  # rewrites the whole ring, which the shift also moved
 
 
 def _blend(new: np.ndarray, old: np.ndarray, omega: float, out: np.ndarray):

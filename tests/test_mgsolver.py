@@ -810,15 +810,16 @@ class TestInPlaceCycle:
     def test_worker_jobs_per_v_cycle(self, monkeypatch, swept_511):
         # the finest grid's passes run in two parts at n = 511 where two
         # CPUs are usable, and no pass does at n = 255
-        jobs, start = [], mgsolver._Worker.start
+        jobs, run = [], mgsolver._run
 
-        def counted(worker, job, part):
-            jobs.append(job)
-            return start(worker, job, part)
+        def counted(job, parts):
+            if len(parts) == 2:
+                jobs.append(job)
+            return run(job, parts)
 
         problem = homogeneous_problem(255, 0.125)
         cases = ((problem, random_state(problem)), (swept_511[0], swept_511[1].copy()))
-        monkeypatch.setattr(mgsolver._Worker, "start", counted)
+        monkeypatch.setattr(mgsolver, "_run", counted)
         for prob, st in cases:
             n = prob.n
             jobs.clear()
@@ -835,14 +836,15 @@ class TestInPlaceCycle:
         # and 1 for the residual, 25 in all.  The band sweeps, the
         # anchoring, the grid transfers and the norm's squares run whole,
         # so residual_norm hands the worker its residual's job alone
-        jobs, start = [], mgsolver._Worker.start
+        jobs, run = [], mgsolver._run
 
-        def counted(worker, job, part):
-            jobs.append(job.__qualname__)
-            return start(worker, job, part)
+        def counted(job, parts):
+            if len(parts) == 2:
+                jobs.append(job.__qualname__)
+            return run(job, parts)
 
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(mgsolver._Worker, "start", counted)
+        monkeypatch.setattr(mgsolver, "_run", counted)
         prob, st, _ = swept_511
         st = st.copy()
         v_cycle(prob, st, CycleSpec(levels=max_levels(511), omega=OMEGA_8))
@@ -871,10 +873,10 @@ class TestInPlaceCycle:
             monkeypatch.setattr(os, "cpu_count", lambda: count)
             assert mgsolver._usable_cpus() == usable
 
-    def test_callers_on_other_threads_run_their_own_parts(self, swept_511):
-        # three threads sweep three problems at n = 511 at once; one at a
-        # time holds the worker, the others run both parts themselves, and
-        # every state equals the one swept alone
+    def test_callers_on_other_threads_queue_their_second_parts(self, swept_511):
+        # three threads sweep three problems at n = 511 at once, each
+        # queueing its second parts on the one worker, and every state
+        # equals the one swept alone
         data, st, _ = swept_511
         problems = [(StokesProblem(511, 0.125, data.f1, data.f2, data.f3, data.g_u, data.g_v),
                      StokesState(st.u * k, st.v * k, st.p * k)) for k in (1.0, -0.5, 2.0)]
@@ -894,6 +896,20 @@ class TestInPlaceCycle:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(states_equal(a, b) for a, b in zip(swept, alone))
+
+    def test_worker_part_runs_under_the_callers_error_state(self, monkeypatch, swept_511):
+        # u is scaled past overflow on rows that only the worker's part of
+        # a sweep at n = 511 reaches; numpy keeps its error state per
+        # thread, so the worker must take the caller's
+        prob, st, _ = swept_511
+        monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
+        huge = st.copy()
+        huge.u[400:-1, 1:-1] *= 1e306
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            distributive_two_color_sweep(prob, huge.copy(), OMEGA_8)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            distributive_two_color_sweep(prob, huge.copy(), OMEGA_8)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_worker(self, monkeypatch, swept_511):

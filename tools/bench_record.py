@@ -11,7 +11,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   into (2 where it runs them on its worker thread as well, else 1);
 * control: ms per call of one fixed numpy pass that no change to
   stokesmg moves, so that its ratio between two records shows how much
-  the host itself drifted between them;
+  the host itself drifted between them: the median of readings taken
+  at the start, between the blocks below and at the end, each after
+  warm-up calls, all of which it keeps;
 * perfbench: the env line and the final JSON line of `perfbench/run.py`
   for each workload of BENCHMARK.json;
 * solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
@@ -70,6 +72,7 @@ LFA_REPEATS = 20
 ORACLE_GRID = 32
 PERFBENCH_SEED = 1
 CONTROL_N, CONTROL_CALLS = 513, 200  # np.add over two grids of the n = 511 level
+CONTROL_WARMUP = 20  # calls before a control reading, so that its pages are touched
 COMMANDS = {
     "tier1": [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
     "theorems": [sys.executable, "-m", "stokesmg.cli", "theorems"],
@@ -99,8 +102,13 @@ def env_rows():
 def control_row():
     a, b = np.random.default_rng(PERFBENCH_SEED).standard_normal((2, CONTROL_N, CONTROL_N))
     out = np.empty_like(a)
-    return {"grid": CONTROL_N, "calls": CONTROL_CALLS, "ms_per_call": _median_ms(
-        lambda: np.add(a, b, out=out), CONTROL_CALLS)}
+
+    def add():
+        np.add(a, b, out=out)
+
+    _median_ms(add, CONTROL_WARMUP)
+    return {"grid": CONTROL_N, "calls": CONTROL_CALLS,
+            "ms_per_call": _median_ms(add, CONTROL_CALLS)}
 
 
 def perfbench_rows():
@@ -275,10 +283,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     args = ap.parse_args(argv)
-    record = {"tag": args.tag, "env": env_rows(), "control": control_row(),
-              "perfbench": perfbench_rows(),
-              "solve": solve_rows(), "layers": layer_rows(), "lfa": lfa_rows(),
-              "criteria": criteria_rows(), "commands": command_rows()}
+    control = control_row()
+    readings = [control["ms_per_call"]]
+    record = {"tag": args.tag, "env": env_rows(), "control": control}
+    for name, rows in (("perfbench", perfbench_rows), ("solve", solve_rows),
+                       ("layers", layer_rows), ("lfa", lfa_rows),
+                       ("criteria", criteria_rows), ("commands", command_rows)):
+        record[name] = rows()
+        readings.append(control_row()["ms_per_call"])
+    control.update(readings_ms=readings, ms_per_call=statistics.median(readings))
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
