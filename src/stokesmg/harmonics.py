@@ -99,7 +99,7 @@ def rep_grid(s: Stencil2D, t1, t2) -> np.ndarray:
     out[..., 0, 0] = 0.25 * ((a0 + 1) ** 2 + (1 - a1) * (a0 - 1))
     out[..., 0, 1] = 0.25 * ((a0 + 1) * (a1 - 1) + (1 - a1) * (a1 + 1))
     out[..., 1, 0] = 0.25 * ((1 - a0) * (a0 + 1) + (a1 + 1) * (a0 - 1))
-    out[..., 1, 1] = 0.25 * ((1 - a0) * (a1 - 1) + (a1 + 1) ** 2)
+    out[..., 1, 1] = _projected_in_place(a0, a1)  # last: it overwrites a0 and a1
     return out
 
 
@@ -117,7 +117,11 @@ def projected_eigenvalue_grid(s: Stencil2D, t1, t2) -> np.ndarray:
     place on the pair's symbols, which this call owns: a lattice-sized
     call then leaves fewer freed arrays behind in the process heap.
     """
-    a0, a1 = _pair_symbols(s, t1, t2)
+    return _projected_in_place(*_pair_symbols(s, t1, t2))
+
+
+def _projected_in_place(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The (1, 1) entry of rep_grid from the pair's symbols, overwriting both."""
     low = np.subtract(1, a0, out=a0)
     low *= a1 - 1
     a1 += 1

@@ -55,7 +55,7 @@ overwrites with the restricted residual, and the coarse correction
 state, which every cycle zeroes.  So the first cycle on a problem builds
 its hierarchy, later cycles reuse it, and it dies with the problem.
 Every coarse level's work buffers are views of the leading entries of
-the finest level's, so one set of 7 serves the whole hierarchy.
+the finest level's, so one set of 6 serves the whole hierarchy.
 
 The solver splits two kinds of elementwise pass over a large grid into
 two node ranges: the full sweep's (its pack, each color's residual and
@@ -105,8 +105,9 @@ class StokesProblem:
     keep every pressure_block coefficient finite.  The residual and the
     distribution apply its "laplacian", "ddx" and "ddy", also built once
     here.  The fields cannot be rebound, but the arrays can be written.
-    The problem owns the work buffers of the sweeps and residuals
-    evaluated on it and the coarse levels its cycles use, so two threads
+    The problem owns the 6 work grids of the sweeps and residuals
+    evaluated on it (see _SCRATCH) and the coarse levels its cycles use,
+    whose work grids view its own, so two threads
     must not sweep, take residuals or cycle on one problem at the same time.
     On a large grid the solver itself splits those passes between the
     calling thread and one worker thread of its own, over disjoint nodes
@@ -133,10 +134,11 @@ class StokesProblem:
 
     def __post_init__(self):
         _check_grid(self.n)  # first: h divides by n + 1
-        for name, kind in (("d_vel", "laplacian"), ("d_pre", "pressure_block")):
-            object.__setattr__(self, name, make_operator(kind, h=self.h, c=self.c).center)
-        for kind in ("laplacian", "ddx", "ddy"):
-            object.__setattr__(self, "_" + kind, _plan(make_operator(kind, h=self.h)))
+        ops = {kind: make_operator(kind, h=self.h) for kind in ("laplacian", "ddx", "ddy")}
+        object.__setattr__(self, "d_vel", ops["laplacian"].center)
+        object.__setattr__(self, "d_pre", make_operator("pressure_block", h=self.h, c=self.c).center)
+        for kind, op in ops.items():
+            object.__setattr__(self, "_" + kind, _plan(op))
         for name in ("f1", "f2", "f3", "g_u", "g_v"):
             _flat(getattr(self, name), self.n, name)
 
@@ -206,14 +208,15 @@ class ConvergenceReport:
 # A problem's work buffers, (n+2) x (n+2) each, by name and count:
 # w3, the sweep's ghost buffer for the pressure correction (zero between
 # colors); state, the packed copy of the state a full sweep works on, or
-# the old state a damped band sweep blends with, which assemble_residual
-# also uses for its mirrored p and a temporary between sweeps; blocks,
-# the residual blocks of the cycle and residual_norm,
-# which also hold a sweep's four half-grid temporaries.  What a call
-# leaves in them is read, if at all, before the next sweep or residual on
-# any level, and only w3 must start zeroed, so coarse levels can share
-# them (see _coarse_level).
-_SCRATCH = {"w3": 1, "state": 3, "blocks": 3}
+# the old state a damped band sweep blends with, which between sweeps
+# hold the residual blocks of the cycle, the bottom solve and
+# residual_norm; blocks, a sweep's four half-grid temporaries, which
+# between sweeps hold assemble_residual's mirrored p and its temporary,
+# and residual_norm's squares.  No call needs more than these 6 at once.
+# What a call leaves in them is read, if at all, before the next sweep
+# or residual on any level, and only w3 must start zeroed, so coarse
+# levels can share them (see _coarse_level).
+_SCRATCH = {"w3": 1, "state": 3, "blocks": 2}
 
 
 def _buffers(prob: StokesProblem, name: str) -> tuple:
@@ -673,7 +676,7 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     for k, r in enumerate(out):
         if any(np.may_share_memory(r, a) for a in (*out[:k], *read)):
             raise ValueError(f"out[{k}] may share memory with an earlier out array or an input")
-    p, t = (b.reshape(-1) for b in _buffers(prob, "state")[:2])
+    p, t = (b.reshape(-1) for b in _buffers(prob, "blocks"))
     np.copyto(p, p_in)
     _mirror_ghosts(p.reshape(n + 2, n + 2))
 
@@ -697,8 +700,8 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     finite nonzero residual has a finite nonzero norm.  An inf or NaN
     residual gives a non-finite norm.
     """
-    blocks = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
-    sq = _buffers(prob, "state")[0]
+    blocks = assemble_residual(prob, st, out=_buffers(prob, "state"))
+    sq = _buffers(prob, "blocks")[0]
     with np.errstate(over="ignore", under="ignore"):
         total = sum(np.square(r, out=sq).sum() for r in blocks)
         if total == np.inf or total < 1e-280:
@@ -784,7 +787,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     w3 = _buffers(prob, "w3")[0].reshape(-1)
     half = (n + 2) ** 2 // 2  # at least the nodes of a color
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
-           for b in _buffers(prob, "blocks")[:2] for k in (0, 1)]
+           for b in _buffers(prob, "blocks") for k in (0, 1)]
     ghost, source = plan.ghosts
 
     # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so du =
@@ -941,7 +944,7 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
     so a non-finite residual passes through to the divergence check.
     """
     n = prob.n
-    r = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
+    r = assemble_residual(prob, st, out=_buffers(prob, "state"))
     d = _bottom_pinv(n, prob.c) @ _interior_vector(*r)
     for a, block in zip((st.u, st.v, st.p), d.reshape(3, n, n)):
         a[1:-1, 1:-1] += block
@@ -983,7 +986,7 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     for _ in range(spec.pre_sweeps):
         _smooth_step(prob, st, spec)
 
-    r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "blocks"))
+    r1, r2, r3 = assemble_residual(prob, st, out=_buffers(prob, "state"))
     coarse_prob, coarse = _coarse_level(prob)
     for r, f in ((r1, coarse_prob.f1), (r2, coarse_prob.f2), (r3, coarse_prob.f3)):
         restrict(r, f)  # the coarse rings stay zero

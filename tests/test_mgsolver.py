@@ -1044,10 +1044,10 @@ class TestInPlaceCycle:
         prob = homogeneous_problem(15, 0.125)
         v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
         assert [level.n for level in _levels(prob)] == [15, 7, 3]
-        # 7 buffers on the finest level; on each coarse one 7 buffer views,
+        # 6 buffers on the finest level; on each coarse one 6 buffer views,
         # 5 problem arrays and 3 correction-state arrays
         arrays = [weakref.ref(a) for a in _reachable_arrays(prob._scratch)]
-        assert len(arrays) == 7 + 2 * (7 + 5 + 3)
+        assert len(arrays) == 6 + 2 * (6 + 5 + 3)
         del prob
         gc.collect()
         assert all(ref() is None for ref in arrays)
@@ -1103,7 +1103,33 @@ class TestInPlaceCycle:
         buffers = [b for level in levels for name in mgsolver._SCRATCH
                    for b in level._scratch[name]]
         owners = {id(b if b.base is None else b.base) for b in buffers}
-        assert len(owners) == 7
+        assert len(owners) == 6
+
+    def test_residual_blocks_are_the_state_buffers(self, monkeypatch):
+        # the cycle, the bottom solve and residual_norm write the residual
+        # into the sweep's packed-copy buffers, which no sweep needs across
+        # the call, and assemble_residual keeps its mirrored p in the
+        # blocks buffers, which must share no memory with them
+        prob, st = scrambled_problem(15, 0.125, seed=13)
+        outs = []
+
+        def recording(prob, st, *, out=None):
+            if out is not None:  # not _bottom_pinv's columns
+                outs.append((prob, out))
+            return assemble_residual(prob, st, out=out)
+
+        monkeypatch.setattr(mgsolver, "assemble_residual", recording)
+        v_cycle(prob, st, CycleSpec(levels=max_levels(15), omega=OMEGA_8))
+        residual_norm(prob, st)
+        assert [level.n for level, _ in outs] == [15, 7, 3, 15]
+        for level, out in outs:
+            state, blocks = (mgsolver._buffers(level, name) for name in ("state", "blocks"))
+            assert len(out) == 3 and all(r is b for r, b in zip(out, state))
+            assert not any(np.shares_memory(r, b) for r in out for b in blocks)
+        assemble_residual(prob, st)
+        p = st.p.copy()
+        _ref_mirror_ghosts(p)
+        assert arrays_equal(mgsolver._buffers(prob, "blocks")[0], p)
 
     def test_nan_cycle_leaves_a_clean_hierarchy(self):
         prob, st = scrambled_problem(31, 0.125, seed=12)
