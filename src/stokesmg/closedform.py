@@ -11,7 +11,8 @@ here.
 Everything derives from the two extreme eigenvalues: s_max at the origin
 and s_min at the diagonal critical point s*.  The formula for s* is
 rationalized, so it has no removable 0/0 at c = 1/8 and loses no digits
-to cancellation next to it.
+to cancellation next to it.  The optimum of the extrema is one
+expression, _optimum, shared with smoothing.optimal_one_stage.
 """
 
 import math
@@ -108,6 +109,12 @@ def eigenvalue_at_critical(c: float) -> float:
     return projected_eigenvalue_s(s, s, c)
 
 
+def _optimum(s_max: float, s_min: float) -> tuple[float, float]:
+    """(omega_opt, rho_opt) = (2, s_max - s_min) / (2 - s_max - s_min), unchecked."""
+    denom = 2.0 - s_max - s_min
+    return 2.0 / denom, (s_max - s_min) / denom
+
+
 def rho_opt_closed(c: float) -> float:
     """Optimal one-stage smoothing factor of the pressure block.
 
@@ -116,17 +123,16 @@ def rho_opt_closed(c: float) -> float:
     cancels; the error against a 40-digit evaluation is a few ulp,
     also next to c = 1/8, where the value is 25/217.
     """
-    s_max, s_min = eigenvalue_at_origin(c), eigenvalue_at_critical(c)
-    return (s_max - s_min) / (2.0 - s_max - s_min)
+    return _optimum(eigenvalue_at_origin(c), eigenvalue_at_critical(c))[1]
 
 
 def omega_opt_closed(c: float) -> float:
     """Optimal one-stage damping parameter of the pressure block.
 
-    2 / (2 - s_max - s_min); 28/31 at c = 1/8.
+    2 / (2 - s_max - s_min); 28/31 at c = 1/8.  Unchecked on purpose: below
+    c of about 5e-18, s_max rounds to 1 and this gives 1.0, solve's default.
     """
-    s_max, s_min = eigenvalue_at_origin(c), eigenvalue_at_critical(c)
-    return 2.0 / (2.0 - s_max - s_min)
+    return _optimum(eigenvalue_at_origin(c), eigenvalue_at_critical(c))[0]
 
 
 def find_c0() -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import Frequency, Stencil2D, _is_count, symbol_grid
+from .stencil import Frequency, Stencil2D, _check_damping, _is_count, symbol_grid
 
 PI = math.pi
 
@@ -219,6 +219,12 @@ PERIODIC_GRID = 32
 PERIODIC_SWEEPS = 30
 
 
+def _tail_factor(ratios: list) -> float:
+    """Geometric mean of a run's last 5 ratios before a closing exact 0; 0 if none."""
+    tail = ratios[:-1 if ratios[-1] == 0.0 else None][-5:]
+    return float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
+
+
 def _high_pair_projector(n: int) -> np.ndarray:
     """The n x n matrix P with P @ e @ P.T = ifft2(fft2(e) * high-box mask).
 
@@ -256,8 +262,7 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
     re-seeds them and their slower decay takes over the measured tail
     after a few dozen sweeps.
     """
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
+    _check_damping(omega)
     proj = _high_pair_projector(PERIODIC_GRID)
 
     def project_to_family_high(e):
@@ -280,6 +285,4 @@ def measure_periodic_smoothing(s: Stencil2D, omega: float,
             break
         e /= new
         norm = 1.0
-    tail = ratios[:-1 if ratios[-1] == 0.0 else None][-5:]
-    rho = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
-    return rho, ratios
+    return _tail_factor(ratios), ratios

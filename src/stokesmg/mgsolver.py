@@ -23,10 +23,10 @@ centers of the transformed system's diagonal blocks (make_operator's
 distribution operator (I, -dx; I, -dy; -lap).
 
 The sweep and the cycles update the state they are given, in place.  A
-full sweep works on a red-black packed copy of the state: the red nodes
-first, then the black ones, so that each color, and each of its four
-neighbour runs, is one contiguous slice; the state keeps its old values
-until the sweep blends and unpacks the copy into it in one step.
+full sweep works on a red-black packed copy of the state, where each
+color and its four neighbour runs are contiguous slices, and blends and
+unpacks it into the state in one last step.  A band sweep (point_mask)
+is undamped and works on the state itself.
 
 The grid transfers write into arrays they are given too: restrict
 overwrites a coarse grid's interior with the full-weighting restriction
@@ -78,7 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stencil import Stencil2D, _is_count, make_operator
+from .stencil import Stencil2D, _check_damping, _is_count, make_operator
+from .harmonics import _tail_factor
 
 # not used here: perfbench/workloads.py calls this name and
 # perfbench/layers.py traces it as mgsolver.measure_periodic_smoothing
@@ -183,8 +184,7 @@ class CycleSpec:
             raise ValueError("need at least one pre- or post-sweep")
         if not _is_count(self.levels) or self.levels < 2:
             raise ValueError(f"need an integer number of levels >= 2, got {self.levels}")
-        if not (0.0 < self.omega < 2.0):
-            raise ValueError(f"damping parameter must lie in (0, 2), got {self.omega}")
+        _check_damping(self.omega)
 
 
 @dataclass
@@ -207,10 +207,9 @@ class ConvergenceReport:
 
 # A problem's work buffers, (n+2) x (n+2) each, by name and count:
 # w3, the sweep's ghost buffer for the pressure correction (zero between
-# colors); state, the packed copy of the state a full sweep works on, or
-# the old state a damped band sweep blends with, which between sweeps
-# hold the residual blocks of the cycle, the bottom solve and
-# residual_norm; blocks, a sweep's four half-grid temporaries, which
+# colors); state, the packed copy of the state a full sweep works on,
+# or between sweeps the residual blocks of the cycle, the bottom solve
+# and residual_norm; blocks, a sweep's four half-grid temporaries, which
 # between sweeps hold assemble_residual's mirrored p and its temporary,
 # and residual_norm's squares.  No call needs more than these 6 at once.
 # What a call leaves in them is read, if at all, before the next sweep
@@ -719,13 +718,6 @@ def _anchor(st: StokesState):
     _mirror_ghosts(p)  # rewrites the whole ring, which the shift also moved
 
 
-def _blend(new: np.ndarray, old: np.ndarray, omega: float, out: np.ndarray):
-    """out = old + omega (new - old), overwriting new on the way."""
-    new -= old
-    new *= omega
-    np.add(new, old, out=out)
-
-
 def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
                                  omega: float, point_mask: np.ndarray | None = None
                                  ) -> StokesState:
@@ -737,27 +729,24 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     prob.d_pre (see StokesProblem), zero-extended outside the
     interior, and distributed as du = w1 - dx w3, dv = w2 - dy w3,
     dp = -lap w3.  The damping is applied to the complete sweep:
-    (1-omega) * old + omega * swept, 0 <= omega < 2.  Boundary velocities
+    (1-omega) * old + omega * swept, 0 < omega < 2.  Boundary velocities
     are untouched; the pressure is re-anchored to 0 at node (1, 1).
 
-    point_mask optionally restricts the update to a subset of interior
-    nodes, an (n, n) boolean ndarray (used for the boundary-band
-    relaxation).  Each color evaluates its residual only at the nodes it
-    updates, and distributes only onto them and their neighbours.  A full
-    sweep copies the state into the problem's state buffers in the
-    red-black packed layout, where each color and its neighbours are
-    contiguous slices, and st keeps the old state until the end, when the
-    copy is blended with it and unpacked into it in one step.  A masked
-    sweep works on st itself through cached flat index arrays, but still
-    anchors the whole interior, and keeps the old state for a damped blend
-    in the state buffers.  Temporaries live in buffers the problem owns.
+    point_mask optionally restricts an undamped sweep (omega = 1) to a
+    subset of interior nodes, an (n, n) boolean ndarray (used for the
+    boundary-band relaxation).  Each color evaluates its residual only
+    at the nodes it updates, and distributes only onto them and their
+    neighbours.  A full sweep works on a red-black packed copy of st in
+    the problem's state buffers, and blends it with st and unpacks it
+    into st in one last step.  A masked sweep works on st itself through
+    cached flat index arrays, but still anchors the whole interior.
+    Temporaries live in buffers the problem owns.
 
     st's arrays must pass _flat and be writeable, checked with omega and
     point_mask before anything is written; a caller that needs st again
     passes a copy.
     """
-    if not 0.0 <= omega < 2.0:
-        raise ValueError(f"damping parameter must lie in [0, 2), got {omega}")
+    _check_damping(omega)
     n = prob.n
     d_vel, d_pre = prob.d_vel, prob.d_pre  # d_vel is a power of two, so 1/d_vel is exact
     if point_mask is None:
@@ -767,23 +756,21 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask must be a boolean ndarray, got {got}")
     elif point_mask.shape != (n, n):
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
+    elif omega != 1.0:
+        raise ValueError(f"a point_mask sweep is undamped: omega must be 1, got {omega}")
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
     fields = [_writable(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
-    spare = [b.reshape(-1) for b in _buffers(prob, "state")]
+    u, v, p = fields
     if plan.pack:
+        u, v, p = (b.reshape(-1) for b in _buffers(prob, "state"))
+
         def pack(part):
-            for a, b in zip(spare, fields):
+            for a, b in zip((u, v, p), fields):
                 for packed, flat in part:
                     a[packed] = b[flat]
 
         _run(pack, plan.pack)
-        u, v, p = spare
-    else:
-        if omega != 1.0:
-            for a, b in zip(spare, fields):
-                np.copyto(a, b)
-        u, v, p = fields
     w3 = _buffers(prob, "w3")[0].reshape(-1)
     half = (n + 2) ** 2 // 2  # at least the nodes of a color
     tmp = [b.reshape(-1)[k * half:(k + 1) * half]
@@ -833,17 +820,17 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise
     if plan.pack:  # blend with the old state and unpack in one step
         def unpack(part):
-            for new, old in zip(spare, fields):
+            for new, old in zip((u, v, p), fields):
                 for packed, flat in part:
-                    if omega != 1.0:
-                        _blend(new[packed], old[flat], omega, out=old[flat])
-                    else:
+                    if omega == 1.0:
                         old[flat] = new[packed]
+                    else:  # old + omega (new - old), overwriting new on the way
+                        swept = new[packed]
+                        swept -= old[flat]
+                        swept *= omega
+                        np.add(swept, old[flat], out=old[flat])
 
         _run(unpack, plan.pack)
-    elif omega != 1.0:
-        for new, old in zip(fields, spare):
-            _blend(new, old, omega, out=new)
     _anchor(st)
     return st
 
@@ -1033,15 +1020,14 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
                                n_cycles: int, seed: int = 42) -> ConvergenceReport:
     """Cycle on the problem from a random state and fit the residual decay.
 
-    rho_observed is the geometric mean of the last 5 residual
-    reduction ratios.  The run has diverged when a residual is not finite
-    or rho_observed exceeds 1; this is flagged in the report, not raised,
-    and the history is still returned.  Cycling stops early at a
-    non-finite residual, at growth past 1e8 of the start, or at a drop
-    below 1e-250 of it: further on the state nears the subnormal range,
-    where the cycle loses digits and the ratios drift to 1.  A residual
-    of exactly 0 also stops there, and the fit takes the ratios before
-    it (rho_observed is 0 when there are none).
+    rho_observed is the geometric mean of the last 5 residual reduction
+    ratios before a closing exact 0 (0 if none are left), as in
+    measure_periodic_smoothing.  The run has diverged when a residual is
+    not finite or rho_observed exceeds 1; this is flagged in the report,
+    not raised, and the history is still returned.  Cycling stops early
+    at a non-finite residual, at growth past 1e8 of the start, or at a
+    drop below 1e-250 of it, 0 included: further on the state nears the
+    subnormal range, where the cycle loses digits and the ratios drift to 1.
     """
     if not _is_count(n_cycles) or n_cycles < 10:
         raise ValueError(f"need an integer n_cycles >= 10 for a stable tail, got {n_cycles}")
@@ -1053,7 +1039,6 @@ def measure_convergence_factor(prob: StokesProblem, spec: CycleSpec,
         report.residual_history.append(r)
         if not math.isfinite(r) or r > 1e8 * r0 or r < 1e-250 * r0:
             break
-    tail = report.ratios()[:-1 if r == 0.0 else None][-5:]
-    report.rho_observed = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
+    report.rho_observed = _tail_factor(report.ratios())
     report.diverged = not math.isfinite(r) or report.rho_observed > 1.0
     return report

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import Frequency, Stencil2D, _is_count
+from .closedform import _optimum
+from .stencil import Frequency, Stencil2D, _check_damping, _is_count
 from .harmonics import projected_eigenvalue_grid
 
 HALF_PI = 0.5 * math.pi
@@ -97,8 +98,7 @@ def optimal_one_stage(s_max: float, s_min: float) -> tuple[float, float]:
     """
     if not (-1.0 < s_min <= s_max < 1.0):
         raise ValueError(f"need -1 < s_min <= s_max < 1, got ({s_min}, {s_max})")
-    denom = 2.0 - s_max - s_min
-    return 2.0 / denom, (s_max - s_min) / denom
+    return _optimum(s_max, s_min)
 
 
 def _axis(cfg: SweepConfig) -> np.ndarray:
@@ -248,8 +248,7 @@ def smoothing_factor(s: Stencil2D, omega: float,
     magnitude of the (1, 1) entry of S_omega, which is (1 - omega) +
     omega times the projected eigenvalue.
     """
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
+    _check_damping(omega)
 
     def field(t1, t2):
         return np.abs((1.0 - omega) + omega * projected_eigenvalue_grid(s, t1, t2))

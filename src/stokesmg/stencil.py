@@ -23,6 +23,12 @@ def _is_count(k) -> bool:
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
+def _check_damping(omega) -> None:
+    """Raise unless the damping parameter omega lies in (0, 2); NaN does not."""
+    if not 0.0 < omega < 2.0:
+        raise ValueError(f"damping parameter must lie in (0, 2), got {omega}")
+
+
 def reduce_angle(t: float) -> float:
     """Reduce an angle into the half-open interval (-pi, pi]."""
     r = math.remainder(t, TWO_PI)

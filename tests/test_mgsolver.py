@@ -428,19 +428,23 @@ class TestSweep:
         after = distributive_two_color_sweep(prob, exact.copy(), OMEGA_8)
         assert state_diff(after, exact) <= 1e-12
 
-    def test_zero_damping_is_identity(self):
-        prob = homogeneous_problem(15, 0.125)
-        st = random_state(prob, seed=1)
-        after = distributive_two_color_sweep(prob, st.copy(), 0.0)
-        assert state_diff(after, st) == 0.0
-
-    @pytest.mark.parametrize("omega", [math.nan, -0.5, 2.0])
+    @pytest.mark.parametrize("omega", [math.nan, -0.5, 0.0, 2.0])
     def test_damping_outside_range_refused(self, omega):
         prob, st = scrambled_problem(15, 0.125, seed=5)
         before = st.copy()
         for mask in (None, mgsolver._band_mask(15)):
-            with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            with pytest.raises(ValueError, match=r"\(0, 2\)"):
                 distributive_two_color_sweep(prob, st, omega, point_mask=mask)
+        assert states_equal(st, before)
+
+    def test_damped_mask_sweep_refused_before_any_write(self):
+        # a band sweep is undamped: the one blend of a damped sweep is the
+        # full sweep's unpack
+        prob, st = scrambled_problem(15, 0.125, seed=6)
+        before = st.copy()
+        for omega in (OMEGA_8, 0.5, 1.5):
+            with pytest.raises(ValueError, match="point_mask sweep is undamped"):
+                distributive_two_color_sweep(prob, st, omega, point_mask=mgsolver._band_mask(15))
         assert states_equal(st, before)
 
     def test_boundary_values_preserved(self):
@@ -475,8 +479,8 @@ class TestSweepMatchesReferee:
                                       for n in (3, 7, 15, 31, 127, 255)] + [(0.125, 511)])
     def test_bit_identical(self, n, c):
         prob, st = scrambled_problem(n, c, seed=n)
-        for mask in (None, mgsolver._band_mask(n)):
-            for omega in (0.0, OMEGA_8, 1.0):
+        for mask, omegas in ((None, (OMEGA_8, 1.0)), (mgsolver._band_mask(n), (1.0,))):
+            for omega in omegas:
                 mine = distributive_two_color_sweep(prob, st.copy(), omega, point_mask=mask)
                 ref = _reference_sweep(prob, st, omega, point_mask=mask)
                 assert states_equal(mine, ref), (mask is not None, omega)
@@ -484,17 +488,27 @@ class TestSweepMatchesReferee:
     def test_arbitrary_mask(self):
         prob, st = scrambled_problem(15, 0.125, seed=1)
         mask = np.random.default_rng(2).random((15, 15)) < 0.2
-        mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8, point_mask=mask)
-        assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
+        mine = distributive_two_color_sweep(prob, st.copy(), 1.0, point_mask=mask)
+        assert states_equal(mine, _reference_sweep(prob, st, 1.0, point_mask=mask))
+
+    # n = 511's packed sweep runs in two parts where two CPUs are usable
+    @pytest.mark.parametrize("c, n", [(c, n) for c in (0.005, 0.125, 1.0) for n in (15, 511)])
+    def test_all_interior_mask_is_the_packed_sweep(self, n, c):
+        # the flat index arrays and the packed layout run the same sweep body
+        prob, st = scrambled_problem(n, c, seed=n + 1)
+        full = distributive_two_color_sweep(prob, st.copy(), 1.0)
+        masked = distributive_two_color_sweep(prob, st.copy(), 1.0,
+                                              point_mask=np.ones((n, n), dtype=bool))
+        assert states_equal(masked, full)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_nan_propagates_alike(self, masked):
         prob, st = scrambled_problem(15, 0.125, seed=3)
         st.u[2, 2] = np.nan  # inside the band
         prob.f1[5, 5] = np.nan
-        mask = mgsolver._band_mask(15) if masked else None
-        mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8, point_mask=mask)
-        ref = _reference_sweep(prob, st, OMEGA_8, point_mask=mask)
+        mask, omega = (mgsolver._band_mask(15), 1.0) if masked else (None, OMEGA_8)
+        mine = distributive_two_color_sweep(prob, st.copy(), omega, point_mask=mask)
+        ref = _reference_sweep(prob, st, omega, point_mask=mask)
         assert np.isnan(mine.p).any()
         assert states_equal(mine, ref, equal_nan=True)
 
@@ -730,8 +744,8 @@ class TestInPlaceCycle:
     def test_sweep_and_cycle_return_the_state_they_are_given(self):
         prob, st = scrambled_problem(15, 0.125, seed=4)
         arrays = (st.u, st.v, st.p)
-        for mask in (None, mgsolver._band_mask(15)):
-            assert distributive_two_color_sweep(prob, st, OMEGA_8, point_mask=mask) is st
+        for mask, omega in ((None, OMEGA_8), (mgsolver._band_mask(15), 1.0)):
+            assert distributive_two_color_sweep(prob, st, omega, point_mask=mask) is st
         assert v_cycle(prob, st, CycleSpec(levels=3, omega=OMEGA_8)) is st
         assert all(a is b for a, b in zip((st.u, st.v, st.p), arrays))
 
@@ -745,16 +759,16 @@ class TestInPlaceCycle:
     @pytest.mark.parametrize("masked", [False, True])
     def test_nan_sweep_leaves_clean_buffers(self, masked):
         prob, st = scrambled_problem(15, 0.125, seed=3)
-        mask = mgsolver._band_mask(15) if masked else None
+        mask, omega = (mgsolver._band_mask(15), 1.0) if masked else (None, OMEGA_8)
         clean = st.copy()
         f = prob.f3[5, 2]
         prob.f3[5, 2] = np.nan  # a node of the band; w3 takes the NaN
         dirty = st.copy()
-        distributive_two_color_sweep(prob, dirty, OMEGA_8, point_mask=mask)
+        distributive_two_color_sweep(prob, dirty, omega, point_mask=mask)
         assert np.isnan(dirty.p).any()
         prob.f3[5, 2] = f
-        mine = distributive_two_color_sweep(prob, clean, OMEGA_8, point_mask=mask)
-        assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8, point_mask=mask))
+        mine = distributive_two_color_sweep(prob, clean, omega, point_mask=mask)
+        assert states_equal(mine, _reference_sweep(prob, st, omega, point_mask=mask))
         assert not mgsolver._buffers(prob, "w3")[0].any()
 
     def test_interrupted_sweep_leaves_a_zero_buffer(self, monkeypatch):
@@ -947,9 +961,9 @@ class TestInPlaceCycle:
         match = (f"u has dtype {layout}" if layout in ("float32", "int64")
                  else "u is not C-contiguous")
         before = other.copy()
-        for mask in (None, mgsolver._band_mask(15)):
+        for mask, omega in ((None, OMEGA_8), (mgsolver._band_mask(15), 1.0)):
             with pytest.raises(ValueError, match=match):
-                distributive_two_color_sweep(prob, other, OMEGA_8, mask)
+                distributive_two_color_sweep(prob, other, omega, mask)
         for pre in (2, 0):
             with pytest.raises(ValueError, match=match):
                 v_cycle(prob, other, CycleSpec(pre_sweeps=pre, levels=3, omega=OMEGA_8))
@@ -966,9 +980,9 @@ class TestInPlaceCycle:
         prob, st = scrambled_problem(15, 0.125, seed=10)
         getattr(st, name).setflags(write=False)
         before = st.copy()
-        for mask in (None, mgsolver._band_mask(15)):
+        for mask, omega in ((None, OMEGA_8), (mgsolver._band_mask(15), 1.0)):
             with pytest.raises(ValueError, match=f"^{name} is read-only$"):
-                distributive_two_color_sweep(prob, st, OMEGA_8, mask)
+                distributive_two_color_sweep(prob, st, omega, mask)
         for pre in (2, 0):
             with pytest.raises(ValueError, match=f"^{name} is read-only$"):
                 v_cycle(prob, st, CycleSpec(pre_sweeps=pre, levels=3, omega=OMEGA_8))

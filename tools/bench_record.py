@@ -61,6 +61,7 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
+import stats  # noqa: E402
 
 C = 0.125
 SOLVE_NS = (63, 127, 255, 511)
@@ -157,14 +158,14 @@ def solve_rows():
         report, cycles = _traced(mgsolver, ["v_cycle"], lambda: (
             mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)))
         cycle_s = [span[2] - span[1] for span in cycles]
-        digits = math.log10(report.initial_residual / report.residual_history[-1])
+        digits = stats.digits(report.initial_residual, report.residual_history[-1])
         rows.append({
             "n": n, "c": C, "levels": spec.levels, "cycles": len(cycle_s),
             "ms_per_cycle": 1e3 * statistics.median(cycle_s),
             "first_cycle_ms": 1e3 * statistics.median(first_s[1:]),
             "ns_per_unknown_cycle": 1e9 * statistics.median(cycle_s) / (3 * n * n),
             "rho_observed": report.rho_observed,
-            "s_per_digit": sum(cycle_s) / digits,
+            "s_per_digit": stats.seconds_per_digit(sum(cycle_s), digits),
         })
     return rows
 
