@@ -1,9 +1,10 @@
 """Command-line surface: symbols, representations, sweeps, verification,
 curve emission, and multigrid experiments.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
-divergence.  All randomized subcommands take an explicit --seed (default
-42) and are deterministic given their flags.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also a
+grid or sample count too large to allocate), 3 solver divergence.  All
+randomized subcommands take an explicit --seed (default 42) and are
+deterministic given their flags.
 """
 
 import argparse
@@ -113,14 +114,11 @@ def cmd_sweep(args) -> int:
     s = make_operator(args.operator, h=args.h, c=args.c)
     with np.errstate(over="ignore", invalid="ignore"):  # the field check reports it
         res = one_stage_optimum(s, SweepConfig(n_samples_per_axis=args.n_samples))
-    print(f"s_max     = {res.s_max:.15g}  at theta = "
-          f"({res.argmax_freq.theta1:.9g}, {res.argmax_freq.theta2:.9g})  "
-          f"s-coords = ({res.argmax_freq.s_coordinates()[0]:.9g}, "
-          f"{res.argmax_freq.s_coordinates()[1]:.9g})")
-    print(f"s_min     = {res.s_min:.15g}  at theta = "
-          f"({res.argmin_freq.theta1:.9g}, {res.argmin_freq.theta2:.9g})  "
-          f"s-coords = ({res.argmin_freq.s_coordinates()[0]:.9g}, "
-          f"{res.argmin_freq.s_coordinates()[1]:.9g})")
+    for name, value, freq in (("s_max", res.s_max, res.argmax_freq),
+                              ("s_min", res.s_min, res.argmin_freq)):
+        s1, s2 = freq.s_coordinates()
+        print(f"{name}     = {value:.15g}  at theta = ({freq.theta1:.9g}, {freq.theta2:.9g})  "
+              f"s-coords = ({s1:.9g}, {s2:.9g})")
     print(f"omega_opt = {res.omega_opt:.15g}")
     print(f"rho_opt   = {res.rho_opt:.15g}")
     return EXIT_OK
@@ -269,8 +267,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad values, or an --output not writable
-        print(f"error: {exc}", file=sys.stderr)
+    # bad values, an --output not writable, or arrays too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

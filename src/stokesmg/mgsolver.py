@@ -35,10 +35,10 @@ of a coarse grid into the fine grid's interior.  The cycles call both.
 
 The distribution degenerates near the Dirichlet boundary (ghost
 corrections are zero-extended), which leaves a band of poorly smoothed
-pressure error; V-cycles therefore apply a few extra band-restricted
-sweeps per smoothing step.  Without them the V-cycle convergence factor
-degrades with every added level and diverges on fine grids, while
-two-grid cycles stay near the interior prediction.
+pressure error; every smoothing step therefore ends with BOUNDARY_SWEEPS
+undamped sweeps over a band BOUNDARY_BAND nodes wide.  Without them the
+V-cycle convergence factor degrades with every added level and diverges
+on fine grids, while two-grid cycles stay near the interior prediction.
 
 The bottom grid of every cycle is solved exactly, by one correction
 with the cached pseudo-inverse of its system matrix; it may be at most
@@ -165,19 +165,16 @@ class CycleSpec:
     """Multigrid cycle parameters.
 
     levels is the depth of the hierarchy the cycle visits; levels = 2 is
-    the two-grid cycle.  boundary_relax is the number of undamped sweeps
-    over the BOUNDARY_BAND nodes next to the boundary appended to every
-    smoothing step.  Set boundary_relax = 0 to disable.
+    the two-grid cycle.  omega damps the full sweeps, not the band's.
     """
 
     pre_sweeps: int = 2
     post_sweeps: int = 2
     levels: int = 2
     omega: float = 1.0
-    boundary_relax: int = 2
 
     def __post_init__(self):
-        counts = (self.pre_sweeps, self.post_sweeps, self.boundary_relax)
+        counts = (self.pre_sweeps, self.post_sweeps)
         if not all(_is_count(k) and k >= 0 for k in counts):
             raise ValueError(f"sweep counts must be nonnegative integers, got {counts}")
         if self.pre_sweeps + self.post_sweeps < 1:
@@ -536,8 +533,9 @@ def _masked_plan(n: int, packed_mask: bytes) -> _SweepPlan:
     return _SweepPlan((), _ghosts(n), tuple(colors))
 
 
-# width in nodes of the boundary band that CycleSpec.boundary_relax sweeps
+# the boundary band's width in nodes, and its sweeps per smoothing step
 BOUNDARY_BAND = 3
+BOUNDARY_SWEEPS = 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -836,9 +834,9 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
 
 
 def _smooth_step(prob: StokesProblem, st: StokesState, spec: CycleSpec):
-    """One smoothing step of st, in place."""
+    """One smoothing step of st, in place: a full sweep, then the band's."""
     distributive_two_color_sweep(prob, st, spec.omega)
-    for _ in range(spec.boundary_relax):
+    for _ in range(BOUNDARY_SWEEPS):
         distributive_two_color_sweep(prob, st, 1.0, point_mask=_band_mask(prob.n))
 
 
@@ -966,7 +964,7 @@ def _coarse_level(prob: StokesProblem) -> tuple[StokesProblem, StokesState]:
 
 def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
            ) -> StokesState:
-    """One cycle of the given depth on st, in place; returns st."""
+    """One cycle of the given depth on st, in place, ending on one _anchor; returns st."""
     if depth == 1:
         return _bottom_solve(prob, st)
 
@@ -982,16 +980,13 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
     _cycle(coarse_prob, coarse, spec, depth - 1)
 
     # coarse.p comes back anchored, so mirrored, but st.p's ghosts are now
-    # stale and its p[1, 1] is off 0: a sweep mirrors the ghosts before it
-    # reads them and ends with _anchor, so only a cycle without post-sweeps
-    # re-anchors here
+    # stale and its p[1, 1] is off 0 until a sweep or the closing _anchor
     for a, b in ((coarse.u, st.u), (coarse.v, st.v), (coarse.p, st.p)):
         prolong(a, b)
 
     for _ in range(spec.post_sweeps):
         _smooth_step(prob, st, spec)
-    if spec.post_sweeps == 0:
-        _anchor(st)
+    _anchor(st)
     return st
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from stokesmg import closedform as cf
+from stokesmg import cli, closedform as cf
 from stokesmg import criteria
 from stokesmg.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                           fmt_complex, main, parse_angle, parse_theta)
@@ -152,6 +152,17 @@ class TestSweepCommand:
         assert omega == pytest.approx(16 / 17, abs=1e-9)
         assert rho == pytest.approx(1 / 17, abs=1e-9)
 
+    def test_refused_allocation_is_usage_error(self, capsys, monkeypatch):
+        # as from --n-samples 1000001 on a host that refuses the grid; a
+        # MemoryError without a message is named by its type
+        def refused(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "one_stage_optimum", refused)
+        assert main(["sweep", "laplacian", "--n-samples", "1000001"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: MemoryError\n"
+
 
 class TestCurvesCommand:
     def test_csv_shape_and_consistency(self, capsys, tmp_path):
@@ -298,6 +309,20 @@ class TestSolveCommand:
                      "--output", str(out_file)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
         assert not out_file.parent.exists()
+
+    def test_refused_allocation_is_usage_error(self, capsys, monkeypatch):
+        # as from --n 1048575 on a host that refuses its grids; exit 1 is
+        # kept for a failing verification row.  Nothing really allocates
+        # that much here: whether it is refused depends on the host
+        message = "Unable to allocate 8.00 TiB for an array with shape (1048577, 1048577)"
+
+        def refused(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "homogeneous_problem", refused)
+        assert main(["solve", "--c", "0.125", "--n", "1048575", "--cycles", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_long_run_keeps_its_factor(self, capsys):
         # at n = 7 the residual falls to about 1e-221 in 200 cycles; its

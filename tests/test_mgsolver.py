@@ -212,18 +212,16 @@ class TestProblemValidation:
             CycleSpec(omega=2.0)
         with pytest.raises(ValueError):
             CycleSpec(pre_sweeps=-1)
-        with pytest.raises(ValueError):
-            CycleSpec(boundary_relax=-3)
         # counts must be integers: a float reaches range() or the grid sizes
         for bad in (2.0, 2.5, True, np.float64(3.0)):
             with pytest.raises(ValueError, match="integer"):
                 CycleSpec(levels=bad)
-        for name in ("pre_sweeps", "post_sweeps", "boundary_relax"):
+        for name in ("pre_sweeps", "post_sweeps"):
             for bad in (1.0, 1.5, True):
                 with pytest.raises(ValueError, match="integer"):
                     CycleSpec(**{name: bad})
         spec = CycleSpec(pre_sweeps=np.int64(1), post_sweeps=np.int32(2), levels=np.int64(3),
-                         boundary_relax=np.uint8(0), omega=OMEGA_8)
+                         omega=OMEGA_8)
         prob = homogeneous_problem(15, 0.125)
         assert measure_convergence_factor(prob, spec, np.int64(10)).residual_history
         for bad in (10.0, 12.5, True):
@@ -635,12 +633,11 @@ def _ref_cycle(prob, st, spec, depth):
     """The V-cycle from the referee sweep, residual and transfers, copying at every step."""
     if depth == 1:
         return mgsolver._bottom_solve(prob, st.copy())
-    band = mgsolver._band_mask(prob.n) if spec.boundary_relax > 0 else None
 
     def smooth(st):
         st = _reference_sweep(prob, st, spec.omega)
-        for _ in range(spec.boundary_relax if band is not None else 0):
-            st = _reference_sweep(prob, st, 1.0, point_mask=band)
+        for _ in range(mgsolver.BOUNDARY_SWEEPS):
+            st = _reference_sweep(prob, st, 1.0, point_mask=mgsolver._band_mask(prob.n))
         return st
 
     for _ in range(spec.pre_sweeps):
@@ -702,11 +699,11 @@ class TestInPlaceCycle:
         for relax in (0, 2) for c in (0.005, 0.125, 1.0) for n in (7, 15, 31, 63)]
         + [pytest.param(0, 0.125, 511, cpus, id=f"0-0.125-511-cpus{cpus}") for cpus in (1, 2)])
     def test_v_cycle_matches_referee(self, monkeypatch, n, c, relax, cpus):
+        monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", relax)
         if cpus is not None:
             monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
         prob, st = scrambled_problem(n, c, seed=n)
-        spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c),
-                         boundary_relax=relax)
+        spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c))
         mine, ref = st.copy(), st
         for _ in range(2):
             assert v_cycle(prob, mine, spec) is mine
@@ -719,15 +716,16 @@ class TestInPlaceCycle:
                 norms.add(float.hex(residual_norm(prob, mine)))
             assert len(norms) == 1, norms
 
-    # without post-sweeps the cycle's closing _anchor re-anchors the
-    # prolonged state; with them the last sweep's own anchoring does
+    # without post-sweeps the cycle's closing _anchor is what re-anchors
+    # the prolonged state; with them it repeats the last sweep's anchoring
     @pytest.mark.parametrize("pre, post", [(2, 0), (0, 2)])
     @pytest.mark.parametrize("relax", [0, 2])
     @pytest.mark.parametrize("n", [15, 63])
-    def test_one_sided_v_cycle_matches_referee(self, n, relax, pre, post):
+    def test_one_sided_v_cycle_matches_referee(self, monkeypatch, n, relax, pre, post):
+        monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", relax)
         prob, st = scrambled_problem(n, 0.125, seed=n)
         spec = CycleSpec(pre_sweeps=pre, post_sweeps=post, levels=max_levels(n),
-                         omega=OMEGA_8, boundary_relax=relax)
+                         omega=OMEGA_8)
         mine, ref = st.copy(), st
         for _ in range(2):
             v_cycle(prob, mine, spec)
@@ -1334,6 +1332,24 @@ class TestVCycle:
         v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
         assert sorted(set(sizes)) == [7, 15]  # nothing on the 3x3 bottom grid
 
+    @pytest.mark.parametrize("band_sweeps", [None, 0, 3])
+    def test_every_full_sweep_is_followed_by_the_band_sweeps(self, monkeypatch, band_sweeps):
+        # None keeps the default; a band sweep is a call with a point_mask
+        if band_sweeps is not None:
+            monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", band_sweeps)
+        kinds = []
+        sweep = mgsolver.distributive_two_color_sweep
+
+        def recording_sweep(prob, st, omega, point_mask=None):
+            kinds.append("full" if point_mask is None else "band")
+            return sweep(prob, st, omega, point_mask=point_mask)
+
+        monkeypatch.setattr(mgsolver, "distributive_two_color_sweep", recording_sweep)
+        prob = homogeneous_problem(15, 0.125)
+        v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
+        step = ["full"] + ["band"] * mgsolver.BOUNDARY_SWEEPS
+        assert kinds == step * 8  # V(2,2) on the two levels above the bottom grid
+
     def test_cycle_transfers_through_the_public_names(self, monkeypatch):
         # the benchmark's tracer wraps mgsolver.restrict and mgsolver.prolong,
         # so the cycle must look them up as module attributes
@@ -1411,9 +1427,10 @@ class TestMatrixOf:
     # low) at c = 1 without it, where the next eigenvalue, 0.459, has not
     # quite died out; 2% holds both with room to spare
     @pytest.mark.parametrize("c, relax", [(0.125, 2), (1.0, 0)])
-    def test_two_grid_factor_is_the_cycle_matrix_spectral_radius(self, c, relax):
+    def test_two_grid_factor_is_the_cycle_matrix_spectral_radius(self, monkeypatch, c, relax):
+        monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", relax)
         prob = homogeneous_problem(7, c)
-        spec = CycleSpec(levels=2, omega=cf.omega_opt_closed(c), boundary_relax=relax)
+        spec = CycleSpec(levels=2, omega=cf.omega_opt_closed(c))
 
         def cycled(st):
             v_cycle(prob, st, spec)
@@ -1453,11 +1470,12 @@ class TestConvergenceMeasurement:
         assert report.diverged
         assert report.rho_observed > 1.0
 
-    def test_steady_slow_growth_flagged(self):
+    def test_steady_slow_growth_flagged(self, monkeypatch):
         # without band relaxation the n = 127 V-cycle grows the residual
         # by about 1.17 per cycle, never by 1.5
+        monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", 0)
         prob = homogeneous_problem(127, 0.125)
-        spec = CycleSpec(levels=max_levels(127), omega=OMEGA_8, boundary_relax=0)
+        spec = CycleSpec(levels=max_levels(127), omega=OMEGA_8)
         report = measure_convergence_factor(prob, spec, 12)
         assert max(report.ratios()[-5:]) < 1.5
         assert report.rho_observed > 1.1
