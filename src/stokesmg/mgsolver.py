@@ -64,11 +64,12 @@ blend and unpack) and assemble_residual's residual.  One rule decides:
 the n x n grid the pass covers has n >= _PART_MIN_N and two CPUs are
 usable.  So a V(2,2) cycle at n = 511 hands the worker 25 jobs, 6 per
 full sweep and 1 for the residual.  The calling thread runs one range,
-the worker (the thread of a ThreadPoolExecutor made on first use) runs
-the other, and the caller waits for both.  Every other pass stays on the
-caller (see _PART_MIN_N for why).  Each split pass gives every node the
-same operations on the same operands as one pass would, and a sum always
-runs whole, so the results are bit-identical whatever the part count.
+the worker (the thread of a ThreadPoolExecutor made on first use in each
+process, so a forked child makes its own) runs the other, and the caller
+waits for both.  Every other pass stays on the caller (see _PART_MIN_N
+for why).  Each split pass gives every node the same operations on the
+same operands as one pass would, and a sum always runs whole, so the
+results are bit-identical whatever the part count.
 """
 
 import functools
@@ -283,32 +284,23 @@ def _cuts(start: int, stop: int, parts: int) -> tuple:
     return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
 
-_EXECUTOR = None  # its one thread runs the second part of every pass in two parts
+@functools.lru_cache(maxsize=1)
+def _executor(pid: int):
+    """The worker of process pid: its one thread runs every second part.
 
-
-def _executor():
-    global _EXECUTOR
-    if _EXECUTOR is None:
-        # here, not at import: concurrent.futures loads logging, some 50 ms
-        # when compiled from source, as the benchmark's setup does
-        from concurrent.futures import ThreadPoolExecutor
-        _EXECUTOR = ThreadPoolExecutor(1, thread_name_prefix="stokesmg-parts")
-    return _EXECUTOR
-
-
-def _forget_executor():
-    global _EXECUTOR
-    _EXECUTOR = None  # a forked child has no worker thread; it makes its own
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
+    Keyed by os.getpid(), so a forked child, which has no worker thread,
+    makes its own on first use.
+    """
+    # here, not at import: concurrent.futures loads logging, some 50 ms
+    # when compiled from source, as the benchmark's setup does
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="stokesmg-parts")
 
 
 def _run(job, parts: tuple):
     """job(part) for each of one or two parts; a second part runs on the worker.
 
-    The worker, the thread of _executor(), runs it under the caller's
+    The worker, the thread of _executor(pid), runs it under the caller's
     numpy error state, which numpy keeps per thread.  The caller runs the
     first part meanwhile, and waits for the worker before it returns or
     raises, so an error in either part reaches it only once both are done
@@ -325,7 +317,7 @@ def _run(job, parts: tuple):
         with np.errstate(**errstate):
             job(parts[1])
 
-    future = _executor().submit(second)
+    future = _executor(os.getpid()).submit(second)
     try:
         job(parts[0])
     finally:
@@ -544,9 +536,7 @@ def _band_mask(n: int) -> np.ndarray:
     inner = np.zeros((n, n), dtype=bool)
     if n > 2 * BOUNDARY_BAND:
         inner[BOUNDARY_BAND:n - BOUNDARY_BAND, BOUNDARY_BAND:n - BOUNDARY_BAND] = True
-    band = ~inner
-    band.setflags(write=False)
-    return band
+    return _read_only(~inner)
 
 
 def _check_grid(n: int):
@@ -606,10 +596,8 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
     xg, yg = np.meshgrid(x, x, indexing="ij")
     u = np.sin(PI * xg) * np.sin(PI * yg)
     v = np.sin(PI * xg) * np.sin(PI * yg)
-    p = np.cos(PI * xg) * np.cos(PI * yg)
-    p -= p[1, 1]
-    _mirror_ghosts(p)
-    exact = StokesState(u, v, p)
+    exact = StokesState(u, v, np.cos(PI * xg) * np.cos(PI * yg))
+    _anchor(exact)
 
     # L x is minus the residual of x against zero right-hand sides
     f1, f2, f3 = (-r for r in assemble_residual(homogeneous_problem(n, c), exact))

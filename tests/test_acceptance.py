@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
-Criteria 01-13 are defined once, in stokesmg.criteria, which also
+Criteria 01-14 are defined once, in stokesmg.criteria, which also
 prints them as `stokesmg theorems`; each test here asserts that every
 row of its criterion passes, and adds the wall-clock gates.  Each test
 prints a single pass/fail line (visible with -s or in captured output
@@ -80,3 +80,8 @@ def test_12_solver_c_dependence():
 def test_13_periodic_smoothing_bounded_by_prediction():
     check(13, "periodic smoothing test bounded by prediction",
           criteria.periodic_smoothing_bounded)
+
+
+def test_14_solver_mesh_dependence():
+    check(14, "V(2,2) at c=0.5 and V(1,1) at c=1/8 grow with n",
+          criteria.solver_mesh_dependence, seconds=30.0)

@@ -335,6 +335,14 @@ class TestSolveCommand:
         assert lines[-2].startswith("200,")
         assert lines[-1].startswith("rho_observed=0.07686")
 
+    @pytest.mark.parametrize("c, n, nu", [(0.125, 31, 2), (0.005, 63, 2), (0.125, 31, 1)])
+    def test_prints_the_gates_factor(self, capsys, c, n, nu):
+        # the solver criteria measure each factor as solve does by default
+        assert main(["solve", "--c", str(c), "--n", str(n), "--pre", str(nu),
+                     "--post", str(nu)]) == EXIT_OK
+        want = f"rho_observed={criteria._cycle_factor(n, c, nu):.6g}"
+        assert capsys.readouterr().out.splitlines()[-1] == want
+
     def test_seed_determinism(self, capsys):
         main(["solve", "--c", "0.125", "--n", "15", "--cycles", "10", "--seed", "9"])
         first = capsys.readouterr().out

@@ -250,7 +250,8 @@ def _overflow_threshold(h):
 class TestDiagonals:
     """The sweep divides by the centers of the stencils the analysis sweeps."""
 
-    @pytest.mark.parametrize("n", [2**k - 1 for k in range(2, 10)])
+    @pytest.mark.parametrize("n", [2**k - 1 for k in range(2, 9)]
+                             + [pytest.param(511, marks=pytest.mark.parts)])
     def test_problem_diagonals_are_the_stencil_centers(self, n):
         h = 1.0 / (n + 1)
         below, above = _overflow_threshold(h)
@@ -279,6 +280,7 @@ class TestResidual:
     # two CPUs are made to look usable so that it does on any host.  The
     # squares, which overflow or underflow here, run whole on the caller.
 
+    @pytest.mark.parts
     def test_norm_of_huge_finite_residual_is_finite(self, monkeypatch):
         # squaring entries of about 1e200 overflows; the norm must not
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
@@ -291,6 +293,7 @@ class TestResidual:
                 norm = residual_norm(prob, big)
             assert norm == pytest.approx(1e200 * residual_norm(prob, st), rel=1e-12), n
 
+    @pytest.mark.parts
     def test_norm_of_tiny_residual_is_not_zero(self, monkeypatch):
         # squaring entries of about 1e-200 underflows; the norm must not
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
@@ -303,6 +306,7 @@ class TestResidual:
                 norm = residual_norm(prob, tiny)
             assert norm == pytest.approx(1e-200 * residual_norm(prob, st), rel=1e-12), n
 
+    @pytest.mark.parts
     def test_non_finite_residual_gives_non_finite_norm(self, monkeypatch):
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: 2)
         for n in (15, 511):
@@ -365,7 +369,7 @@ class TestResidual:
                 assert abs(r2[i, j] - e2) < 1e-13
                 assert abs(r3[i, j] - e3) < 1e-13
 
-    @pytest.mark.parametrize("n", [3, 15, 127, 511])
+    @pytest.mark.parametrize("n", [3, 15, 127, pytest.param(511, marks=pytest.mark.parts)])
     def test_bit_identical_to_whole_interior_referee(self, n):
         prob, st = scrambled_problem(n, 0.3, seed=n)
         for mine, ref in zip(assemble_residual(prob, st), _ref_assemble_residual(prob, st)):
@@ -474,7 +478,8 @@ class TestSweepMatchesReferee:
 
     # n = 511 sweeps in two parts where two CPUs are usable
     @pytest.mark.parametrize("c, n", [(c, n) for c in (0.005, 0.125, 1.0)
-                                      for n in (3, 7, 15, 31, 127, 255)] + [(0.125, 511)])
+                                      for n in (3, 7, 15, 31, 127, 255)]
+                             + [pytest.param(0.125, 511, marks=pytest.mark.parts)])
     def test_bit_identical(self, n, c):
         prob, st = scrambled_problem(n, c, seed=n)
         for mask, omegas in ((None, (OMEGA_8, 1.0)), (mgsolver._band_mask(n), (1.0,))):
@@ -490,7 +495,9 @@ class TestSweepMatchesReferee:
         assert states_equal(mine, _reference_sweep(prob, st, 1.0, point_mask=mask))
 
     # n = 511's packed sweep runs in two parts where two CPUs are usable
-    @pytest.mark.parametrize("c, n", [(c, n) for c in (0.005, 0.125, 1.0) for n in (15, 511)])
+    @pytest.mark.parametrize("c, n", [(c, 15) for c in (0.005, 0.125, 1.0)]
+                             + [pytest.param(c, 511, marks=pytest.mark.parts)
+                                for c in (0.005, 0.125, 1.0)])
     def test_all_interior_mask_is_the_packed_sweep(self, n, c):
         # the flat index arrays and the packed layout run the same sweep body
         prob, st = scrambled_problem(n, c, seed=n + 1)
@@ -551,7 +558,8 @@ class TestSweepMatchesReferee:
                 assert sum(len(ring) for _, _, ring, _ in own) == 30
                 assert sum(len(ring) for _, ring, _ in near) == 30
 
-    @pytest.mark.parametrize("n", [3, 7, 15, 31, 63, 127, 255, 511])
+    @pytest.mark.parametrize("n", [3, 7, 15, 31, 63, 127, 255,
+                                   pytest.param(511, marks=pytest.mark.parts)])
     def test_packed_plan(self, n):
         for parts in (1, 2):
             self.check_packed_plan(n, parts)
@@ -697,7 +705,8 @@ class TestInPlaceCycle:
     @pytest.mark.parametrize("relax, c, n, cpus", [
         pytest.param(relax, c, n, None, id=f"{relax}-{c}-{n}")
         for relax in (0, 2) for c in (0.005, 0.125, 1.0) for n in (7, 15, 31, 63)]
-        + [pytest.param(0, 0.125, 511, cpus, id=f"0-0.125-511-cpus{cpus}") for cpus in (1, 2)])
+        + [pytest.param(0, 0.125, 511, cpus, id=f"0-0.125-511-cpus{cpus}",
+                        marks=pytest.mark.parts) for cpus in (1, 2)])
     def test_v_cycle_matches_referee(self, monkeypatch, n, c, relax, cpus):
         monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", relax)
         if cpus is not None:
@@ -791,6 +800,7 @@ class TestInPlaceCycle:
         mine = distributive_two_color_sweep(prob, st.copy(), OMEGA_8)
         assert states_equal(mine, _reference_sweep(prob, st, OMEGA_8))
 
+    @pytest.mark.parts
     @pytest.mark.parametrize("failing, error", [("worker", ValueError),
                                                 ("worker", KeyboardInterrupt),
                                                 ("caller", ValueError)])
@@ -819,6 +829,7 @@ class TestInPlaceCycle:
         monkeypatch.setattr(mgsolver, "_apply", apply)
         assert states_equal(distributive_two_color_sweep(prob, st.copy(), OMEGA_8), ref)
 
+    @pytest.mark.parts
     def test_worker_jobs_per_v_cycle(self, monkeypatch, swept_511):
         # the finest grid's passes run in two parts at n = 511 where two
         # CPUs are usable, and no pass does at n = 255
@@ -841,6 +852,7 @@ class TestInPlaceCycle:
             else:
                 assert jobs == [], n
 
+    @pytest.mark.parts
     def test_worker_jobs_of_a_two_part_v_cycle(self, monkeypatch, swept_511):
         # with two CPUs usable, a V(2,2) cycle at n = 511 hands the worker
         # one job per split pass of its finest grid: 6 for each of the 4
@@ -885,6 +897,7 @@ class TestInPlaceCycle:
             monkeypatch.setattr(os, "cpu_count", lambda: count)
             assert mgsolver._usable_cpus() == usable
 
+    @pytest.mark.parts
     def test_callers_on_other_threads_queue_their_second_parts(self, swept_511):
         # three threads sweep three problems at n = 511 at once, each
         # queueing its second parts on the one worker, and every state
@@ -909,6 +922,7 @@ class TestInPlaceCycle:
         assert not any(t.is_alive() for t in threads)
         assert all(states_equal(a, b) for a, b in zip(swept, alone))
 
+    @pytest.mark.parts
     def test_worker_part_runs_under_the_callers_error_state(self, monkeypatch, swept_511):
         # u is scaled past overflow on rows that only the worker's part of
         # a sweep at n = 511 reaches; numpy keeps its error state per
@@ -923,6 +937,7 @@ class TestInPlaceCycle:
             warnings.simplefilter("error")
             distributive_two_color_sweep(prob, huge.copy(), OMEGA_8)
 
+    @pytest.mark.parts
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_worker(self, monkeypatch, swept_511):
         # a child forked after a sweep in two parts has no worker thread;
@@ -1064,6 +1079,7 @@ class TestInPlaceCycle:
         gc.collect()
         assert all(ref() is None for ref in arrays)
 
+    @pytest.mark.parts
     def test_worker_keeps_nothing_alive(self, monkeypatch):
         # the worker thread drops each job once it is done, so a problem and
         # a state swept in two parts die with their last reference
@@ -1199,7 +1215,7 @@ class TestTransfers:
         rhs = 4.0 * float((xc * restrict(yf, np.zeros((9, 9)))).sum())
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 15, 127, 511])
+    @pytest.mark.parametrize("n", [3, 15, 127, pytest.param(511, marks=pytest.mark.parts)])
     def test_bit_identical_to_referees(self, n):
         # restrict overwrites the interior, prolong adds to it, and both
         # leave the ring of the array they write as it was
