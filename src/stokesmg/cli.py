@@ -15,7 +15,7 @@ import numpy as np
 
 from . import closedform as cf, criteria
 from .harmonics import harmonics_of, numerical_lfa_oracle, two_color_rep
-from .mgsolver import (BOTTOM_MAX_N, CycleSpec, homogeneous_problem, max_levels,
+from .mgsolver import (BOTTOM_MAX_N, CycleSpec, homogeneous_problem,
                        measure_convergence_factor)
 from .smoothing import SweepConfig, one_stage_optimum
 from .stencil import Frequency, OPERATOR_KINDS, make_operator, symbol
@@ -39,6 +39,8 @@ def parse_angle(text: str) -> float:
         denominator = float(post[1:]) if post else 1.0
         if denominator == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
+        if not math.isfinite(denominator):  # pi/inf would read as a finite 0
+            raise ValueError(f"angle must be finite, got {text!r}")
         value = coef * math.pi / denominator
     if not math.isfinite(value):
         raise ValueError(f"angle must be finite, got {text!r}")
@@ -155,12 +157,9 @@ def cmd_curves(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    omega = args.omega if args.omega is not None else cf.omega_opt_closed(args.c)
-    deepest = max_levels(args.n)  # checks n before any grid is allocated
-    levels = args.levels if args.levels is not None else deepest
     prob = homogeneous_problem(args.n, args.c)
-    spec = CycleSpec(pre_sweeps=args.pre, post_sweeps=args.post, levels=levels,
-                     omega=omega)
+    spec = CycleSpec(pre_sweeps=args.pre, post_sweeps=args.post, levels=args.levels,
+                     omega=args.omega)
     report = measure_convergence_factor(prob, spec, args.cycles, seed=args.seed)
     # repr: the shortest digits that read back as the same float
     lines = ["cycle_index,residual_norm,ratio", f"0,{report.initial_residual!r},"]

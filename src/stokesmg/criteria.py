@@ -19,7 +19,7 @@ import numpy as np
 from . import closedform as cf
 from .harmonics import (harmonics_of, measure_periodic_smoothing, numerical_lfa_oracle,
                         two_color_rep)
-from .mgsolver import CycleSpec, homogeneous_problem, max_levels, measure_convergence_factor
+from .mgsolver import CycleSpec, homogeneous_problem, measure_convergence_factor
 from .smoothing import SweepConfig, one_stage_optimum, smoothing_factor
 from .stencil import Frequency, make_operator
 
@@ -61,11 +61,10 @@ def _pressure(c, n_samples=257):
 def _cycle_factor(n, c, nu=2):
     """The factor `stokesmg solve --c C --n N --pre nu --post nu` prints.
 
-    Its defaults: the deepest hierarchy, omega_opt_closed(c), and the fit
-    over 20 cycles from the random state of seed 42.
+    Its defaults: CycleSpec()'s hierarchy and damping, and the fit over
+    20 cycles from the random state of seed 42.
     """
-    spec = CycleSpec(pre_sweeps=nu, post_sweeps=nu, levels=max_levels(n),
-                     omega=cf.omega_opt_closed(c))
+    spec = CycleSpec(pre_sweeps=nu, post_sweeps=nu)
     return measure_convergence_factor(homogeneous_problem(n, c), spec, n_cycles=20,
                                       seed=42).rho_observed
 

@@ -75,10 +75,11 @@ results are bit-identical whatever the part count.
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import closedform as cf
 from .stencil import Stencil2D, _check_damping, _is_count, make_operator
 from .harmonics import _tail_factor
 
@@ -163,16 +164,19 @@ class StokesState:
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """Multigrid cycle parameters.
+    """Multigrid cycle parameters; CycleSpec() is the cycle `stokesmg solve` runs.
 
     levels is the depth of the hierarchy the cycle visits; levels = 2 is
-    the two-grid cycle.  omega damps the full sweeps, not the band's.
+    the two-grid cycle, CycleSpec(levels=2).  omega damps the full
+    sweeps, not the band's.  v_cycle resolves a None field from the
+    problem it cycles on: levels to the deepest hierarchy, max_levels(n),
+    and omega to the closed-form optimum, omega_opt_closed(c).
     """
 
     pre_sweeps: int = 2
     post_sweeps: int = 2
-    levels: int = 2
-    omega: float = 1.0
+    levels: int | None = None
+    omega: float | None = None
 
     def __post_init__(self):
         counts = (self.pre_sweeps, self.post_sweeps)
@@ -180,9 +184,10 @@ class CycleSpec:
             raise ValueError(f"sweep counts must be nonnegative integers, got {counts}")
         if self.pre_sweeps + self.post_sweeps < 1:
             raise ValueError("need at least one pre- or post-sweep")
-        if not _is_count(self.levels) or self.levels < 2:
+        if self.levels is not None and (not _is_count(self.levels) or self.levels < 2):
             raise ValueError(f"need an integer number of levels >= 2, got {self.levels}")
-        _check_damping(self.omega)
+        if self.omega is not None:
+            _check_damping(self.omega)
 
 
 @dataclass
@@ -981,11 +986,20 @@ def _cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec, depth: int
 def v_cycle(prob: StokesProblem, st: StokesState, spec: CycleSpec) -> StokesState:
     """One V-cycle over spec.levels levels (two-grid for levels = 2) on st, in place.
 
-    Returns st.  The bottom grid is solved exactly and may be at most
+    Returns st.  A None levels is the deepest hierarchy, max_levels(n),
+    and a None omega is omega_opt_closed(c), so CycleSpec() is the
+    default cycle.  n = 3 is the coarsest grid itself, so a cycle needs
+    n >= 7.  The bottom grid is solved exactly and may be at most
     BOTTOM_MAX_N x BOTTOM_MAX_N.  st's arrays must pass _flat and be
     writeable, checked before the first write; a caller that needs st
     again passes a copy.
     """
+    if prob.n < 7:
+        raise ValueError(f"n = {prob.n} is the coarsest grid; a cycle needs n >= 7")
+    # or keeps a set field: levels >= 2 and omega > 0 are never falsy
+    if spec.levels is None or spec.omega is None:
+        spec = replace(spec, levels=spec.levels or max_levels(prob.n),
+                       omega=spec.omega or cf.omega_opt_closed(prob.c))
     if spec.levels > max_levels(prob.n):
         raise ValueError(f"{spec.levels} levels need a finer grid than n = {prob.n} "
                          f"(max {max_levels(prob.n)})")

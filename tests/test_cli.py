@@ -27,7 +27,7 @@ class TestAngleParsing:
         assert parse_theta("pi/2, 0") == pytest.approx((PI / 2, 0.0))
 
     def test_rejects_garbage(self):
-        for text in ("pie", "pi/0", "nan", "inf", "-infpi", "pi/nan"):
+        for text in ("pie", "pi/0", "nan", "inf", "-infpi", "pi/nan", "pi/inf", "-pi/-inf"):
             with pytest.raises(ValueError):
                 parse_angle(text)
         with pytest.raises(ValueError):
@@ -83,7 +83,8 @@ class TestSymbolCommand:
     def test_non_finite_input_is_usage_error(self, capsys):
         # a later flag overrides the valid one before it
         for flag, value in (("--c", "nan"), ("--c", "inf"), ("--h", "nan"),
-                            ("--h", "inf"), ("--theta", "nan,0"), ("--theta", "pi/0,0")):
+                            ("--h", "inf"), ("--theta", "nan,0"), ("--theta", "pi/0,0"),
+                            ("--theta", "pi/inf,0")):
             argv = ["symbol", "pressure_block", "--c", "1", "--theta", "0,0", flag, value]
             assert main(argv) == EXIT_USAGE, argv
             assert "error:" in capsys.readouterr().err
@@ -280,6 +281,13 @@ class TestSolveCommand:
         for flags in (["--n", "20"], ["--n", "-1"], ["--n", "-5", "--levels", "2"]):
             assert main(["solve", "--c", "0.125", *flags]) == EXIT_USAGE
             assert "n + 1 must be a power of two" in capsys.readouterr().err
+
+    def test_coarsest_grid_is_usage_error(self, capsys):
+        # the default hierarchy at n = 3 would have one level
+        assert main(["solve", "--c", "0.125", "--n", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n = 3 is the coarsest grid; a cycle needs n >= 7\n"
 
     def test_non_finite_c_is_usage_error(self, capsys):
         assert main(["solve", "--c", "nan", "--n", "15", "--omega", "1"]) == EXIT_USAGE

@@ -204,6 +204,7 @@ class TestProblemValidation:
             StokesProblem(7, 0.125, f, f, np.asfortranarray(np.eye(9)), f, f)
 
     def test_cycle_spec_validation(self):
+        assert CycleSpec() == CycleSpec(pre_sweeps=2, post_sweeps=2, levels=None, omega=None)
         with pytest.raises(ValueError):
             CycleSpec(pre_sweeps=0, post_sweeps=0)
         with pytest.raises(ValueError):
@@ -1324,6 +1325,23 @@ class TestVCycle:
         for _ in range(3):
             st = v_cycle(prob, st, spec)
         assert residual_norm(prob, st) < 0.2 * smoothing_only
+
+    # None levels is the deepest hierarchy and None omega the closed form's
+    @pytest.mark.parametrize("n, c, levels", [(63, 0.125, None), (31, 0.5, None),
+                                              (31, 0.125, 2)])
+    def test_default_fields_are_resolved_bit_for_bit(self, n, c, levels):
+        prob, st = scrambled_problem(n, c, seed=n)
+        explicit = CycleSpec(levels=levels or max_levels(n), omega=cf.omega_opt_closed(c))
+        mine, ref = st.copy(), st
+        for _ in range(2):
+            v_cycle(prob, mine, CycleSpec(levels=levels))
+            v_cycle(prob, ref, explicit)
+            assert states_equal(mine, ref)
+
+    def test_coarsest_grid_has_no_cycle(self):
+        prob = homogeneous_problem(3, 0.125)
+        with pytest.raises(ValueError, match=r"n = 3 is the coarsest grid; a cycle needs n >= 7"):
+            v_cycle(prob, zero_state(prob), CycleSpec())
 
     def test_levels_validation(self):
         prob = homogeneous_problem(15, 0.125)

@@ -90,11 +90,6 @@ def _env():
     return env
 
 
-def _spec(n):
-    return mgsolver.CycleSpec(levels=mgsolver.max_levels(n),
-                              omega=closedform.omega_opt_closed(C))
-
-
 def env_rows():
     return {"usable_cpus": mgsolver._usable_cpus(),
             "sweep_parts": {str(n): mgsolver._part_count(n) for n in SOLVE_NS}}
@@ -146,8 +141,8 @@ def _median_span_ms(traced):
 
 def solve_rows():
     rows = []
+    spec = mgsolver.CycleSpec()
     for n in SOLVE_NS:
-        spec = _spec(n)
         first_s = []
         for _ in range(1 + FRESH_PROBLEMS):  # the first one warms the caches
             prob = mgsolver.homogeneous_problem(n, C)
@@ -160,7 +155,7 @@ def solve_rows():
         cycle_s = [span[2] - span[1] for span in cycles]
         digits = stats.digits(report.initial_residual, report.residual_history[-1])
         rows.append({
-            "n": n, "c": C, "levels": spec.levels, "cycles": len(cycle_s),
+            "n": n, "c": C, "levels": mgsolver.max_levels(n), "cycles": len(cycle_s),
             "ms_per_cycle": 1e3 * statistics.median(cycle_s),
             "first_cycle_ms": 1e3 * statistics.median(first_s[1:]),
             "ns_per_unknown_cycle": 1e9 * statistics.median(cycle_s) / (3 * n * n),
@@ -171,8 +166,7 @@ def solve_rows():
 
 
 def layer_rows():
-    prob, spec = mgsolver.homogeneous_problem(LAYER_N, C), _spec(LAYER_N)
-    bottom_n = (LAYER_N + 1) // 2 ** (spec.levels - 1) - 1
+    prob, spec = mgsolver.homogeneous_problem(LAYER_N, C), mgsolver.CycleSpec()
     # layer: (function, whether a call's description is the layer's); the
     # benchmark describes a prolong by the coarse grid's n
     finest = {
@@ -193,7 +187,7 @@ def layer_rows():
             state = mgsolver.v_cycle(prob, state, spec)
 
     _, calls = _traced(mgsolver, sorted({fn for fn, _ in finest.values()}), cycles)
-    rows = {"n": LAYER_N, "bottom_n": bottom_n}
+    rows = {"n": LAYER_N, "bottom_n": 3}  # the deepest hierarchy's, as max_levels says
     for layer, (fn, is_layer) in finest.items():
         mine = [span for span in calls if span[0] == fn and is_layer(span[5])]
         rows[layer] = {"calls_per_cycle": len(mine) / LAYER_CYCLES,
