@@ -60,16 +60,18 @@ the finest level's, so one set of 6 serves the whole hierarchy.
 The solver splits two kinds of elementwise pass over a large grid into
 two node ranges: the full sweep's (its pack, each color's residual and
 own-node update, then its distribution onto the neighbours, then the
-blend and unpack) and assemble_residual's residual.  One rule decides:
-the n x n grid the pass covers has n >= _PART_MIN_N and two CPUs are
-usable.  So a V(2,2) cycle at n = 511 hands the worker 25 jobs, 6 per
-full sweep and 1 for the residual.  The calling thread runs one range,
-the worker (the thread of a ThreadPoolExecutor made on first use in each
-process, so a forked child makes its own) runs the other, and the caller
-waits for both.  Every other pass stays on the caller (see _PART_MIN_N
-for why).  Each split pass gives every node the same operations on the
-same operands as one pass would, and a sum always runs whole, so the
-results are bit-identical whatever the part count.
+blend and unpack) and assemble_residual's residual.  One rule, the
+grid's, decides: the n x n grid the pass covers has n >= _PART_MIN_N.
+So a V(2,2) cycle at n = 511 makes 25 two-part passes, 6 per full sweep
+and 1 for the residual.  The host decides only who runs the second
+range: where two CPUs are usable, the worker (the thread of a
+ThreadPoolExecutor made on first use in each process, so a forked child
+makes its own) runs it while the calling thread runs the first, and the
+caller waits for both; where one is, the caller runs both, first then
+second.  Every other pass stays on the caller (see _PART_MIN_N for why).
+Each split pass gives every node the same operations on the same
+operands as one pass would, and a sum always runs whole, so the results
+are bit-identical whatever the part count or the host.
 """
 
 import functools
@@ -112,10 +114,11 @@ class StokesProblem:
     evaluated on it (see _SCRATCH) and the coarse levels its cycles use,
     whose work grids view its own, so two threads
     must not sweep, take residuals or cycle on one problem at the same time.
-    On a large grid the solver itself splits those passes between the
-    calling thread and one worker thread of its own, over disjoint nodes
-    and bit for bit (see the module docstring); a caller on another
-    thread meanwhile queues its second parts on that worker.
+    On a large grid the solver itself splits those passes in two, over
+    disjoint nodes and bit for bit, and where two CPUs are usable hands
+    the second part to one worker thread of its own (see the module
+    docstring); a caller on another thread meanwhile queues its second
+    parts on that worker.
     """
 
     n: int
@@ -253,17 +256,24 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
 
 
 # A full sweep's passes and the residual over an n x n grid run in two
-# parts (see _run) when n is at least _PART_MIN_N and two CPUs are usable.
+# parts (see _run) when n is at least _PART_MIN_N, whatever the host.
 # On a 2-core host, every pass at n = 255 (at most 33,024 nodes a part)
 # but the residual ran slower in two parts, up to 1.4x, while every pass
 # at n = 511 (at least 65,280 a part) ran 1.3-2x faster, and at n = 1023
-# 1.5-2x.  Sums, whose rounding numpy blocks by the length of what it
-# adds, never split.  Nor do the grid transfers: in two parts they saved
-# about 0.5 of 1.5 ms a call at n = 511, some 3 ms of a 125 ms V-cycle,
-# which 10 alternating pairs of the n = 511 benchmark solve could not
-# tell from its run-to-run spread.  Nor do the anchoring and the squares
-# of residual_norm, whose two parts tied with one in alternating n = 511
-# V-cycles; nor the band sweeps, which ran 2x slower in two parts.
+# 1.5-2x.  With one usable CPU the caller runs the two parts back to
+# back, which was no slower than one whole pass: pinned to one CPU, an
+# n = 511, c = 1/8 solve took 676 ms whole against 622 ms in halves
+# (medians of 12 alternating in-process solves, halves faster in 10), and
+# a V-cycle with its norm 117.0 against 104.8 ms (9 of 10); in another
+# session 20 such solves read 1193 against 997 ms (halves faster in 17)
+# and 12 read 966 against 964 ms (7).  Sums, whose rounding numpy blocks
+# by the length of what it adds, never split.  Nor do the grid transfers:
+# in two parts they saved about 0.5 of 1.5 ms a call at n = 511, some
+# 3 ms of a 125 ms V-cycle, which 10 alternating pairs of the n = 511
+# benchmark solve could not tell from its run-to-run spread.  Nor do the
+# anchoring and the squares of residual_norm, whose two parts tied with
+# one in alternating n = 511 V-cycles; nor the band sweeps, which ran 2x
+# slower in two parts.
 _PART_MIN_N = 511
 
 
@@ -277,10 +287,11 @@ def _usable_cpus() -> int:
 def _part_count(n: int) -> int:
     """Parts for a full sweep's passes or the residual over the n x n grid.
 
-    Two if n >= _PART_MIN_N and two CPUs are usable, else one.  No other
-    pass asks: the rest run whole.
+    Two if n >= _PART_MIN_N, else one, whatever the host: _run alone asks
+    whether a second CPU takes a part.  No other pass asks: the rest run
+    whole.
     """
-    return 2 if n >= _PART_MIN_N and _usable_cpus() >= 2 else 1
+    return 2 if n >= _PART_MIN_N else 1
 
 
 def _cuts(start: int, stop: int, parts: int) -> tuple:
@@ -303,18 +314,20 @@ def _executor(pid: int):
 
 
 def _run(job, parts: tuple):
-    """job(part) for each of one or two parts; a second part runs on the worker.
+    """job(part) for each of one or two parts; the one place that asks for CPUs.
 
-    The worker, the thread of _executor(pid), runs it under the caller's
-    numpy error state, which numpy keeps per thread.  The caller runs the
-    first part meanwhile, and waits for the worker before it returns or
-    raises, so an error in either part reaches it only once both are done
-    (the caller's own error first).  An interrupt does not end the wait:
-    it is raised once the worker's part is done.  Callers on other threads
-    queue their second parts on the same worker.
+    With one usable CPU the caller runs every part, in order.  With two,
+    a second part runs on the worker, the thread of _executor(pid), under
+    the caller's numpy error state, which numpy keeps per thread.  The
+    caller runs the first part meanwhile, and waits for the worker before
+    it returns or raises, so an error in either part reaches it only once
+    both are done (the caller's own error first).  An interrupt does not
+    end the wait: it is raised once the worker's part is done.  Callers
+    on other threads queue their second parts on the same worker.
     """
-    if len(parts) == 1:
-        job(parts[0])
+    if len(parts) == 1 or _usable_cpus() < 2:
+        for part in parts:
+            job(part)
         return
     errstate = np.geterr()
 
@@ -409,10 +422,10 @@ def _apply(plan: tuple, a: np.ndarray, at: tuple, out: np.ndarray) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _interior(n: int, parts: int = 1) -> tuple:
-    """The run from node (1, 1) to node (n, n) in parts: (selector, span) each."""
-    return tuple((_selector(k, n + 2), span)
-                 for k, span in _split_run(slice(n + 3, n * (n + 3) + 1, 1), parts))
+def _interior(n: int, parts: int) -> tuple:
+    """The run from node (1, 1) to node (n, n) in parts: a selector each."""
+    return tuple(_selector(k, n + 2)
+                 for k, _ in _split_run(slice(n + 3, n * (n + 3) + 1, 1), parts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -659,8 +672,7 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     elif not (isinstance(out, (tuple, list)) and len(out) == 3
               and all(isinstance(r, np.ndarray) for r in out)):
         raise ValueError("out must be a tuple or list of three arrays")
-    (at, _), = _interior(n)
-    blocks = [_writable(r, n, f"out[{k}]")[at[0]] for k, r in enumerate(out)]
+    blocks = [_writable(r, n, f"out[{k}]") for k, r in enumerate(out)]
     u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
     read = (st.u, st.v, st.p, prob.f1, prob.f2, prob.f3)
     for k, r in enumerate(out):
@@ -670,9 +682,8 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
     np.copyto(p, p_in)
     _mirror_ghosts(p.reshape(n + 2, n + 2))
 
-    def residual(part):
-        at, span = part
-        _residual_at(prob, u, v, p, at, at[0], *(b[span] for b in blocks), t[span])
+    def residual(at):
+        _residual_at(prob, u, v, p, at, at[0], *(b[at[0]] for b in blocks), t[at[0]])
 
     _run(residual, _interior(n, _part_count(n)))
     for r in out:  # also clears the junk the run left on the ring columns

@@ -700,18 +700,25 @@ def swept_511():
 class TestInPlaceCycle:
     """The in-place sweep and cycle on problem-owned buffers against the copying referees."""
 
-    # n = 511 runs its finest grid's split passes in two parts with two
-    # CPUs usable and whole with one; both must give the referee's bits,
-    # and residual_norm the same float either way
+    # n = 511 runs its finest grid's split passes in two parts: on the
+    # worker with two CPUs usable, and one after the other on the caller
+    # with one, where starting the worker fails the test; both must give
+    # the referee's bits, and residual_norm the same float either way
     @pytest.mark.parametrize("relax, c, n, cpus", [
         pytest.param(relax, c, n, None, id=f"{relax}-{c}-{n}")
         for relax in (0, 2) for c in (0.005, 0.125, 1.0) for n in (7, 15, 31, 63)]
         + [pytest.param(0, 0.125, 511, cpus, id=f"0-0.125-511-cpus{cpus}",
                         marks=pytest.mark.parts) for cpus in (1, 2)])
     def test_v_cycle_matches_referee(self, monkeypatch, n, c, relax, cpus):
+        def no_worker(pid):
+            raise AssertionError("a one-CPU cycle started the worker")
+
         monkeypatch.setattr(mgsolver, "BOUNDARY_SWEEPS", relax)
+        executor = mgsolver._executor
         if cpus is not None:
             monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
+        if cpus == 1:
+            monkeypatch.setattr(mgsolver, "_executor", no_worker)
         prob, st = scrambled_problem(n, c, seed=n)
         spec = CycleSpec(levels=max_levels(n), omega=cf.omega_opt_closed(c))
         mine, ref = st.copy(), st
@@ -720,6 +727,7 @@ class TestInPlaceCycle:
             ref = _ref_cycle(prob, ref, spec, spec.levels)
             assert states_equal(mine, ref)
         if cpus is not None:
+            monkeypatch.setattr(mgsolver, "_executor", executor)
             norms = set()
             for k in (1, 2):
                 monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: k)
@@ -832,26 +840,34 @@ class TestInPlaceCycle:
 
     @pytest.mark.parts
     def test_worker_jobs_per_v_cycle(self, monkeypatch, swept_511):
-        # the finest grid's passes run in two parts at n = 511 where two
-        # CPUs are usable, and no pass does at n = 255
-        jobs, run = [], mgsolver._run
+        # a V(2,2) cycle at n = 511 makes 25 two-part passes whatever the
+        # CPU count, and hands the worker their 25 second parts only where
+        # two CPUs are usable; at n = 255 no pass splits
+        passes, jobs = [], []
+        run, executor = mgsolver._run, mgsolver._executor
 
         def counted(job, parts):
             if len(parts) == 2:
-                jobs.append(job)
+                passes.append(job)
             return run(job, parts)
 
+        class Counting:
+            def submit(self, job):
+                jobs.append(job)
+                return executor(os.getpid()).submit(job)
+
         problem = homogeneous_problem(255, 0.125)
-        cases = ((problem, random_state(problem)), (swept_511[0], swept_511[1].copy()))
+        cases = ((problem, random_state(problem), 0), (swept_511[0], swept_511[1].copy(), 25))
         monkeypatch.setattr(mgsolver, "_run", counted)
-        for prob, st in cases:
-            n = prob.n
-            jobs.clear()
-            v_cycle(prob, st, CycleSpec(levels=max_levels(n), omega=OMEGA_8))
-            if n == 511 and mgsolver._usable_cpus() >= 2:
-                assert len(jobs) > 0
-            else:
-                assert jobs == [], n
+        monkeypatch.setattr(mgsolver, "_executor", lambda pid: Counting())
+        for cpus in (1, 2):
+            monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
+            for prob, st, split in cases:
+                passes.clear()
+                jobs.clear()
+                v_cycle(prob, st, CycleSpec(levels=max_levels(prob.n), omega=OMEGA_8))
+                assert len(passes) == split, (cpus, prob.n)
+                assert len(jobs) == (split if cpus >= 2 else 0), (cpus, prob.n)
 
     @pytest.mark.parts
     def test_worker_jobs_of_a_two_part_v_cycle(self, monkeypatch, swept_511):
@@ -883,12 +899,12 @@ class TestInPlaceCycle:
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_one_split_rule_per_grid(self, monkeypatch, cpus):
-        # every split pass over an n x n grid splits by n alone: two parts
-        # from n = 511 on where two CPUs are usable (the grid transfers
-        # never split)
+        # every split pass over an n x n grid splits by n alone, whatever
+        # the CPUs: two parts from n = 511 on (the grid transfers never
+        # split)
         monkeypatch.setattr(mgsolver, "_usable_cpus", lambda: cpus)
         parts = [mgsolver._part_count(2**k - 1) for k in range(2, 12)]
-        assert parts == [1] * 7 + [2 if cpus >= 2 else 1] * 3
+        assert parts == [1] * 7 + [2] * 3
 
     def test_usable_cpus_come_from_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

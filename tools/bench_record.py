@@ -8,7 +8,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 
 * env: the CPUs usable to this process and, at each n of the solve
   block, the number of parts the solver splits a full sweep's passes
-  into (2 where it runs them on its worker thread as well, else 1);
+  into, which is the grid's alone (2 from n = 511 on, else 1); the
+  solver's worker thread runs a second part where usable_cpus >= 2, and
+  the calling thread runs both parts in turn where it is 1;
 * control: ms per call of one fixed numpy pass that no change to
   stokesmg moves, so that its ratio between two records shows how much
   the host itself drifted between them: the median of readings taken
@@ -18,6 +20,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
   for each workload of BENCHMARK.json;
 * solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
   first cycle), ns per unknown and cycle, rho_observed and s per digit;
+* zone: at n = 255, per c across the convergence zone (1/16, 1/8, 0.5,
+  1 and 10), ms per cycle, rho_observed and s per digit of the default
+  cycle, measured as the solve block measures them;
 * layers: at n = 511, ms per call and calls per cycle of the finest
   grid's full sweep, band sweep, residual, restrict and prolong, and of
   the bottom solve;
@@ -31,8 +36,8 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 Library calls are timed by wrapping them with the benchmark's tracer
 (perfbench/spans.py), each described as perfbench/layers.py describes it.
 It takes one measurement at a time.  BLAS runs on one thread, but the
-solver splits large grids' passes between the calling thread and one
-worker thread of its own where two CPUs are usable (see env).
+solver hands the second part of a large grid's passes to one worker
+thread of its own where two CPUs are usable (see env).
 """
 
 import argparse
@@ -66,6 +71,9 @@ import stats  # noqa: E402
 C = 0.125
 SOLVE_NS = (63, 127, 255, 511)
 SOLVE_CYCLES = 12
+ZONE_N = 255
+ZONE_CS = (1 / 16, 0.125, 0.5, 1.0, 10.0)
+ZONE_CYCLES = 20  # a fixed fit, from measure_convergence_factor's seed 42
 FRESH_PROBLEMS = 5
 LAYER_N = 511
 LAYER_CYCLES = 3
@@ -139,6 +147,23 @@ def _median_span_ms(traced):
     return 1e3 * statistics.median(span[2] - span[1] for span in traced)
 
 
+def _cycle_row(prob, cycles):
+    """The default cycle on prob, fitted over cycles from seed 42.
+
+    ms per cycle is the median of the traced v_cycle spans, and s per
+    digit their sum over the digits of residual reduction.
+    """
+    spec = mgsolver.CycleSpec()
+    report, traced = _traced(mgsolver, ["v_cycle"], lambda: (
+        mgsolver.measure_convergence_factor(prob, spec, cycles)))
+    cycle_s = [span[2] - span[1] for span in traced]
+    digits = stats.digits(report.initial_residual, report.residual_history[-1])
+    return {"n": prob.n, "c": prob.c, "levels": mgsolver.max_levels(prob.n),
+            "cycles": len(cycle_s), "ms_per_cycle": 1e3 * statistics.median(cycle_s),
+            "rho_observed": report.rho_observed,
+            "s_per_digit": stats.seconds_per_digit(sum(cycle_s), digits)}
+
+
 def solve_rows():
     rows = []
     spec = mgsolver.CycleSpec()
@@ -150,18 +175,20 @@ def solve_rows():
             t = time.perf_counter()
             mgsolver.v_cycle(prob, st, spec)
             first_s.append(time.perf_counter() - t)
-        report, cycles = _traced(mgsolver, ["v_cycle"], lambda: (
-            mgsolver.measure_convergence_factor(prob, spec, SOLVE_CYCLES)))
-        cycle_s = [span[2] - span[1] for span in cycles]
-        digits = stats.digits(report.initial_residual, report.residual_history[-1])
-        rows.append({
-            "n": n, "c": C, "levels": mgsolver.max_levels(n), "cycles": len(cycle_s),
-            "ms_per_cycle": 1e3 * statistics.median(cycle_s),
-            "first_cycle_ms": 1e3 * statistics.median(first_s[1:]),
-            "ns_per_unknown_cycle": 1e9 * statistics.median(cycle_s) / (3 * n * n),
-            "rho_observed": report.rho_observed,
-            "s_per_digit": stats.seconds_per_digit(sum(cycle_s), digits),
-        })
+        row = _cycle_row(prob, SOLVE_CYCLES)
+        row.update(first_cycle_ms=1e3 * statistics.median(first_s[1:]),
+                   ns_per_unknown_cycle=1e6 * row["ms_per_cycle"] / (3 * n * n))
+        rows.append(row)
+    return rows
+
+
+def zone_rows():
+    rows = []
+    for c in ZONE_CS:
+        prob = mgsolver.homogeneous_problem(ZONE_N, c)
+        # one cycle first builds the hierarchy, as in the solve block
+        mgsolver.v_cycle(prob, mgsolver.random_state(prob), mgsolver.CycleSpec())
+        rows.append(_cycle_row(prob, ZONE_CYCLES))
     return rows
 
 
@@ -282,7 +309,7 @@ def main(argv=None):
     readings = [control["ms_per_call"]]
     record = {"tag": args.tag, "env": env_rows(), "control": control}
     for name, rows in (("perfbench", perfbench_rows), ("solve", solve_rows),
-                       ("layers", layer_rows), ("lfa", lfa_rows),
+                       ("zone", zone_rows), ("layers", layer_rows), ("lfa", lfa_rows),
                        ("criteria", criteria_rows), ("commands", command_rows)):
         record[name] = rows()
         readings.append(control_row()["ms_per_call"])
