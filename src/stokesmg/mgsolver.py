@@ -54,8 +54,10 @@ below it: the coarse problem, whose right-hand sides every cycle
 overwrites with the restricted residual, and the coarse correction
 state, which every cycle zeroes.  So the first cycle on a problem builds
 its hierarchy, later cycles reuse it, and it dies with the problem.
-Every coarse level's work buffers are views of the leading entries of
-the finest level's, so one set of 6 serves the whole hierarchy.
+Every coarse level's work grids are views of the leading entries of the
+finest level's, and its chunk temporaries are the finest level's, so one
+set of 4 grids and the chunk temporaries serves the whole hierarchy (see
+_SCRATCH).
 
 The solver splits two kinds of elementwise pass over a large grid into
 two node ranges: the full sweep's (its pack, each color's residual and
@@ -69,9 +71,12 @@ ThreadPoolExecutor made on first use in each process, so a forked child
 makes its own) runs it while the calling thread runs the first, and the
 caller waits for both; where one is, the caller runs both, first then
 second.  Every other pass stays on the caller (see _PART_MIN_N for why).
-Each split pass gives every node the same operations on the same
-operands as one pass would, and a sum always runs whole, so the results
-are bit-identical whatever the part count or the host.
+Within its part, each color's relaxation and distribution and the
+residual walk their nodes in chunks of at most CHUNK, at every size, so
+that a part's temporaries are two chunk-sized arrays, not grids.
+Each split or chunked pass gives every node the same operations on the
+same operands as one pass would, and a sum always runs whole, so the
+results are bit-identical whatever the part count or the host.
 """
 
 import functools
@@ -110,9 +115,9 @@ class StokesProblem:
     keep every pressure_block coefficient finite.  The residual and the
     distribution apply its "laplacian", "ddx" and "ddy", also built once
     here.  The fields cannot be rebound, but the arrays can be written.
-    The problem owns the 6 work grids of the sweeps and residuals
-    evaluated on it (see _SCRATCH) and the coarse levels its cycles use,
-    whose work grids view its own, so two threads
+    The problem owns the 4 work grids and the chunk temporaries of the
+    sweeps and residuals evaluated on it (see _SCRATCH) and the coarse
+    levels its cycles use, whose work buffers are its own, so two threads
     must not sweep, take residuals or cycle on one problem at the same time.
     On a large grid the solver itself splits those passes in two, over
     disjoint nodes and bit for bit, and where two CPUs are usable hands
@@ -211,29 +216,45 @@ class ConvergenceReport:
 # grid helpers
 
 
-# A problem's work buffers, (n+2) x (n+2) each, by name and count:
-# w3, the sweep's ghost buffer for the pressure correction (zero between
-# colors); state, the packed copy of the state a full sweep works on,
-# or between sweeps the residual blocks of the cycle, the bottom solve
-# and residual_norm; blocks, a sweep's four half-grid temporaries, which
-# between sweeps hold assemble_residual's mirrored p and its temporary,
-# and residual_norm's squares.  No call needs more than these 6 at once.
-# What a call leaves in them is read, if at all, before the next sweep
-# or residual on any level, and only w3 must start zeroed, so coarse
-# levels can share them (see _coarse_level).
-_SCRATCH = {"w3": 1, "state": 3, "blocks": 2}
+# A problem's work grids, (n+2) x (n+2) each, by name and count: w3, the
+# sweep's ghost buffer for the pressure correction (zero between colors);
+# state, the packed copy of the state a full sweep works on, or between
+# sweeps the residual blocks of the cycle, the bottom solve and
+# residual_norm, which squares them in place.  Besides these 4 grids a
+# problem owns its chunk temporaries (see _temporaries): two arrays of at
+# most CHUNK values per part, which hold a chunk's residual of one
+# equation and its scratch in a sweep's relaxation, its correction of
+# one field in the distribution, and the residual's scratch.  No call
+# needs more than these at once.  What a call leaves in them is read, if
+# at all, before the next sweep or residual on any level, and only w3
+# must start zeroed, so coarse levels can share them (see _coarse_level).
+_SCRATCH = {"w3": 1, "state": 3}
 
 
 def _buffers(prob: StokesProblem, name: str) -> tuple:
-    """The work buffers of prob under name, made zeroed on first use.
+    """The work grids of prob under name, made zeroed on first use.
 
-    A coarse level gets views of the finer level's buffers instead, when
+    A coarse level gets views of the finer level's grids instead, when
     _coarse_level builds it.
     """
     bufs = prob._scratch.get(name)
     if bufs is None:
         bufs = prob._scratch[name] = tuple(_zeros(prob.n) for _ in range(_SCRATCH[name]))
     return bufs
+
+
+def _temporaries(prob: StokesProblem) -> np.ndarray:
+    """The chunk temporaries of prob, made on first use: two rows per part of its passes.
+
+    A row holds CHUNK values, or (n+2)^2 on a smaller grid, so it takes
+    any chunk of the grid's plans; a coarse level gets the finer level's
+    temporaries instead, when _coarse_level builds it.
+    """
+    tmp = prob._scratch.get("chunks")
+    if tmp is None:
+        rows = min(CHUNK, (prob.n + 2) ** 2)
+        tmp = prob._scratch["chunks"] = np.zeros((_part_count(prob.n), 2, rows))
+    return tmp
 
 
 def _flat(a: np.ndarray, n: int, name: str = "array") -> np.ndarray:
@@ -275,6 +296,19 @@ def _writable(a: np.ndarray, n: int, name: str) -> np.ndarray:
 # one in alternating n = 511 V-cycles; nor the band sweeps, which ran 2x
 # slower in two parts.
 _PART_MIN_N = 511
+
+# A part of a color's relaxation or distribution, or of the residual,
+# runs in chunks of at most CHUNK nodes (see _chunked) through two
+# chunk-sized temporaries, 2 x 256 KiB.  At n = 511 that is two chunks
+# per part of a color and four per part of the residual; at n = 255 a
+# color is one chunk.  Smaller chunks lose where two threads run the
+# parts: every numpy call hands the GIL over, and 2^14 doubles the calls.
+# In alternating in-process V(2,2) cycles with norms at n = 511, c = 1/8,
+# on a 2-CPU host, 2^15 read 100.5 ms against 107.8 ms whole (faster in
+# 7 of 16), 2^14 116.4 ms (1 of 16) and 2^16 101.7 ms (6 of 16); pinned
+# to one CPU, 2^15 read 105.6 ms against 113.3 ms whole (8 of 10) and
+# 2^14 109.1 ms (6 of 10).
+CHUNK = 2**15
 
 
 def _usable_cpus() -> int:
@@ -387,10 +421,18 @@ def _count(k) -> int:
     return len(range(k.start, k.stop, k.step)) if isinstance(k, slice) else len(k)
 
 
-def _split_run(k: slice, parts: int) -> tuple:
-    """The run k cut into parts runs, each with its span: the positions of its nodes in k."""
-    return tuple((slice(k.start + s.start * k.step, k.start + s.stop * k.step, k.step), s)
-                 for s in _cuts(0, _count(k), parts))
+def _split(k, pieces: int) -> tuple:
+    """The nodes k, a run or an index array, cut in order into pieces of nearly equal length."""
+    cuts = _cuts(0, _count(k), pieces)
+    if isinstance(k, slice):
+        return tuple(slice(k.start + s.start * k.step, k.start + s.stop * k.step, k.step)
+                     for s in cuts)
+    return tuple(k[s] for s in cuts)
+
+
+def _chunked(k) -> tuple:
+    """The nodes k cut into the fewest pieces of at most CHUNK nodes (one if k is empty)."""
+    return _split(k, max(1, -(-_count(k) // CHUNK)))
 
 
 # h, 2h and h^2 are powers of two (see _check_grid), so multiplying by
@@ -423,9 +465,9 @@ def _apply(plan: tuple, a: np.ndarray, at: tuple, out: np.ndarray) -> np.ndarray
 
 @functools.lru_cache(maxsize=None)
 def _interior(n: int, parts: int) -> tuple:
-    """The run from node (1, 1) to node (n, n) in parts: a selector each."""
-    return tuple(_selector(k, n + 2)
-                 for k, _ in _split_run(slice(n + 3, n * (n + 3) + 1, 1), parts))
+    """The run from node (1, 1) to node (n, n) in parts: per part, a selector per chunk."""
+    return tuple(tuple(_selector(k, n + 2) for k in _chunked(run))
+                 for run in _split(slice(n + 3, n * (n + 3) + 1, 1), parts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -433,9 +475,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ring_positions(n: int, k) -> np.ndarray:
-    """Read-only positions, within the nodes k, of those on a ring column."""
-    col = np.arange((n + 2) ** 2)[k] % (n + 2)
+def _ring_positions(n: int, k: slice) -> np.ndarray:
+    """Read-only positions, within the run k, of its nodes on a ring column."""
+    col = (k.start + k.step * np.arange(_count(k))) % (n + 2)
     return _read_only(np.flatnonzero((col == 0) | (col == n + 1)))
 
 
@@ -482,12 +524,13 @@ class _SweepPlan:
     they index the flat grid itself.  ghosts is (ghost, source), the
     pressure mirror's gather in that layout.  colors holds per color, red
     first, the parts of the nodes the color updates and the parts of the
-    other-color interior nodes next to them.  A part of the first kind is
-    (rhs, nodes, ring, span): the flat index of its nodes (which reads the
+    other-color interior nodes next to them, each part a tuple of chunks
+    of at most CHUNK nodes, in order.  A chunk of the first kind is (rhs,
+    nodes, ring, m): the flat index of its nodes (which reads the
     right-hand sides), their selector, the positions of its ring-column
-    junk and its span, the positions of its nodes among all of the kind,
-    which index the temporaries.  A part of the second kind is (near,
-    ring, span).  A node's four neighbours always have the other color.
+    junk and its node count, the length of the temporaries it takes.  A
+    chunk of the second kind is (near, ring, m).  A node's four
+    neighbours always have the other color.
     """
 
     pack: tuple
@@ -509,10 +552,10 @@ def _packed_plan(n: int, parts: int = 1) -> _SweepPlan:
                   (slice(half + b.start, half + b.stop), slice(2 * b.start + 1, 2 * b.stop + 1, 2)))
                  for r, b in zip(_cuts(0, half, parts), _cuts(0, size - half, parts)))
     ghosts = tuple(_read_only(_packed_index(n, k)) for k in _ghosts(n))
-    colors = tuple((tuple((k, _packed_selector(n, k), _ring_positions(n, k), span)
-                          for k, span in _split_run(own, parts)),
-                    tuple((_packed_selector(n, k), _ring_positions(n, k), span)
-                          for k, span in _split_run(other, parts)))
+    colors = tuple((tuple(tuple((k, _packed_selector(n, k), _ring_positions(n, k), _count(k))
+                                for k in _chunked(run)) for run in _split(own, parts)),
+                    tuple(tuple((_packed_selector(n, k), _ring_positions(n, k), _count(k))
+                                for k in _chunked(run)) for run in _split(other, parts)))
                    for own, other in ((red, black), (black, red)))
     return _SweepPlan(pack, ghosts, colors)
 
@@ -529,17 +572,18 @@ def _masked_plan(n: int, packed_mask: bytes) -> _SweepPlan:
     i, j = np.nonzero(mask.reshape(n, n))
     k = (i + 1) * (n + 2) + (j + 1)
     none = _read_only(np.empty(0, dtype=np.intp))
+
+    def chunks(nodes):  # read-only selectors of nodes, a chunk each
+        return tuple(tuple(_read_only(a) for a in _selector(c, n + 2)) for c in _chunked(nodes))
+
     colors = []
     for parity in (0, 1):
         own = k[k % 2 == parity]
         near = np.zeros((n + 2, n + 2), dtype=bool)
         near.reshape(-1)[np.concatenate([own + d for d in (n + 2, -n - 2, 1, -1)])] = True
         near[[0, -1], :] = near[:, [0, -1]] = False
-        sels = (_selector(own, n + 2), _selector(np.flatnonzero(near), n + 2))
-        for idx in (a for sel in sels for a in sel):
-            idx.setflags(write=False)
-        colors.append((((own, sels[0], none, slice(0, len(own))),),
-                       ((sels[1], none, slice(0, len(sels[1][0]))),)))
+        colors.append(((tuple((sel[0], sel, none, len(sel[0])) for sel in chunks(own)),),
+                       (tuple((sel, none, len(sel[0])) for sel in chunks(np.flatnonzero(near))),)))
     return _SweepPlan((), _ghosts(n), tuple(colors))
 
 
@@ -555,6 +599,12 @@ def _band_mask(n: int) -> np.ndarray:
     if n > 2 * BOUNDARY_BAND:
         inner[BOUNDARY_BAND:n - BOUNDARY_BAND, BOUNDARY_BAND:n - BOUNDARY_BAND] = True
     return _read_only(~inner)
+
+
+@functools.lru_cache(maxsize=None)
+def _band_plan(n: int) -> _SweepPlan:
+    """The sweep plan of the band, _band_mask(n), keyed once per grid size."""
+    return _masked_plan(n, np.packbits(_band_mask(n)).tobytes())
 
 
 def _check_grid(n: int):
@@ -630,36 +680,35 @@ def manufactured_problem(n: int, c: float) -> tuple[StokesProblem, StokesState]:
 # residual and smoother
 
 
-def _residual_at(prob: StokesProblem, u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                 at: tuple, rhs, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray,
-                 t: np.ndarray):
-    """Residual rhs - L x at the nodes of selector at, into r1, r2, r3.
+def _residual_at(prob: StokesProblem, eq: int, u: np.ndarray, v: np.ndarray, p: np.ndarray,
+                 at: tuple, rhs, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Residual of equation eq, rhs - (L x)_eq, at the nodes of selector at, into r; returns r.
 
-    u, v, p are flat or packed, at indexes them, and p's ghosts must be
-    mirrored; rhs is the flat index of the same nodes, into the
-    right-hand sides.  t is scratch of the same length as the outputs.
+    eq 0 and 1 are the momentum equations of u and v, eq 2 the stabilized
+    continuity equation.  u, v, p are flat or packed, at indexes them, and
+    p's ghosts must be mirrored; rhs is the flat index of the same nodes,
+    into the right-hand sides.  t is scratch of r's length.
     """
-    h = prob.h
-    f1, f2, f3 = (_flat(f, prob.n)[rhs] for f in (prob.f1, prob.f2, prob.f3))
-    _apply(prob._laplacian, u, at, r1)
-    r1 += _apply(prob._ddx, p, at, t)
-    np.subtract(f1, r1, out=r1)
-    _apply(prob._laplacian, v, at, r2)
-    r2 += _apply(prob._ddy, p, at, t)
-    np.subtract(f2, r2, out=r2)
-    _apply(prob._ddx, u, at, r3)
-    r3 += _apply(prob._ddy, v, at, t)
-    _apply(prob._laplacian, p, at, t)
-    t *= prob.c * h**2
-    r3 += t
-    np.subtract(f3, r3, out=r3)
+    if eq == 2:
+        _apply(prob._ddx, u, at, r)
+        r += _apply(prob._ddy, v, at, t)
+        _apply(prob._laplacian, p, at, t)
+        t *= prob.c * prob.h**2
+        r += t
+    else:
+        _apply(prob._laplacian, (u, v)[eq], at, r)
+        r += _apply((prob._ddx, prob._ddy)[eq], p, at, t)
+    f = (prob.f1, prob.f2, prob.f3)[eq]
+    return np.subtract(_flat(f, prob.n)[rhs], r, out=r)
 
 
 def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tuple:
     """Residual rhs - L x at interior nodes; returned rings are zero.
 
     The pressure ring is re-derived by mirroring before differencing, so
-    the result does not depend on the ghost values the caller left in p.
+    the result does not depend on the ghost values the caller left in p:
+    p is read in place where every ghost already has its source's bits,
+    as after _anchor, and a mirrored copy of it otherwise.
     out, like numpy's, takes the three arrays to write the blocks into
     and is returned; by default they are new.  st must pass _flat, and out
     must be three arrays that pass it, are writeable and share no memory
@@ -673,19 +722,26 @@ def assemble_residual(prob: StokesProblem, st: StokesState, *, out=None) -> tupl
               and all(isinstance(r, np.ndarray) for r in out)):
         raise ValueError("out must be a tuple or list of three arrays")
     blocks = [_writable(r, n, f"out[{k}]") for k, r in enumerate(out)]
-    u, v, p_in = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
+    u, v, p = (_flat(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p")))
     read = (st.u, st.v, st.p, prob.f1, prob.f2, prob.f3)
     for k, r in enumerate(out):
         if any(np.may_share_memory(r, a) for a in (*out[:k], *read)):
             raise ValueError(f"out[{k}] may share memory with an earlier out array or an input")
-    p, t = (b.reshape(-1) for b in _buffers(prob, "blocks"))
-    np.copyto(p, p_in)
-    _mirror_ghosts(p.reshape(n + 2, n + 2))
+    ghost, source = _ghosts(n)
+    bits = p.view(np.uint64)
+    if not np.array_equal(bits[ghost], bits[source]):
+        p = st.p.copy()
+        _mirror_ghosts(p)
+        p = p.reshape(-1)
 
-    def residual(at):
-        _residual_at(prob, u, v, p, at, at[0], *(b[at[0]] for b in blocks), t[at[0]])
+    def residual(job):
+        chunks, (t, _) = job
+        for at in chunks:
+            k = at[0]
+            for eq, b in enumerate(blocks):
+                _residual_at(prob, eq, u, v, p, at, k, b[k], t[:_count(k)])
 
-    _run(residual, _interior(n, _part_count(n)))
+    _run(residual, tuple(zip(_interior(n, _part_count(n)), _temporaries(prob))))
     for r in out:  # also clears the junk the run left on the ring columns
         r[0, :] = r[-1, :] = r[:, 0] = r[:, -1] = 0.0
     return out
@@ -699,16 +755,19 @@ def residual_norm(prob: StokesProblem, st: StokesState) -> float:
     inf, or below 1e-280 where those underflows could count, the norm is
     recomputed on the residual divided by its largest magnitude, so a
     finite nonzero residual has a finite nonzero norm.  An inf or NaN
-    residual gives a non-finite norm.
+    residual gives a non-finite norm.  The blocks are squared in place in
+    prob's state buffers, so the rescaling assembles the residual again.
     """
-    blocks = assemble_residual(prob, st, out=_buffers(prob, "state"))
-    sq = _buffers(prob, "blocks")[0]
+    blocks = _buffers(prob, "state")
+    assemble_residual(prob, st, out=blocks)
     with np.errstate(over="ignore", under="ignore"):
-        total = sum(np.square(r, out=sq).sum() for r in blocks)
+        total = sum(np.square(r, out=r).sum() for r in blocks)
         if total == np.inf or total < 1e-280:
-            scale = max(float(np.abs(r, out=sq).max()) for r in blocks)
+            # magnitudes, in place: the squares below do not need the signs
+            assemble_residual(prob, st, out=blocks)
+            scale = max(float(np.abs(r, out=r).max()) for r in blocks)
             if 0.0 < scale < np.inf:
-                return scale * math.sqrt(sum(np.square(np.divide(r, scale, out=sq), out=sq).sum()
+                return scale * math.sqrt(sum(np.square(np.divide(r, scale, out=r), out=r).sum()
                                              for r in blocks))
     return float(np.sqrt(total))
 
@@ -760,6 +819,8 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
         raise ValueError(f"point_mask has shape {point_mask.shape}, expected {(n, n)}")
     elif omega != 1.0:
         raise ValueError(f"a point_mask sweep is undamped: omega must be 1, got {omega}")
+    elif point_mask is _band_mask(n):
+        plan = _band_plan(n)
     else:
         plan = _masked_plan(n, np.packbits(point_mask).tobytes())
     fields = [_writable(a, n, name) for a, name in ((st.u, "u"), (st.v, "v"), (st.p, "p"))]
@@ -774,9 +835,7 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
 
         _run(pack, plan.pack)
     w3 = _buffers(prob, "w3")[0].reshape(-1)
-    half = (n + 2) ** 2 // 2  # at least the nodes of a color
-    tmp = [b.reshape(-1)[k * half:(k + 1) * half]
-           for b in _buffers(prob, "blocks") for k in (0, 1)]
+    tmp = _temporaries(prob)
     ghost, source = plan.ghosts
 
     # the ghosts w1, w2, w3 are nonzero on the color's nodes only, so du =
@@ -784,39 +843,45 @@ def distributive_two_color_sweep(prob: StokesProblem, st: StokesState,
     # -dy w3 on the neighbours, and dp = -lap w3 on both, which is
     # 4 w3 / h^2 = d_vel w3 on the color's nodes.  No two nodes of a color
     # are neighbours, so the color's residual is the same before and after
-    # its own velocity updates, and a part of its nodes reads, of what the
-    # color writes, only its own nodes.  The distribution reads w3 at the
-    # nodes of every part, so it starts once all parts are done
-    def relax(part):
-        rhs, nodes, ring, span = part
-        r1, r2, r3, t = (b[span] for b in tmp)
-        _residual_at(prob, u, v, p, nodes, rhs, r1, r2, r3, t)
-        r1 *= 1.0 / d_vel
-        r2 *= 1.0 / d_vel
-        r3 /= d_pre
-        for r in (r1, r2, r3):
+    # its own updates: an equation's residual reads the color's nodes only
+    # in the center of its Laplacian, of the field that the equation's own
+    # update then writes.  So a chunk relaxes u, then v, then p, through
+    # one residual temporary, and reads, of what the color writes, only its
+    # own nodes.  The distribution reads w3 at the nodes of every part, so it
+    # starts once all parts are done.  A job is a part's chunks with that
+    # part's two temporaries
+    def relax(job):
+        chunks, temps = job
+        for rhs, nodes, ring, m in chunks:
+            r, t = temps[:, :m]
+            for eq, a in enumerate((u, v)):
+                _residual_at(prob, eq, u, v, p, nodes, rhs, r, t)
+                r *= 1.0 / d_vel
+                r[ring] = 0.0
+                a[nodes[0]] += r
+            _residual_at(prob, 2, u, v, p, nodes, rhs, r, t)
+            r /= d_pre
             r[ring] = 0.0
-        u[nodes[0]] += r1
-        v[nodes[0]] += r2
-        w3[nodes[0]] = r3
-        p[nodes[0]] += np.multiply(r3, d_vel, out=t)
+            w3[nodes[0]] = r
+            p[nodes[0]] += np.multiply(r, d_vel, out=t)
 
-    def distribute(part):
-        near, ring, span = part
-        du, dv, dp = (b[span] for b in tmp[:3])
-        _apply(prob._ddx, w3, near, du)[ring] = 0.0
-        u[near[0]] -= du
-        _apply(prob._ddy, w3, near, dv)[ring] = 0.0
-        v[near[0]] -= dv
-        p[near[0]] += _apply(prob._laplacian, w3, near, dp)
+    def distribute(job):
+        chunks, temps = job
+        for near, ring, m in chunks:
+            d = temps[0, :m]
+            for a, op in ((u, prob._ddx), (v, prob._ddy)):
+                _apply(op, w3, near, d)[ring] = 0.0
+                a[near[0]] -= d
+            p[near[0]] += _apply(prob._laplacian, w3, near, d)
 
     try:
         for own, near in plan.colors:
             p[ghost] = p[source]
-            _run(relax, own)
-            _run(distribute, near)
-            for _, nodes, _, _ in own:
-                w3[nodes[0]] = 0.0
+            _run(relax, tuple(zip(own, tmp)))
+            _run(distribute, tuple(zip(near, tmp)))
+            for chunks in own:
+                for _, nodes, _, _ in chunks:
+                    w3[nodes[0]] = 0.0
     except BaseException:
         w3.fill(0.0)  # an interrupted sweep leaves the next one a zero buffer
         raise
@@ -948,11 +1013,12 @@ def _bottom_solve(prob: StokesProblem, st: StokesState) -> StokesState:
 def _coarse_level(prob: StokesProblem) -> tuple[StokesProblem, StokesState]:
     """The coarse problem and correction state below prob, built on first use.
 
-    Both are kept in prob's _scratch.  The coarse problem's work buffers
-    are C-contiguous views of the leading (nc+2)^2 entries of prob's:
-    levels run one at a time and keep nothing in them across the
-    coarse-grid call, and every sweep leaves w3 zero, so the finest
-    problem's buffers serve the whole hierarchy.
+    Both are kept in prob's _scratch.  The coarse problem's work grids
+    are C-contiguous views of the leading (nc+2)^2 entries of prob's, and
+    its chunk temporaries are prob's, as its parts are no more and its
+    chunks no longer: levels run one at a time and keep nothing in them
+    across the coarse-grid call, and every sweep leaves w3 zero, so the
+    finest problem's buffers serve the whole hierarchy.
     """
     level = prob._scratch.get("coarse")
     if level is None:
@@ -962,6 +1028,7 @@ def _coarse_level(prob: StokesProblem) -> tuple[StokesProblem, StokesState]:
         for name in _SCRATCH:
             coarse._scratch[name] = tuple(b.reshape(-1)[:m].reshape(nc + 2, nc + 2)
                                           for b in _buffers(prob, name))
+        coarse._scratch["chunks"] = _temporaries(prob)
         level = prob._scratch["coarse"] = (coarse, zero_state(coarse))
     return level
 

@@ -317,6 +317,32 @@ class TestResidual:
                 st.u[3, 4] = bad
                 assert not math.isfinite(residual_norm(prob, st)), (n, bad)
 
+    # residual_norm squares the residual in place in the state buffers, so
+    # its rescaling, for sums that overflow or underflow, assembles the
+    # residual again; the norm must be that of the referee's residual,
+    # rescaled by its largest magnitude, bit for bit
+    @pytest.mark.parametrize("scale, assembled", [(1.0, 1), (1e200, 2), (1e-200, 2)])
+    def test_rescaled_norm_is_the_referees(self, monkeypatch, scale, assembled):
+        prob = homogeneous_problem(15, 0.3)
+        st = random_state(prob, seed=15)
+        st = StokesState(scale * st.u, scale * st.v, scale * st.p)
+        residual, calls = mgsolver.assemble_residual, []
+
+        def counted(prob, st, *, out=None):
+            calls.append(out)
+            return residual(prob, st, out=out)
+
+        monkeypatch.setattr(mgsolver, "assemble_residual", counted)
+        norm = residual_norm(prob, st)
+        assert len(calls) == assembled
+        blocks = _ref_assemble_residual(prob, st)
+        if assembled == 1:
+            ref = float(np.sqrt(sum(np.square(r).sum() for r in blocks)))
+        else:
+            top = max(float(np.abs(r).max()) for r in blocks)
+            ref = top * math.sqrt(sum(np.square(r / top).sum() for r in blocks))
+        assert float.hex(norm) == float.hex(ref)
+
     def test_manufactured_solution_is_discrete_solution(self):
         prob, exact = manufactured_problem(31, 0.125)
         r1, r2, r3 = assemble_residual(prob, exact)
@@ -489,6 +515,26 @@ class TestSweepMatchesReferee:
                 ref = _reference_sweep(prob, st, omega, point_mask=mask)
                 assert states_equal(mine, ref), (mask is not None, omega)
 
+    def test_band_plan_is_resolved_once_per_grid(self, monkeypatch):
+        # the band's plan is the masked plan of the band mask, keyed once
+        # per grid size; any other array with the band's values takes the
+        # public path to the same plan and the same sweep
+        band = mgsolver._band_mask(31)
+        plan = mgsolver._band_plan(31)
+        assert plan is mgsolver._band_plan(31)
+        assert plan is mgsolver._masked_plan(31, np.packbits(band).tobytes())
+        prob, st = scrambled_problem(31, 0.125, seed=2)
+        spec = CycleSpec(levels=max_levels(31), omega=OMEGA_8)
+        v_cycle(prob, st, spec)
+        packbits, keyed = np.packbits, []
+        monkeypatch.setattr(mgsolver.np, "packbits", lambda a: keyed.append(a) or packbits(a))
+        v_cycle(prob, st, spec)
+        assert keyed == []
+        copy = distributive_two_color_sweep(prob, st.copy(), 1.0, point_mask=band.copy())
+        assert len(keyed) == 1
+        assert states_equal(copy, distributive_two_color_sweep(prob, st.copy(), 1.0,
+                                                               point_mask=band))
+
     def test_arbitrary_mask(self):
         prob, st = scrambled_problem(15, 0.125, seed=1)
         mask = np.random.default_rng(2).random((15, 15)) < 0.2
@@ -545,9 +591,9 @@ class TestSweepMatchesReferee:
         for plan in [masked] + packed:
             arrays = list(plan.ghosts)
             for own, near in plan.colors:
-                for rhs, nodes, ring, _ in own:
+                for rhs, nodes, ring, _ in (chunk for part in own for chunk in part):
                     arrays += [a for a in (rhs,) + nodes if isinstance(a, np.ndarray)] + [ring]
-                for sel, ring, _ in near:
+                for sel, ring, _ in (chunk for part in near for chunk in part):
                     arrays += [a for a in sel if isinstance(a, np.ndarray)] + [ring]
             for idx in arrays:
                 assert not idx.flags.writeable
@@ -555,9 +601,9 @@ class TestSweepMatchesReferee:
             for own, near in plan.colors:
                 # ring-column junk: each color's run passes columns 0 and 32
                 # of the rows of its parity, 30 nodes once the run's ends are
-                # cut, whichever parts they fall in
-                assert sum(len(ring) for _, _, ring, _ in own) == 30
-                assert sum(len(ring) for _, ring, _ in near) == 30
+                # cut, whichever parts and chunks they fall in
+                assert sum(len(ring) for part in own for _, _, ring, _ in part) == 30
+                assert sum(len(ring) for part in near for _, ring, _ in part) == 30
 
     @pytest.mark.parametrize("n", [3, 7, 15, 31, 63, 127, 255,
                                    pytest.param(511, marks=pytest.mark.parts)])
@@ -585,24 +631,45 @@ class TestSweepMatchesReferee:
         _ref_mirror_ghosts(mirrored)
         for to, frm in pairs:
             assert arrays_equal(packed[to], mirrored.reshape(-1)[frm])
-        # the parts of a color are its run cut in order, and their spans
-        # are the positions of their nodes in it (in the other color's run,
-        # for the parts of its neighbours)
+        # the parts of a color are its run cut in order into nearly equal
+        # parts, and each part is cut in order into the fewest nearly equal
+        # chunks of at most CHUNK nodes, each with its node count and the
+        # positions of its nodes on a ring column; the neighbours of a
+        # color are the other color's chunks
         stop = n * (n + 3) + 1
         for (own, near), (other, _), start in zip(plan.colors, plan.colors[::-1],
                                                   (n + 3, n + 4)):
             assert len(own) == len(near) == parts
-            runs = [np.arange(k.start, k.stop, k.step) for k, _, _, _ in own]
+            runs = [np.arange(k.start, k.stop, k.step) for part in own for k, _, _, _ in part]
             assert arrays_equal(np.concatenate(runs), np.arange(start, stop, 2))
-            for kind, nodes in ((own, own), (near, other)):
-                ends = np.cumsum([0] + [mgsolver._count(part[0]) for part in nodes]).tolist()
-                assert [part[-1] for part in kind] == [slice(a, b) for a, b in zip(ends, ends[1:])]
+            sizes = [sum(chunk[-1] for chunk in part) for part in own]
+            assert max(sizes) - min(sizes) <= 1
+            for part in own:
+                counts = [m for _, _, _, m in part]
+                assert len(part) == max(1, -(-sum(counts) // mgsolver.CHUNK))
+                assert max(counts) <= mgsolver.CHUNK and max(counts) - min(counts) <= 1
+            for near_part, other_part in zip(near, other):
+                assert len(near_part) == len(other_part)
+                for (_, ring, m), (_, _, other_ring, other_m) in zip(near_part, other_part):
+                    assert m == other_m and arrays_equal(ring, other_ring)
+            for rhs, _, ring, m in (chunk for part in own for chunk in part):
+                col = np.arange(rhs.start, rhs.stop, rhs.step) % (n + 2)
+                assert m == col.size
+                assert arrays_equal(ring, np.flatnonzero((col == 0) | (col == n + 1)))
+        # CHUNK leaves a color at n = 255 whole and cuts each of its two
+        # parts at n = 511 in two
+        if n == 255:
+            assert [len(part) for part in plan.colors[0][0]] == ([1] if parts == 1 else [1, 1])
+        if n == 511:
+            assert [len(part) for part in plan.colors[0][0]] == ([4] if parts == 1 else [2, 2])
         # each selector slice lies inside the block of its nodes' color, and
         # names the same nodes as the flat run shifted by its offset: a
         # slice that started below its block would read the other color
         for (own, near), (other, _) in zip(plan.colors, plan.colors[::-1]):
+            own, near, other = ([chunk for part in kind for chunk in part]
+                                for kind in (own, near, other))
             for run, sel in ([(rhs, nodes) for rhs, nodes, _, _ in own]
-                             + [(o[0], part[0]) for o, part in zip(other, near)]):
+                             + [(o[0], chunk[0]) for o, chunk in zip(other, near)]):
                 for s, d in zip(sel, (0, n + 2, -n - 2, 1, -1)):
                     red = (run.start + d) % 2 == 0
                     lo, hi = (0, half) if red else (half, size)
@@ -1088,10 +1155,11 @@ class TestInPlaceCycle:
         prob = homogeneous_problem(15, 0.125)
         v_cycle(prob, random_state(prob), CycleSpec(levels=3, omega=OMEGA_8))
         assert [level.n for level in _levels(prob)] == [15, 7, 3]
-        # 6 buffers on the finest level; on each coarse one 6 buffer views,
-        # 5 problem arrays and 3 correction-state arrays
+        # 4 work grids and the chunk temporaries on the finest level; on
+        # each coarse one 4 grid views, the finest level's temporaries, 5
+        # problem arrays and 3 correction-state arrays
         arrays = [weakref.ref(a) for a in _reachable_arrays(prob._scratch)]
-        assert len(arrays) == 6 + 2 * (6 + 5 + 3)
+        assert len(arrays) == 5 + 2 * (5 + 5 + 3)
         del prob
         gc.collect()
         assert all(ref() is None for ref in arrays)
@@ -1145,36 +1213,101 @@ class TestInPlaceCycle:
                 for mine, finest in zip(level._scratch[name], prob._scratch[name]):
                     assert mine.shape == (level.n + 2, level.n + 2)
                     assert mine.flags.c_contiguous and np.shares_memory(mine, finest)
+            assert level._scratch["chunks"] is prob._scratch["chunks"]
+        # 4 work grids and one array of chunk temporaries, one part's two
+        # rows of the whole 33 x 33 grid each, serve the whole hierarchy
+        assert prob._scratch["chunks"].shape == (1, 2, 33 * 33)
         buffers = [b for level in levels for name in mgsolver._SCRATCH
                    for b in level._scratch[name]]
+        buffers += [level._scratch["chunks"] for level in levels]
         owners = {id(b if b.base is None else b.base) for b in buffers}
-        assert len(owners) == 6
+        assert len(owners) == 5
 
     def test_residual_blocks_are_the_state_buffers(self, monkeypatch):
         # the cycle, the bottom solve and residual_norm write the residual
         # into the sweep's packed-copy buffers, which no sweep needs across
-        # the call, and assemble_residual keeps its mirrored p in the
-        # blocks buffers, which must share no memory with them
+        # the call and which share no memory with the other work buffers;
+        # their states are anchored, so assemble_residual reads their p in
+        # place, and it mirrors a copy of p only for a state whose ghosts
+        # are stale, a copy of its own
         prob, st = scrambled_problem(15, 0.125, seed=13)
-        outs = []
+        outs, copies, into = [], [], []
+        residual, mirror = mgsolver.assemble_residual, mgsolver._mirror_ghosts
 
         def recording(prob, st, *, out=None):
             if out is not None:  # not _bottom_pinv's columns
                 outs.append((prob, out))
-            return assemble_residual(prob, st, out=out)
+            into.append(out is not None)
+            try:
+                return residual(prob, st, out=out)
+            finally:
+                into.pop()
+
+        def mirroring(p):
+            if into and into[-1]:
+                copies.append(p)
+            return mirror(p)
 
         monkeypatch.setattr(mgsolver, "assemble_residual", recording)
+        monkeypatch.setattr(mgsolver, "_mirror_ghosts", mirroring)
         v_cycle(prob, st, CycleSpec(levels=max_levels(15), omega=OMEGA_8))
         residual_norm(prob, st)
         assert [level.n for level, _ in outs] == [15, 7, 3, 15]
+        assert copies == []
         for level, out in outs:
-            state, blocks = (mgsolver._buffers(level, name) for name in ("state", "blocks"))
+            state = mgsolver._buffers(level, "state")
+            others = (*mgsolver._buffers(level, "w3"), mgsolver._temporaries(level))
             assert len(out) == 3 and all(r is b for r, b in zip(out, state))
-            assert not any(np.shares_memory(r, b) for r in out for b in blocks)
-        assemble_residual(prob, st)
-        p = st.p.copy()
-        _ref_mirror_ghosts(p)
-        assert arrays_equal(mgsolver._buffers(prob, "blocks")[0], p)
+            assert not any(np.shares_memory(r, b) for r in out for b in others)
+        stale = st.copy()
+        stale.p[0, 4] += 1.0
+        recording(prob, stale, out=tuple(np.empty((17, 17)) for _ in range(3)))
+        assert len(copies) == 1
+        work = (*mgsolver._buffers(prob, "state"), *mgsolver._buffers(prob, "w3"),
+                mgsolver._temporaries(prob), stale.p)
+        assert not any(np.shares_memory(copies[0], b) for b in work)
+
+    # a ghost whose bits differ from its source's, whatever == says, makes
+    # assemble_residual mirror a copy: here -0.0 over +0.0, whose sign
+    # reaches r2 at node (5, 1) through ddy p when v and f2 there are -0.0;
+    # a NaN over a finite node; and a stale ghost of a read-only state
+    @pytest.mark.parametrize("case", ["negative_zero", "nan", "read_only"])
+    def test_unmirrored_ghosts_are_mirrored_in_a_copy(self, case):
+        prob = homogeneous_problem(15, 0.3)
+        if case == "negative_zero":
+            st = zero_state(prob)
+            prob.f2[5, 1] = st.v[5, 1] = st.p[5, 2] = -0.0
+            st.p[5, 0] = -0.0
+        else:
+            st = random_state(prob, seed=14)
+            st.p[0, 7] = np.nan if case == "nan" else st.p[0, 7] + 1.0
+        if case == "read_only":
+            for a in (st.u, st.v, st.p):
+                a.setflags(write=False)
+        before = st.p.tobytes()
+        mine, ref = assemble_residual(prob, st), _ref_assemble_residual(prob, st)
+        assert all(arrays_equal(a, b) for a, b in zip(mine, ref))
+        assert st.p.tobytes() == before
+        if case == "negative_zero":  # the ghost read in place would give -0.0
+            assert mine[1][5, 1] == 0.0 and not np.signbit(mine[1][5, 1])
+
+    @pytest.mark.parts
+    def test_finest_work_buffers_are_four_grids_and_the_chunks(self):
+        # after one V-cycle at n = 511 the finest problem's own work
+        # buffers are w3, the 3 state grids and, per part of its passes,
+        # two temporaries of CHUNK = 2^15 values, as many bytes as eight
+        # of 2^14; the coarse levels allocate none
+        prob = homogeneous_problem(511, 0.125)
+        v_cycle(prob, random_state(prob), CycleSpec())
+        own = {k: b for k, b in prob._scratch.items() if k != "coarse"}
+        owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
+                  for a in _reachable_arrays(own)}
+        allocated = sum(a.nbytes for a in owners.values())
+        assert allocated <= 4 * 513**2 * 8 + 8 * 2**14 * 8
+        finest = set(owners)
+        for level in _levels(prob)[1:]:
+            work = {k: b for k, b in level._scratch.items() if k != "coarse"}
+            assert {id(a if a.base is None else a.base) for a in _reachable_arrays(work)} <= finest
 
     def test_nan_cycle_leaves_a_clean_hierarchy(self):
         prob, st = scrambled_problem(31, 0.125, seed=12)

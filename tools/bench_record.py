@@ -19,7 +19,9 @@ It writes BENCH_<tag>.json at the root of the checkout, holding:
 * perfbench: the env line and the final JSON line of `perfbench/run.py`
   for each workload of BENCHMARK.json;
 * solve: per n, ms per V(2,2) cycle at c = 1/8 (and of a fresh problem's
-  first cycle), ns per unknown and cycle, rho_observed and s per digit;
+  first cycle), ns per unknown and cycle, rho_observed and s per digit,
+  and scratch_mb, the MiB of the finest problem's own work buffers after
+  its first cycle (the coarse levels' buffers are views of them);
 * zone: at n = 255, per c across the convergence zone (1/16, 1/8, 0.5,
   1 and 10), ms per cycle, rho_observed and s per digit of the default
   cycle, measured as the solve block measures them;
@@ -164,6 +166,13 @@ def _cycle_row(prob, cycles):
             "s_per_digit": stats.seconds_per_digit(sum(cycle_s), digits)}
 
 
+def _scratch_mb(prob):
+    """MiB of the work buffers prob holds itself: all its _scratch but the coarse level."""
+    held = [value if isinstance(value, tuple) else (value,)
+            for name, value in prob._scratch.items() if name != "coarse"]
+    return sum(a.nbytes for arrays in held for a in arrays) / 2**20
+
+
 def solve_rows():
     rows = []
     spec = mgsolver.CycleSpec()
@@ -175,9 +184,11 @@ def solve_rows():
             t = time.perf_counter()
             mgsolver.v_cycle(prob, st, spec)
             first_s.append(time.perf_counter() - t)
+        scratch_mb = _scratch_mb(prob)
         row = _cycle_row(prob, SOLVE_CYCLES)
         row.update(first_cycle_ms=1e3 * statistics.median(first_s[1:]),
-                   ns_per_unknown_cycle=1e6 * row["ms_per_cycle"] / (3 * n * n))
+                   ns_per_unknown_cycle=1e6 * row["ms_per_cycle"] / (3 * n * n),
+                   scratch_mb=scratch_mb)
         rows.append(row)
     return rows
 
